@@ -152,20 +152,16 @@ def cmd_chain(args) -> int:
     return EXIT_OK
 
 
-def _ordered_pipeline(spec: HamiltonianSpec, meas: MeasurementSpec, threads: int):
+def _ordered_set(spec: HamiltonianSpec, meas: MeasurementSpec) -> AccessibleSet:
     digamma = decomposed_digamma(spec)
-    g = generate(digamma, list(meas.decomposed), threads=threads)
-    gr = build_graph(g, digamma)
-    part = partition_k_finite(g)
-    ordered = order_members(g, gr, part)
-    graph_ordered = build_graph(ordered, digamma)
-    return ordered, graph_ordered, digamma
+    g = generate(digamma, list(meas.decomposed))
+    return order_members(g, build_graph(g, digamma), partition_k_finite(g))
 
 
 def cmd_gen(args) -> int:
     spec = _load_hamiltonian(args)
     meas = _load_measurement(args, spec.n_qubits)
-    ordered, _, _ = _ordered_pipeline(spec, meas, args.threads)
+    ordered = _ordered_set(spec, meas)
     if args.format == "text":
         payload = ordered.to_text()
     else:
@@ -464,7 +460,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, list]:
     _add_measurement_source(p)
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; has no effect (generation is serial)",
+    )
     p.set_defaults(func=cmd_gen)
     created.append(p)
 

@@ -11,14 +11,13 @@ chain with a single Z-prefixed seed.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .pauli import PauliString, parse_term
+from .pauli import PauliString, PauliTable, parse_term
 
 __all__ = [
     "AccessibleSet",
@@ -59,6 +58,8 @@ class AccessibleSet:
     partition: Optional[tuple[tuple[int, int, int], ...]] = None
     cores: Optional[tuple[int, ...]] = None
     _index: Optional[dict] = field(default=None, repr=False, compare=False)
+    _table: Optional[PauliTable] = field(default=None, repr=False, compare=False)
+    _depths: Optional[list[int]] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -70,6 +71,12 @@ class AccessibleSet:
                 (s.x_mask, s.z_mask): i for i, s in enumerate(self.members)
             }
         return self._index
+
+    def table(self) -> PauliTable:
+        """The members packed as x/z words, built once on demand."""
+        if self._table is None:
+            self._table = PauliTable.from_strings(self.members, self.n_qubits)
+        return self._table
 
     def index_of(self, s: PauliString) -> int:
         try:
@@ -85,11 +92,31 @@ class AccessibleSet:
 
     def depth(self, i: int) -> int:
         """Provenance chain length from member i back to a seed."""
-        d = 0
-        while self.provenance[i] is not None:
-            i = self.provenance[i][0]
-            d += 1
-        return d
+        return self.depths()[i]
+
+    def depths(self) -> list[int]:
+        """Provenance chain length of every member, computed once.
+
+        Raises ValueError when the provenance chains form a cycle.
+        """
+        if self._depths is None:
+            on_path = -1
+            depth = [-2] * len(self.members)
+            for start in range(len(depth)):
+                path, i = [], start
+                while depth[i] < 0:
+                    if depth[i] == on_path:
+                        raise ValueError(f"provenance of member {i} forms a cycle")
+                    if self.provenance[i] is None:
+                        depth[i] = 0
+                        break
+                    depth[i] = on_path
+                    path.append(i)
+                    i = self.provenance[i][0]
+                for d, j in enumerate(reversed(path), depth[i] + 1):
+                    depth[j] = d
+            self._depths = depth
+        return self._depths
 
     def to_text(self) -> str:
         """Flat format: one operator per line."""
@@ -128,8 +155,9 @@ def generate(
     """Minimal fixpoint containing the seeds under bracketing with digamma.
 
     Members are ordered by discovery: seeds first, then breadth-first in
-    (frontier order x canonical digamma order).  The result is independent
-    of ``threads``; parallel frontiers merge in deterministic order.
+    (frontier order x canonical digamma order).  ``threads`` is accepted for
+    compatibility and has no effect: the sweep is serial, because a thread
+    pool was measured slower than one thread.
     """
     if not seeds:
         raise ValueError("seed set must be nonempty")
@@ -150,51 +178,17 @@ def generate(
 
     cap = 1 << (2 * n)
 
-    def sweep_serial(start: int) -> None:
-        head = start
-        while head < len(members):
-            tx, tz = members[head]
-            for j, (vx, vz) in enumerate(dig_masks):
-                if ((tx & vz).bit_count() ^ (tz & vx).bit_count()) & 1:
-                    key = (tx ^ vx, tz ^ vz)
-                    if key not in seen:
-                        seen[key] = len(members)
-                        members.append(key)
-                        prov.append((head, j))
-            head += 1
-
-    def sweep_threaded(start: int, pool: ThreadPoolExecutor, width: int) -> None:
-        head = start
-        while head < len(members):
-            layer = range(head, len(members))
-            chunk = max(1, (len(layer) + width - 1) // width)
-
-            def candidates(lo: int, hi: int):
-                out = []
-                for idx in range(lo, hi):
-                    tx, tz = members[idx]
-                    for j, (vx, vz) in enumerate(dig_masks):
-                        if ((tx & vz).bit_count() ^ (tz & vx).bit_count()) & 1:
-                            out.append((idx, j, (tx ^ vx, tz ^ vz)))
-                return out
-
-            bounds = [
-                (lo, min(lo + chunk, layer.stop))
-                for lo in range(layer.start, layer.stop, chunk)
-            ]
-            head = layer.stop
-            for part in pool.map(lambda b: candidates(*b), bounds):
-                for idx, j, key in part:
-                    if key not in seen:
-                        seen[key] = len(members)
-                        members.append(key)
-                        prov.append((idx, j))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sweep_threaded(0, pool, threads)
-    else:
-        sweep_serial(0)
+    head = 0
+    while head < len(members):
+        tx, tz = members[head]
+        for j, (vx, vz) in enumerate(dig_masks):
+            if ((tx & vz).bit_count() ^ (tz & vx).bit_count()) & 1:
+                key = (tx ^ vx, tz ^ vz)
+                if key not in seen:
+                    seen[key] = len(members)
+                    members.append(key)
+                    prov.append((head, j))
+        head += 1
 
     if len(members) > cap:
         raise ClosureError(
@@ -326,30 +320,88 @@ def accessible_set_to_json(g: AccessibleSet) -> dict:
     }
 
 
+def _json_int(value, what: str, lo: int = 0, hi: Optional[int] = None) -> int:
+    """An integer read from JSON, checked to lie in lo..hi (inclusive)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < lo
+        or (hi is not None and value > hi)
+    ):
+        span = f"{lo}..{'' if hi is None else hi}"
+        raise ValueError(f"{what} must be an integer in {span}, got {value!r}")
+    return value
+
+
+def _json_texts(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+        raise ValueError(f"{what} must be a list of operator texts")
+    return value
+
+
+def _unique_index(strings: Sequence[PauliString], what: str) -> dict[tuple[int, int], int]:
+    """Mask-keyed index of distinct strings; a repeated string is an input error."""
+    index: dict[tuple[int, int], int] = {}
+    for i, s in enumerate(strings):
+        first = index.setdefault((s.x_mask, s.z_mask), i)
+        if first != i:
+            raise ValueError(f"{what} {s} is listed twice (entries {first} and {i})")
+    return index
+
+
 def accessible_set_from_json(data: dict) -> AccessibleSet:
-    if data.get("schema") != SET_SCHEMA_ID:
+    """Rebuild a set written by :func:`accessible_set_to_json`.
+
+    Malformed input (wrong types, indices out of range, repeated members)
+    raises ValueError.
+    """
+    if not isinstance(data, dict) or data.get("schema") != SET_SCHEMA_ID:
+        schema = data.get("schema") if isinstance(data, dict) else None
         raise ValueError(
-            f"unsupported set schema {data.get('schema')!r}, expected {SET_SCHEMA_ID!r}"
+            f"unsupported set schema {schema!r}, expected {SET_SCHEMA_ID!r}"
         )
-    n = int(data["n_qubits"])
-    members = tuple(parse_term(t, n) for t in data["members"])
-    provenance = tuple(
-        None
-        if e["parent"] is None
-        else (int(e["parent"]), parse_term(e["edge"], n))
-        for e in data["provenance"]
-    )
+    n = _json_int(data["n_qubits"], "n_qubits", lo=1)
+    members = tuple(parse_term(t, n) for t in _json_texts(data["members"], "members"))
+    m = len(members)
+    index = _unique_index(members, "member")
+
+    entries = data["provenance"]
+    if not isinstance(entries, list) or len(entries) != m:
+        raise ValueError(f"provenance must be a list of {m} entries, one per member")
+    edges: dict[str, PauliString] = {}
+    provenance = []
+    for e in entries:
+        if not isinstance(e, dict):
+            raise ValueError("provenance entries must be objects with parent and edge")
+        if e["parent"] is None:
+            provenance.append(None)
+            continue
+        parent = _json_int(e["parent"], "provenance parent", hi=m - 1)
+        text = e["edge"]
+        if not isinstance(text, str):
+            raise ValueError("provenance edge must be an operator text")
+        if text not in edges:
+            edges[text] = parse_term(text, n)
+        provenance.append((parent, edges[text]))
+
     partition = data.get("partition")
+    if partition is not None:
+        if not isinstance(partition, list) or not all(isinstance(e, dict) for e in partition):
+            raise ValueError("partition must be a list of {k, start, end} objects")
+        partition = tuple(
+            (
+                _json_int(e["k"], "partition k", lo=1, hi=n),
+                _json_int(e["start"], "partition start", hi=m),
+                _json_int(e["end"], "partition end", lo=e["start"], hi=m),
+            )
+            for e in partition
+        )
     cores = data.get("cores")
-    return AccessibleSet(
-        n,
-        members,
-        provenance,
-        None
-        if partition is None
-        else tuple((e["k"], e["start"], e["end"]) for e in partition),
-        None if cores is None else tuple(cores),
-    )
+    if cores is not None:
+        if not isinstance(cores, list):
+            raise ValueError("cores must be a list of member indices")
+        cores = tuple(_json_int(c, "core", hi=m - 1) for c in cores)
+    return AccessibleSet(n, members, tuple(provenance), partition, cores, _index=index)
 
 
 def save_accessible_set(g: AccessibleSet, path: Union[str, Path]) -> None:

@@ -10,13 +10,13 @@ block's core operator.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .closure import AccessibleSet, ClosureError
-from .pauli import PauliString, bracket_normalized
+from .pauli import PauliString, PauliTable, bracket_normalized, phase_free_product
 
 __all__ = [
     "AccessGraph",
@@ -46,25 +46,23 @@ class AccessGraph:
     n_qubits: int
     members: tuple[PauliString, ...]
     edges: tuple[tuple[int, int, PauliString], ...]
+    _table: Optional[PauliTable] = field(default=None, repr=False, compare=False)
+
+    def table(self) -> PauliTable:
+        """The members packed as x/z words, built once on demand."""
+        if self._table is None:
+            self._table = PauliTable.from_strings(self.members, self.n_qubits)
+        return self._table
 
     def neighbor_lists(self) -> list[list[int]]:
         """Adjacency lists with neighbors in canonical string order."""
-        adj: list[list[int]] = [[] for _ in self.members]
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        keys = [s.sort_key() for s in self.members]
-        for lst in adj:
-            lst.sort(key=lambda j: keys[j])
-        return adj
-
-    def edge_label(self, u: int, v: int) -> Optional[PauliString]:
-        if u > v:
-            u, v = v, u
-        for a, b, lab in self.edges:
-            if (a, b) == (u, v):
-                return lab
-        return None
+        ends = np.array([(u, v) for u, v, _ in self.edges], dtype=np.int64).reshape(-1, 2)
+        src = np.concatenate([ends[:, 0], ends[:, 1]])
+        dst = np.concatenate([ends[:, 1], ends[:, 0]])
+        order = np.lexsort((self.table().canonical_ranks()[dst], src))
+        bounds = np.searchsorted(src[order], np.arange(len(self.members) + 1)).tolist()
+        dst = dst[order].tolist()
+        return [dst[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -86,35 +84,29 @@ def build_graph(g: AccessibleSet, digamma: Sequence[PauliString]) -> AccessGraph
     Raises :class:`ClosureError` when a bracket leaves the member set, i.e.
     the input was not a fixpoint for this digamma.
     """
-    index = g.index_map()
-    edges: dict[tuple[int, int], PauliString] = {}
-    dig = []
-    seen_dig = set()
+    unique: dict[tuple[int, int], PauliString] = {}
     for nu in digamma:
-        key = (nu.x_mask, nu.z_mask)
-        if not nu.is_identity and key not in seen_dig:
-            seen_dig.add(key)
-            dig.append(nu)
-    for m, om in enumerate(g.members):
-        for nu in dig:
-            r = bracket_normalized(om, nu)
-            if r is None:
-                continue
-            n = index.get((r.x_mask, r.z_mask))
-            if n is None:
-                raise ClosureError(
-                    f"bracket of {om} with {nu} lands outside the set ({r}); "
-                    "input is not a fixpoint"
-                )
-            u, v = (m, n) if m < n else (n, m)
-            prev = edges.get((u, v))
-            if prev is not None and prev != nu:
-                raise ClosureError(
-                    f"conflicting labels {prev} and {nu} on edge ({u}, {v})"
-                )
-            edges[(u, v)] = nu
-    ordered = tuple((u, v, lab) for (u, v), lab in sorted(edges.items()))
-    return AccessGraph(g.n_qubits, g.members, ordered)
+        if not nu.is_identity:
+            unique.setdefault((nu.x_mask, nu.z_mask), nu)
+    dig = list(unique.values())
+    table = g.table()
+    br = table.brackets(PauliTable.from_strings(dig, g.n_qubits))
+    outside = np.flatnonzero(br.target < 0)
+    if outside.size:
+        om = g.members[br.member[outside[0]]]
+        nu = dig[br.string[outside[0]]]
+        raise ClosureError(
+            f"bracket of {om} with {nu} lands outside the set "
+            f"({phase_free_product(om, nu)}); input is not a fixpoint"
+        )
+    # nu is the mask XOR of its two endpoints, so both directions of an edge
+    # carry the same label
+    size = len(g.members)
+    key = np.minimum(br.member, br.target) * size + np.maximum(br.member, br.target)
+    key, first = np.unique(key, return_index=True)
+    labels = [dig[j] for j in br.string[first].tolist()]
+    edges = tuple(zip((key // size).tolist(), (key % size).tolist(), labels))
+    return AccessGraph(g.n_qubits, g.members, edges, table)
 
 
 def adjacency_matrix(graph: AccessGraph) -> np.ndarray:
@@ -128,11 +120,13 @@ def adjacency_matrix(graph: AccessGraph) -> np.ndarray:
 
 def connected_components(graph: AccessGraph) -> list[list[int]]:
     """Vertex components, each ascending, ordered by smallest vertex."""
-    n = len(graph.members)
-    adj = graph.neighbor_lists()
-    seen = [False] * n
+    return _components(graph.neighbor_lists())
+
+
+def _components(adj: list[list[int]]) -> list[list[int]]:
+    seen = [False] * len(adj)
     comps = []
-    for start in range(n):
+    for start in range(len(adj)):
         if seen[start]:
             continue
         stack = [start]
@@ -166,13 +160,17 @@ def partition_k_finite(g: AccessibleSet) -> KFinitePartition:
             raise ValueError("the all-identity string has no k-finite block")
         by_k.setdefault(k, []).append(i)
     blocks = tuple((k, tuple(idx)) for k, idx in sorted(by_k.items()))
-    cores = tuple(_core_of(g, idx) for _, idx in blocks)
+    core_key = _core_key(g)
+    cores = tuple(min(idx, key=core_key) for _, idx in blocks)
     return KFinitePartition(blocks, cores)
 
 
-def _core_of(g: AccessibleSet, indices: Sequence[int]) -> int:
-    """Earliest-generated member: minimal provenance depth, canonical tie-break."""
-    return min(indices, key=lambda i: (g.depth(i), g.members[i].sort_key()))
+def _core_key(g: AccessibleSet):
+    """Sort key of the earliest-generated member: provenance depth, then
+    canonical string order."""
+    depth = g.depths()
+    rank = g.table().canonical_ranks().tolist()
+    return lambda i: (depth[i], rank[i])
 
 
 def _bfs_block(
@@ -207,8 +205,10 @@ def order_members(
     member permutation.
     """
     adj = graph.neighbor_lists()
-    comps = connected_components(graph)
-    comps.sort(key=lambda comp: min(g.members[i].sort_key() for i in comp))
+    comps = _components(adj)
+    rank = g.table().canonical_ranks()
+    comps.sort(key=lambda comp: rank[comp].min())
+    core_key = _core_key(g)
 
     new_order: list[int] = []
     new_partition: list[tuple[int, int, int]] = []
@@ -219,7 +219,7 @@ def order_members(
             block = [i for i in indices if i in comp_set]
             if not block:
                 continue
-            core = _core_of(g, block)
+            core = min(block, key=core_key)
             ordered = _bfs_block(core, block, adj)
             if ordered is None:
                 warnings.warn(

@@ -18,6 +18,7 @@ anticommute exactly when pc(xa & zb) + pc(za & xb) is odd, in which case
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -27,6 +28,8 @@ import numpy as np
 __all__ = [
     "PauliString",
     "PhasedString",
+    "PauliTable",
+    "BracketTable",
     "WeightedPauliSum",
     "DimensionMismatchError",
     "GrammarError",
@@ -326,6 +329,164 @@ def apply_sequence(
 
 
 # ---------------------------------------------------------------------------
+# packed tables
+#
+# A PauliTable holds M strings of one width as the x|z tableau of Aaronson
+# and Gottesman (quant-ph/0406196): uint64[M, ceil(N/64)] words per mask,
+# bit b of word w standing for site 64*w + b + 1 as in PauliString.
+
+_WORD = (1 << 64) - 1
+
+
+def _cell_code_table() -> np.ndarray:
+    """Canonical codes of 8 sites at once, indexed by (z byte << 8) | (x^z byte).
+
+    A cell's code I=0 < X=1 < Y=2 < Z=3 is 2*z + (x^z).  The result packs the
+    eight codes into 16 bits with the lowest site most significant, so a row
+    of big-endian codes compares bytewise exactly like :meth:`PauliString.sort_key`.
+    """
+    idx = np.arange(1 << 16, dtype=np.uint32)
+    high, low = idx >> 8, idx & 0xFF
+    out = np.zeros(1 << 16, dtype=np.uint32)
+    for i in range(8):
+        code = 2 * ((high >> i) & 1) + ((low >> i) & 1)
+        out |= code << (14 - 2 * i)
+    return out.astype(np.uint16)
+
+
+_CELL_CODES = _cell_code_table()
+
+#: (member, string, word) cells per bracket-table chunk: 2 MB per uint64 temporary
+_CHUNK_CELLS = 1 << 18
+
+
+def _popcount_rows(words: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class BracketTable:
+    """Anticommuting (member, string) pairs of a packed set, member-major.
+
+    For pair p, [strings[string[p]], members[member[p]]] equals
+    i * sign[p] * members[target[p]], with sign[p] = +/-2.  ``target[p]`` is
+    -1 when the bracket's string is not a member.
+    """
+
+    member: np.ndarray
+    string: np.ndarray
+    target: np.ndarray
+    sign: np.ndarray
+
+
+class PauliTable:
+    """Strings of one width packed as x/z words, with a canonical rank.
+
+    ``canonical_ranks()[i]`` is the position of string i in
+    :meth:`PauliString.sort_key` order; it and the member lookup behind
+    :meth:`brackets` are built once, on first use.
+    """
+
+    def __init__(self, n_qubits: int, x: np.ndarray, z: np.ndarray):
+        self.n_qubits = n_qubits
+        self.x = x
+        self.z = z
+        self._keys: Optional[np.ndarray] = None
+        self._sorted: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_strings(cls, strings: Sequence[PauliString], n_qubits: int) -> "PauliTable":
+        for s in strings:
+            if s.n_qubits != n_qubits:
+                raise DimensionMismatchError(
+                    f"string {s} acts on {s.n_qubits} qubits, expected {n_qubits}"
+                )
+        m = len(strings)
+        words = (n_qubits + 63) // 64
+        x = np.empty((m, words), dtype=np.uint64)
+        z = np.empty((m, words), dtype=np.uint64)
+        for w in range(words):
+            shift = 64 * w
+            x[:, w] = np.fromiter(((s.x_mask >> shift) & _WORD for s in strings), np.uint64, m)
+            z[:, w] = np.fromiter(((s.z_mask >> shift) & _WORD for s in strings), np.uint64, m)
+        return cls(n_qubits, x, z)
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    def _canonical(self) -> None:
+        keys = _canonical_keys(self.x, self.z)
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        dup = np.flatnonzero(ranked[1:] == ranked[:-1])
+        if dup.size:
+            i = int(order[dup[0]])
+            raise ValueError(f"duplicate string at rows {i} and {int(order[dup[0] + 1])}")
+        self._keys = ranked
+        self._sorted = order
+
+    def canonical_ranks(self) -> np.ndarray:
+        """Rank of each row in canonical string order; rows must be distinct."""
+        if self._sorted is None:
+            self._canonical()
+        ranks = np.empty(len(self), dtype=np.int64)
+        ranks[self._sorted] = np.arange(len(self))
+        return ranks
+
+    def _lookup(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Row index of each queried (x, z) row, -1 when it is not in the table."""
+        if self._sorted is None:
+            self._canonical()
+        if len(self) == 0:
+            return np.full(x.shape[0], -1, dtype=np.int64)
+        query = _canonical_keys(x, z)
+        pos = np.minimum(np.searchsorted(self._keys, query), len(self) - 1)
+        return np.where(self._keys[pos] == query, self._sorted[pos], -1)
+
+    def brackets(self, strings: "PauliTable") -> BracketTable:
+        """Every anticommuting (row, string) pair with its bracket's sign and target.
+
+        Works in row chunks so the temporaries stay at a few MB.
+        """
+        if strings.n_qubits != self.n_qubits:
+            raise DimensionMismatchError(
+                f"tables act on {self.n_qubits} and {strings.n_qubits} qubits"
+            )
+        vx, vz = strings.x, strings.z
+        v_y = _popcount_rows(vx & vz)
+        step = max(1, _CHUNK_CELLS // max(1, vx.size))
+        parts = []
+        for lo in range(0, len(self), step):
+            mx, mz = self.x[lo : lo + step], self.z[lo : lo + step]
+            odd = _popcount_rows((mx[:, None] & vz) ^ (mz[:, None] & vx)) & 1
+            rows, cols = np.nonzero(odd)
+            bx, bz = mx[rows], mz[rows]
+            ax, az = vx[cols], vz[cols]
+            tx, tz = ax ^ bx, az ^ bz
+            # phase of the product a*b (multiply), a = string, b = member
+            phi = (
+                v_y[cols]
+                + _popcount_rows(bx & bz)
+                + 2 * _popcount_rows(az & bx)
+                - _popcount_rows(tx & tz)
+            ) & 3
+            parts.append((rows + lo, cols, self._lookup(tx, tz), np.where(phi == 1, 2, -2)))
+        if not parts:
+            empty = np.empty(0, dtype=np.int64)
+            return BracketTable(empty, empty, empty, empty.astype(np.int8))
+        member, string, target, sign = (np.concatenate(p) for p in zip(*parts))
+        return BracketTable(member, string, target, sign.astype(np.int8))
+
+
+def _canonical_keys(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One opaque key per row whose bytewise order is the canonical string order."""
+    high = z.astype("<u8").view(np.uint8).astype(np.intp)
+    low = (x ^ z).astype("<u8").view(np.uint8)
+    codes = _CELL_CODES[(high << 8) | low].astype(">u2")
+    return codes.view(np.dtype((np.void, codes.shape[1] * 2))).reshape(-1)
+
+
+# ---------------------------------------------------------------------------
 # basis decomposition
 
 #: widths above this are refused by matrix-input decompose
@@ -514,8 +675,49 @@ def _parse_one_term(tokens, i, n_qubits: int, allow_coeff: bool):
     return coeff, PauliString.from_cells(n_qubits, cells), i
 
 
+#: highest site the canonical-text table covers; higher sites take the tokenizer
+_CANONICAL_SITES = 4096
+
+
+@functools.lru_cache(maxsize=8)
+def _canonical_cells(n_qubits: int) -> dict[str, tuple[int, int, int]]:
+    """The cell tokens ``to_text`` emits at this width: token -> (site, x, z)."""
+    cells = {}
+    for site in range(1, min(n_qubits, _CANONICAL_SITES) + 1):
+        bit = 1 << (site - 1)
+        for letter in "XYZ":
+            xb, zb = _BITS_FROM_LETTER[letter]
+            cells[f"{letter}{site}"] = (site, xb * bit, zb * bit)
+    return cells
+
+
+def _parse_canonical(text: str, n_qubits: int) -> Optional[PauliString]:
+    """The string of canonical text (``to_text`` output), else None."""
+    if text == "I":
+        return PauliString(n_qubits, 0, 0)
+    cells = _canonical_cells(n_qubits)
+    x = z = last = 0
+    for token in text.split(" "):
+        cell = cells.get(token)
+        if cell is None or cell[0] <= last:
+            return None
+        last = cell[0]
+        x |= cell[1]
+        z |= cell[2]
+    return PauliString(n_qubits, x, z)
+
+
 def parse_term(text: str, n_qubits: int) -> PauliString:
-    """Parse a single coefficient-free term such as ``"Y1 Z2"``."""
+    """Parse a single coefficient-free term such as ``"Y1 Z2"``.
+
+    Canonical text (sites strictly ascending, one space apart, or bare ``I``)
+    is read through a table of cell tokens; anything else goes through the
+    full grammar.
+    """
+    if isinstance(text, str):
+        fast = _parse_canonical(text, n_qubits)
+        if fast is not None:
+            return fast
     tokens = _tokenize(text)
     if not tokens:
         raise GrammarError("empty operator text", 0)

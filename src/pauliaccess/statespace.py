@@ -20,14 +20,14 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .closure import AccessibleSet, ClosureError
+from .closure import AccessibleSet, ClosureError, _json_int, _json_texts, _unique_index
 from .hamiltonian import HamiltonianSpec, MeasurementSpec
 from .oracle import DENSE_CAP
 from .pauli import (
     PauliString,
+    PauliTable,
     WeightedPauliSum,
     _reverse_bits,
-    bracket,
     decompose,
     parse_term,
 )
@@ -122,32 +122,29 @@ def build_model(
     """
     if spec.n_qubits != g.n_qubits or meas.n_qubits != g.n_qubits:
         raise ValueError("qubit counts of set, Hamiltonian and measurement differ")
-    index = g.index_map()
-
-    acc: dict[tuple[int, int], float] = {}
-    prov: dict[tuple[int, int], list[int]] = {}
-    for j, oj in enumerate(g.members):
-        for m, (h, hm) in enumerate(spec.terms.terms):
-            br = bracket(hm, oj)
-            if br is None:
-                continue
-            c, r = br
-            l = index.get((r.x_mask, r.z_mask))
-            if l is None:
-                raise ClosureError(
-                    f"bracket of {hm} with member {oj} leaves the set; "
-                    "not a fixpoint for this Hamiltonian"
-                )
-            acc[(j, l)] = acc.get((j, l), 0.0) + (-h * c)
-            prov.setdefault((j, l), []).append(m)
-
-    a_entries = tuple(
-        (r, c, v) for (r, c), v in sorted(acc.items()) if v != 0.0
+    terms = spec.terms.terms
+    br = g.table().brackets(PauliTable.from_strings([s for _, s in terms], g.n_qubits))
+    outside = np.flatnonzero(br.target < 0)
+    if outside.size:
+        hm = terms[br.string[outside[0]]][1]
+        oj = g.members[br.member[outside[0]]]
+        raise ClosureError(
+            f"bracket of {hm} with member {oj} leaves the set; "
+            "not a fixpoint for this Hamiltonian"
+        )
+    # the terms are distinct strings, so each (j, l) gets at most one term:
+    # l's string is O_j times H_m
+    h = np.array([c for c, _ in terms], dtype=float)
+    values = -h[br.string] * br.sign
+    keep = np.flatnonzero(values != 0.0)
+    keep = keep[np.lexsort((br.target[keep], br.member[keep]))]
+    rows, cols, values, term = (
+        a[keep].tolist() for a in (br.member, br.target, values, br.string)
     )
-    provenance = {
-        key: tuple(terms) for key, terms in prov.items() if acc[key] != 0.0
-    }
+    a_entries = tuple(zip(rows, cols, values))
+    provenance = {(r, c): (m,) for r, c, m in zip(rows, cols, term)}
 
+    index = g.index_map()
     c_rows = []
     for r, op in enumerate(meas.operators):
         for coeff, s in decompose(op).terms:
@@ -371,19 +368,44 @@ def model_to_json(model: StateSpaceModel) -> dict:
 
 
 def model_from_json(data: dict) -> StateSpaceModel:
-    if data.get("schema") != MODEL_SCHEMA_ID:
+    """Rebuild a model written by :func:`model_to_json`.
+
+    Malformed input (wrong types, indices out of range, a repeated ordering
+    string, A not antisymmetric) raises ValueError.
+    """
+    if not isinstance(data, dict) or data.get("schema") != MODEL_SCHEMA_ID:
+        schema = data.get("schema") if isinstance(data, dict) else None
         raise ValueError(
-            f"unsupported model schema {data.get('schema')!r}, "
-            f"expected {MODEL_SCHEMA_ID!r}"
+            f"unsupported model schema {schema!r}, expected {MODEL_SCHEMA_ID!r}"
         )
-    n = int(data["n_qubits"])
-    ordering = tuple(parse_term(t, n) for t in data["ordering"])
-    a = tuple((int(r), int(c), float(v)) for r, c, v in data["A"])
-    b = tuple((int(r), int(c), float(v)) for r, c, v in data["B"])
-    c = tuple((int(r), int(cc), float(v)) for r, cc, v in data["C"])
-    model = StateSpaceModel(n, ordering, a, b, c, int(data["n_outputs"]))
+    n = _json_int(data["n_qubits"], "n_qubits", lo=1)
+    ordering = tuple(parse_term(t, n) for t in _json_texts(data["ordering"], "ordering"))
+    _unique_index(ordering, "ordering string")
+    dim = len(ordering)
+    n_outputs = _json_int(data["n_outputs"], "n_outputs")
+    a = _triplets(data["A"], "A", dim, dim)
+    b = _triplets(data["B"], "B", dim, 0)  # no inputs: B is identically zero
+    c = _triplets(data["C"], "C", n_outputs, dim)
+    model = StateSpaceModel(n, ordering, a, b, c, n_outputs)
     _check_antisymmetry(model)
     return model
+
+
+def _triplets(raw, name: str, rows: int, cols: int) -> tuple[tuple[int, int, float], ...]:
+    """[row, col, value] entries with integer indices inside rows x cols."""
+    try:
+        arr = np.array(raw, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if not isinstance(raw, list) or arr is None or arr.shape not in ((0,), (len(raw), 3)):
+        raise ValueError(f"{name} must be a list of [row, col, value] triplets")
+    r, c, v = arr.reshape(-1, 3).T
+    ok = (r == np.floor(r)) & (c == np.floor(c)) & np.isfinite(v)
+    ok &= (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
+    if not ok.all():
+        bad = raw[int(np.flatnonzero(~ok)[0])]
+        raise ValueError(f"{name} entry {bad!r} is not a finite value inside {rows} x {cols}")
+    return tuple(zip(r.astype(np.int64).tolist(), c.astype(np.int64).tolist(), v.tolist()))
 
 
 def _check_antisymmetry(model: StateSpaceModel) -> None:

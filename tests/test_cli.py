@@ -189,3 +189,42 @@ def test_text_format_output(capsys):
     assert code == 0
     assert stdout == "X1\nZ1 Y2\nZ1 Z2 X3\n"
     assert "members: 3" in err
+
+
+def _append_antisymmetric_pair(model, row, col):
+    model["A"] += [[row, col, 1.0], [col, row, -1.0]]
+
+
+#: malformed set and model files, each as (file kind, in-place edit)
+MALFORMED = {
+    "members not a list": ("set", lambda d: d.update(members=5)),
+    "duplicate member": ("set", lambda d: d["members"].__setitem__(1, d["members"][0])),
+    "provenance parent out of range": (
+        "set", lambda d: d["provenance"][1].update(parent=99)
+    ),
+    "A index out of range": ("model", lambda d: _append_antisymmetric_pair(d, 0, 99)),
+    "C index out of range": ("model", lambda d: d["C"][0].__setitem__(1, 99)),
+    "duplicate ordering entry": (
+        "model", lambda d: d["ordering"].__setitem__(1, d["ordering"][0])
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
+    kind, edit = MALFORMED[case]
+    set_path, model_path = tmp_path / "set.json", tmp_path / "model.json"
+    source = ("--chain", "3", "--measurement", "Y1 Z2")
+    assert run(capsys, "gen", *source, "--out", str(set_path))[0] == 0
+    assert run(capsys, "model", "--set", str(set_path), *source, "--out", str(model_path))[0] == 0
+    path = set_path if kind == "set" else model_path
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    if kind == "set":
+        argv = ("graph", "--set", str(set_path), "--chain", "3")
+    else:
+        argv = ("simulate", "--model", str(model_path), "--rho0", "i+,0,0", "--times", "0:1:0.5")
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
