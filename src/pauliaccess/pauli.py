@@ -345,13 +345,10 @@ def _cell_code_table() -> np.ndarray:
     eight codes into 16 bits with the lowest site most significant, so a row
     of big-endian codes compares bytewise exactly like :meth:`PauliString.sort_key`.
     """
-    idx = np.arange(1 << 16, dtype=np.uint32)
-    high, low = idx >> 8, idx & 0xFF
-    out = np.zeros(1 << 16, dtype=np.uint32)
-    for i in range(8):
-        code = 2 * ((high >> i) & 1) + ((low >> i) & 1)
-        out |= code << (14 - 2 * i)
-    return out.astype(np.uint16)
+    site = np.arange(8, dtype=np.uint16)
+    bits = (np.arange(256, dtype=np.uint16)[:, None] >> site) & 1
+    spread = (bits << (14 - 2 * site)).sum(axis=1, dtype=np.uint16)
+    return ((spread[:, None] << 1) | spread).reshape(-1)
 
 
 _CELL_CODES = _cell_code_table()
@@ -480,7 +477,7 @@ class PauliTable:
 
 def _canonical_keys(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """One opaque key per row whose bytewise order is the canonical string order."""
-    high = z.astype("<u8").view(np.uint8).astype(np.intp)
+    high = z.astype("<u8").view(np.uint8).astype(np.uint16)
     low = (x ^ z).astype("<u8").view(np.uint8)
     codes = _CELL_CODES[(high << 8) | low].astype(">u2")
     return codes.view(np.dtype((np.void, codes.shape[1] * 2))).reshape(-1)

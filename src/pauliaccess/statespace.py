@@ -405,7 +405,8 @@ def _triplets(raw, name: str, rows: int, cols: int) -> tuple[tuple[int, int, flo
     if not ok.all():
         bad = raw[int(np.flatnonzero(~ok)[0])]
         raise ValueError(f"{name} entry {bad!r} is not a finite value inside {rows} x {cols}")
-    return tuple(zip(r.astype(np.int64).tolist(), c.astype(np.int64).tolist(), v.tolist()))
+    # int() and float() hand back the parsed JSON objects instead of copies
+    return tuple((int(r), int(c), float(v)) for r, c, v in raw)
 
 
 def _check_antisymmetry(model: StateSpaceModel) -> None:
