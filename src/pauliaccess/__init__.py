@@ -52,7 +52,6 @@ from .statespace import (
     simulate_reduced,
 )
 from .oracle import (
-    DenseOperator,
     evolve_expectation,
     bch_partial_sum,
     derivative_operators,

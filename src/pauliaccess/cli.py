@@ -53,7 +53,6 @@ from .pauli import (
     apply_sequence,
     bracket_normalized,
     check_bilinear_decomposition,
-    parse_sum,
 )
 from .statespace import (
     build_model,
@@ -509,6 +508,52 @@ def build_parser() -> tuple[argparse.ArgumentParser, list]:
     return parser, created
 
 
+def _config_defaults(config, subparsers: list) -> dict:
+    """Per subcommand parser, the --config values its options accept.
+
+    A key names an option, e.g. ``rho0-file`` or ``rho0_file``, and its value
+    is checked as if it followed that option on the command line.  A key that
+    no subcommand's option accepts is an input error naming the key.
+    """
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object of option values")
+    defaults: dict = {sub: {} for sub in subparsers}
+    for key, value in config.items():
+        dest = key.replace("-", "_")
+        error = f"config key {key!r} is not an option of any subcommand"
+        for sub in subparsers:
+            for action in sub._actions:
+                if action.dest == dest and not isinstance(action, argparse._HelpAction):
+                    try:
+                        defaults[sub][dest] = _config_value(action, value)
+                    except ValueError as exc:
+                        error = f"config key {key!r}: {exc}"
+        if not any(dest in values for values in defaults.values()):
+            raise ValueError(error)
+    return defaults
+
+
+def _config_value(action: argparse.Action, value):
+    """The value run through the option's type and choices; a repeatable
+    option takes a list of values."""
+    repeatable = isinstance(action, argparse._AppendAction)
+    if repeatable and not isinstance(value, list):
+        raise ValueError(f"expected a list, got {value!r}")
+    numeric = action.type in (int, float)
+    checked = []
+    for item in value if repeatable else [value]:
+        if isinstance(item, bool) or not isinstance(item, (str, int, float) if numeric else str):
+            raise ValueError(f"expected {'a number' if numeric else 'a string'}, got {item!r}")
+        try:
+            item = action.type(str(item)) if action.type else item
+        except ValueError:
+            raise ValueError(f"invalid value {item!r}") from None
+        if action.choices is not None and item not in action.choices:
+            raise ValueError(f"expected one of {', '.join(action.choices)}, got {item!r}")
+        checked.append(item)
+    return checked if repeatable else checked[0]
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
 
@@ -526,12 +571,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         del argv[i : i + 2]
 
     parser, subparsers = build_parser()
-    if config:
-        defaults = {k.replace("-", "_"): v for k, v in config.items()}
-        for sub in subparsers:
-            sub.set_defaults(**defaults)
+    try:
+        defaults = _config_defaults(config, subparsers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    for sub, values in defaults.items():
+        # the options start as None, so a flag given on the command line
+        # (a repeatable one included) is told apart from the config value
+        sub.set_defaults(config_values=values, **dict.fromkeys(values))
 
     args = parser.parse_args(argv)
+    for dest, value in getattr(args, "config_values", {}).items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
     try:
         return args.func(args)
     except ClosureError as exc:

@@ -17,7 +17,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .pauli import PauliString, PauliTable, parse_term
+from .pauli import PauliString, PauliTable, canonical_digamma, check_widths, parse_term
+from .validation import json_int, json_list, json_schema, unique_index
 
 __all__ = [
     "AccessibleSet",
@@ -27,7 +28,6 @@ __all__ = [
     "chain_closed_form",
     "accessible_set_to_json",
     "accessible_set_from_json",
-    "save_accessible_set",
     "load_accessible_set",
     "REFERENCE_CAP",
 ]
@@ -78,21 +78,11 @@ class AccessibleSet:
             self._table = PauliTable.from_strings(self.members, self.n_qubits)
         return self._table
 
-    def index_of(self, s: PauliString) -> int:
-        try:
-            return self.index_map()[(s.x_mask, s.z_mask)]
-        except KeyError:
-            raise KeyError(f"{s} is not a member") from None
-
     def __contains__(self, s: PauliString) -> bool:
         return (s.x_mask, s.z_mask) in self.index_map()
 
     def member_keys(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.index_map())
-
-    def depth(self, i: int) -> int:
-        """Provenance chain length from member i back to a seed."""
-        return self.depths()[i]
 
     def depths(self) -> list[int]:
         """Provenance chain length of every member, computed once.
@@ -130,41 +120,20 @@ def _dedupe_seeds(seeds: Sequence[PauliString]) -> list[PauliString]:
     return list(out.values())
 
 
-def _canonical_digamma(digamma: Sequence[PauliString]) -> list[PauliString]:
-    """Dedup, drop the inert identity, sort canonically."""
-    out = {}
-    for s in digamma:
-        if not s.is_identity:
-            out.setdefault((s.x_mask, s.z_mask), s)
-    return sorted(out.values(), key=lambda s: s.sort_key())
-
-
-def _check_widths(strings: Sequence[PauliString], n: int) -> None:
-    for s in strings:
-        if s.n_qubits != n:
-            raise ValueError(
-                f"string {s} acts on {s.n_qubits} qubits, expected {n}"
-            )
-
-
 def generate(
-    digamma: Sequence[PauliString],
-    seeds: Sequence[PauliString],
-    threads: int = 1,
+    digamma: Sequence[PauliString], seeds: Sequence[PauliString]
 ) -> AccessibleSet:
     """Minimal fixpoint containing the seeds under bracketing with digamma.
 
     Members are ordered by discovery: seeds first, then breadth-first in
-    (frontier order x canonical digamma order).  ``threads`` is accepted for
-    compatibility and has no effect: the sweep is serial, because a thread
-    pool was measured slower than one thread.
+    (frontier order x canonical digamma order).
     """
     if not seeds:
         raise ValueError("seed set must be nonempty")
     n = seeds[0].n_qubits
-    _check_widths(seeds, n)
-    _check_widths(digamma, n)
-    dig = _canonical_digamma(digamma)
+    check_widths(seeds, n)
+    check_widths(digamma, n)
+    dig = canonical_digamma(digamma)
     dig_masks = [(s.x_mask, s.z_mask) for s in dig]
 
     seed_list = _dedupe_seeds(seeds)
@@ -175,8 +144,6 @@ def generate(
         seen[(s.x_mask, s.z_mask)] = len(members)
         members.append((s.x_mask, s.z_mask))
         prov.append(None)
-
-    cap = 1 << (2 * n)
 
     head = 0
     while head < len(members):
@@ -190,11 +157,6 @@ def generate(
                     prov.append((head, j))
         head += 1
 
-    if len(members) > cap:
-        raise ClosureError(
-            f"closure produced {len(members)} members, exceeding |Omega| = {cap}"
-        )
-
     strings = tuple(PauliString(n, x, z) for x, z in members)
     provenance = tuple(
         None if p is None else (p[0], dig[p[1]]) for p in prov
@@ -205,7 +167,6 @@ def generate(
 def generate_reference(
     digamma: Sequence[PauliString],
     seeds: Sequence[PauliString],
-    cap: int = REFERENCE_CAP,
 ) -> AccessibleSet:
     """Original trace-test rule over a full basis enumeration (oracle only).
 
@@ -216,11 +177,11 @@ def generate_reference(
     if not seeds:
         raise ValueError("seed set must be nonempty")
     n = seeds[0].n_qubits
-    if n > cap:
-        raise ValueError(f"reference rule capped at {cap} qubits, got {n}")
-    _check_widths(seeds, n)
-    _check_widths(digamma, n)
-    dig = _canonical_digamma(digamma)
+    if n > REFERENCE_CAP:
+        raise ValueError(f"reference rule capped at {REFERENCE_CAP} qubits, got {n}")
+    check_widths(seeds, n)
+    check_widths(digamma, n)
+    dig = canonical_digamma(digamma)
 
     dim = 1 << n
     omega = []
@@ -320,63 +281,28 @@ def accessible_set_to_json(g: AccessibleSet) -> dict:
     }
 
 
-def _json_int(value, what: str, lo: int = 0, hi: Optional[int] = None) -> int:
-    """An integer read from JSON, checked to lie in lo..hi (inclusive)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int)
-        or value < lo
-        or (hi is not None and value > hi)
-    ):
-        span = f"{lo}..{'' if hi is None else hi}"
-        raise ValueError(f"{what} must be an integer in {span}, got {value!r}")
-    return value
-
-
-def _json_texts(value, what: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
-        raise ValueError(f"{what} must be a list of operator texts")
-    return value
-
-
-def _unique_index(strings: Sequence[PauliString], what: str) -> dict[tuple[int, int], int]:
-    """Mask-keyed index of distinct strings; a repeated string is an input error."""
-    index: dict[tuple[int, int], int] = {}
-    for i, s in enumerate(strings):
-        first = index.setdefault((s.x_mask, s.z_mask), i)
-        if first != i:
-            raise ValueError(f"{what} {s} is listed twice (entries {first} and {i})")
-    return index
-
-
 def accessible_set_from_json(data: dict) -> AccessibleSet:
     """Rebuild a set written by :func:`accessible_set_to_json`.
 
     Malformed input (wrong types, indices out of range, repeated members)
     raises ValueError.
     """
-    if not isinstance(data, dict) or data.get("schema") != SET_SCHEMA_ID:
-        schema = data.get("schema") if isinstance(data, dict) else None
-        raise ValueError(
-            f"unsupported set schema {schema!r}, expected {SET_SCHEMA_ID!r}"
-        )
-    n = _json_int(data["n_qubits"], "n_qubits", lo=1)
-    members = tuple(parse_term(t, n) for t in _json_texts(data["members"], "members"))
+    json_schema(data, SET_SCHEMA_ID, "set")
+    n = json_int(data["n_qubits"], "n_qubits", lo=1)
+    members = tuple(parse_term(t, n) for t in json_list(data["members"], "members"))
     m = len(members)
-    index = _unique_index(members, "member")
+    index = unique_index(members, "member")
 
-    entries = data["provenance"]
-    if not isinstance(entries, list) or len(entries) != m:
-        raise ValueError(f"provenance must be a list of {m} entries, one per member")
+    entries = json_list(data["provenance"], "provenance", dict)
+    if len(entries) != m:
+        raise ValueError(f"provenance must have {m} entries, one per member")
     edges: dict[str, PauliString] = {}
     provenance = []
     for e in entries:
-        if not isinstance(e, dict):
-            raise ValueError("provenance entries must be objects with parent and edge")
         if e["parent"] is None:
             provenance.append(None)
             continue
-        parent = _json_int(e["parent"], "provenance parent", hi=m - 1)
+        parent = json_int(e["parent"], "provenance parent", hi=m - 1)
         text = e["edge"]
         if not isinstance(text, str):
             raise ValueError("provenance edge must be an operator text")
@@ -386,26 +312,20 @@ def accessible_set_from_json(data: dict) -> AccessibleSet:
 
     partition = data.get("partition")
     if partition is not None:
-        if not isinstance(partition, list) or not all(isinstance(e, dict) for e in partition):
-            raise ValueError("partition must be a list of {k, start, end} objects")
         partition = tuple(
             (
-                _json_int(e["k"], "partition k", lo=1, hi=n),
-                _json_int(e["start"], "partition start", hi=m),
-                _json_int(e["end"], "partition end", lo=e["start"], hi=m),
+                json_int(e["k"], "partition k", lo=1, hi=n),
+                json_int(e["start"], "partition start", hi=m),
+                json_int(e["end"], "partition end", lo=e["start"], hi=m),
             )
-            for e in partition
+            for e in json_list(partition, "partition", dict)
         )
     cores = data.get("cores")
     if cores is not None:
         if not isinstance(cores, list):
             raise ValueError("cores must be a list of member indices")
-        cores = tuple(_json_int(c, "core", hi=m - 1) for c in cores)
+        cores = tuple(json_int(c, "core", hi=m - 1) for c in cores)
     return AccessibleSet(n, members, tuple(provenance), partition, cores, _index=index)
-
-
-def save_accessible_set(g: AccessibleSet, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(accessible_set_to_json(g), indent=2) + "\n")
 
 
 def load_accessible_set(path: Union[str, Path]) -> AccessibleSet:

@@ -82,19 +82,15 @@ def build_graph(g: AccessibleSet, digamma: Sequence[PauliString]) -> AccessGraph
     """Edge (m, n, nu) for every bracket of a member with nu landing on another.
 
     Raises :class:`ClosureError` when a bracket leaves the member set, i.e.
-    the input was not a fixpoint for this digamma.
+    the input was not a fixpoint for this digamma.  A repeated nu yields the
+    same edges again and the identity none, so digamma needs no cleaning.
     """
-    unique: dict[tuple[int, int], PauliString] = {}
-    for nu in digamma:
-        if not nu.is_identity:
-            unique.setdefault((nu.x_mask, nu.z_mask), nu)
-    dig = list(unique.values())
     table = g.table()
-    br = table.brackets(PauliTable.from_strings(dig, g.n_qubits))
+    br = table.brackets(PauliTable.from_strings(digamma, g.n_qubits))
     outside = np.flatnonzero(br.target < 0)
     if outside.size:
         om = g.members[br.member[outside[0]]]
-        nu = dig[br.string[outside[0]]]
+        nu = digamma[br.string[outside[0]]]
         raise ClosureError(
             f"bracket of {om} with {nu} lands outside the set "
             f"({phase_free_product(om, nu)}); input is not a fixpoint"
@@ -104,7 +100,7 @@ def build_graph(g: AccessibleSet, digamma: Sequence[PauliString]) -> AccessGraph
     size = len(g.members)
     key = np.minimum(br.member, br.target) * size + np.maximum(br.member, br.target)
     key, first = np.unique(key, return_index=True)
-    labels = [dig[j] for j in br.string[first].tolist()]
+    labels = [digamma[j] for j in br.string[first].tolist()]
     edges = tuple(zip((key // size).tolist(), (key % size).tolist(), labels))
     return AccessGraph(g.n_qubits, g.members, edges, table)
 

@@ -13,15 +13,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .pauli import (
     PauliString,
     WeightedPauliSum,
+    canonical_digamma,
     decompose,
     format_sum,
     parse_sum,
+    parse_term,
 )
+from .validation import json_float, json_int, json_list, json_schema
 
 __all__ = [
     "HamiltonianSpec",
@@ -130,15 +133,12 @@ def exchange_digamma(n_qubits: int) -> list[PauliString]:
 
 
 def decomposed_digamma(spec: HamiltonianSpec) -> list[PauliString]:
-    """Deduplicated basis strings of all Hamiltonian terms, canonical order.
+    """Distinct non-identity strings of all Hamiltonian terms, canonical order.
 
     Zero-coefficient terms still contribute their strings; only the numeric
     couplings, not the structure, vanish with them.
     """
-    seen = {}
-    for _, s in spec.terms.terms:
-        seen.setdefault((s.x_mask, s.z_mask), s)
-    return sorted(seen.values(), key=lambda s: s.sort_key())
+    return canonical_digamma(spec.terms.strings())
 
 
 # ---------------------------------------------------------------------------
@@ -156,21 +156,18 @@ def hamiltonian_to_json(spec: HamiltonianSpec) -> dict:
 
 
 def hamiltonian_from_json(data: dict) -> HamiltonianSpec:
-    _check_schema(data)
-    n = int(data["n_qubits"])
-    pairs = []
-    labels = []
-    have_labels = False
-    for entry in data["terms"]:
-        pairs.append(
-            (float(entry["coeff"]), PauliString.from_text(entry["string"], n))
-        )
-        if "label" in entry:
-            have_labels = True
-        labels.append(entry.get("label", ""))
+    """Rebuild a spec written by :func:`hamiltonian_to_json`.
+
+    Malformed input (wrong types, bad operator text) raises ValueError.
+    """
+    json_schema(data, SCHEMA_ID, "spec")
+    n = json_int(data.get("n_qubits"), "n_qubits", lo=1)
+    terms = json_list(data.get("terms"), "terms", dict)
+    labels = json_list([e.get("label", "") for e in terms], "term labels")
+    have_labels = any("label" in e for e in terms)
     return HamiltonianSpec(
         n,
-        WeightedPauliSum.merged(pairs, n),
+        WeightedPauliSum.merged(_weighted_strings(terms, n), n),
         tuple(labels) if have_labels else None,
     )
 
@@ -187,28 +184,34 @@ def measurement_to_json(meas: MeasurementSpec) -> dict:
 
 
 def measurement_from_json(data: dict) -> MeasurementSpec:
-    _check_schema(data)
-    n = int(data["n_qubits"])
+    """Rebuild a spec written by :func:`measurement_to_json`.
+
+    Malformed input (wrong types, bad operator text) raises ValueError.
+    """
+    json_schema(data, SCHEMA_ID, "spec")
+    n = json_int(data.get("n_qubits"), "n_qubits", lo=1)
     ops = [
         WeightedPauliSum.merged(
-            [(float(e["coeff"]), PauliString.from_text(e["string"], n)) for e in op],
-            n,
+            _weighted_strings(json_list(op, "operator terms", dict), n), n
         )
-        for op in data["operators"]
+        for op in json_list(data.get("operators"), "operators", list)
     ]
     return MeasurementSpec.from_operators(ops, n)
 
 
-def _check_schema(data: dict) -> None:
-    schema = data.get("schema")
-    if schema != SCHEMA_ID:
-        raise ValueError(f"unsupported spec schema {schema!r}, expected {SCHEMA_ID!r}")
+def _weighted_strings(terms: list[dict], n: int) -> list[tuple[float, PauliString]]:
+    """The (coeff, string) pairs of spec term objects."""
+    texts = json_list([e.get("string") for e in terms], "term strings")
+    return [
+        (json_float(e.get("coeff"), "term coeff"), parse_term(t, n))
+        for e, t in zip(terms, texts)
+    ]
 
 
 def load_spec_file(path: Union[str, Path]) -> Union[HamiltonianSpec, MeasurementSpec]:
     """Load a spec JSON file; the payload key decides the kind."""
     data = json.loads(Path(path).read_text())
-    _check_schema(data)
+    json_schema(data, SCHEMA_ID, "spec")
     if "terms" in data:
         return hamiltonian_from_json(data)
     if "operators" in data:

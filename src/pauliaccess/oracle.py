@@ -3,7 +3,7 @@
 Evolution uses one eigendecomposition of the dense Hamiltonian, so the only
 error source is double-precision linear algebra; the oracle must be strictly
 more accurate than the reduced models it checks.  Widths are capped at
-:data:`DENSE_CAP` qubits.
+:data:`pauliaccess.pauli.DENSE_CAP` qubits, where dense matrices are built.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .pauli import PauliString, WeightedPauliSum
 
 __all__ = [
     "DenseOperator",
-    "DENSE_CAP",
     "hamiltonian_matrix",
     "propagator",
     "evolve_expectation",
@@ -27,10 +26,6 @@ __all__ = [
     "derivative_operators",
     "validate_density_matrix",
 ]
-
-#: dense evolution cap (2^10 = 1024-dimensional matrices)
-DENSE_CAP = 10
-
 
 @dataclass(frozen=True)
 class DenseOperator:
@@ -56,13 +51,7 @@ class DenseOperator:
         )
 
 
-def _check_cap(n_qubits: int, cap: int) -> None:
-    if n_qubits > cap:
-        raise ValueError(f"dense oracle capped at {cap} qubits, got {n_qubits}")
-
-
-def hamiltonian_matrix(spec: HamiltonianSpec, cap: int = DENSE_CAP) -> np.ndarray:
-    _check_cap(spec.n_qubits, cap)
+def hamiltonian_matrix(spec: HamiltonianSpec) -> np.ndarray:
     return spec.terms.to_matrix()
 
 
@@ -80,9 +69,9 @@ def validate_density_matrix(rho: np.ndarray, n_qubits: int) -> np.ndarray:
     return rho
 
 
-def propagator(spec: HamiltonianSpec, t: float, cap: int = DENSE_CAP) -> DenseOperator:
+def propagator(spec: HamiltonianSpec, t: float) -> DenseOperator:
     """U(t) = exp(-i H t) via eigendecomposition; checked unitary."""
-    h = hamiltonian_matrix(spec, cap)
+    h = hamiltonian_matrix(spec)
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     op = DenseOperator(u)
@@ -96,13 +85,11 @@ def evolve_expectation(
     meas: Union[WeightedPauliSum, PauliString],
     rho0: np.ndarray,
     times: Sequence[float],
-    cap: int = DENSE_CAP,
 ) -> np.ndarray:
     """Tr(M(t) rho0) = Tr(M U rho0 U^dag) on the full Hilbert space."""
-    _check_cap(spec.n_qubits, cap)
-    rho0 = validate_density_matrix(rho0, spec.n_qubits)
+    h = hamiltonian_matrix(spec)
     m = meas.to_matrix()
-    h = hamiltonian_matrix(spec, cap)
+    rho0 = validate_density_matrix(rho0, spec.n_qubits)
     w, v = np.linalg.eigh(h)
     rho_eig = v.conj().T @ rho0 @ v
     m_eig = v.conj().T @ m @ v
@@ -120,17 +107,15 @@ def bch_partial_sum(
     meas: PauliString,
     order: int,
     t: float,
-    cap: int = DENSE_CAP,
 ) -> DenseOperator:
     """Truncated commutator series of M(t) = M + [H,M] it + [H,[H,M]] (it)^2/2! + ...
 
     Nested commutators are computed densely; ``order`` is the highest power
     of t retained (at most 20).
     """
-    _check_cap(spec.n_qubits, cap)
     if not 0 <= order <= 20:
         raise ValueError(f"order must lie in 0..20, got {order}")
-    h = hamiltonian_matrix(spec, cap)
+    h = hamiltonian_matrix(spec)
     nested = meas.to_matrix().astype(complex)
     total = nested.copy()
     for k in range(1, order + 1):
@@ -140,15 +125,14 @@ def bch_partial_sum(
 
 
 def derivative_operators(
-    spec: HamiltonianSpec, meas: PauliString, count: int, cap: int = DENSE_CAP
+    spec: HamiltonianSpec, meas: PauliString, count: int
 ) -> list[np.ndarray]:
     """Dense time derivatives of M(t) at t = 0 up to order ``count``.
 
     The k-th derivative is i^k [H, [H, ... [H, M]]] with k nested
     commutators, which is Hermitian and so admits a real basis expansion.
     """
-    _check_cap(spec.n_qubits, cap)
-    h = hamiltonian_matrix(spec, cap)
+    h = hamiltonian_matrix(spec)
     out = []
     cur = meas.to_matrix().astype(complex)
     for k in range(1, count + 1):

@@ -37,6 +37,7 @@ __all__ = [
     "phase_free_product",
     "bracket",
     "bracket_normalized",
+    "canonical_digamma",
     "apply_sequence",
     "decompose",
     "check_bilinear_decomposition",
@@ -59,8 +60,9 @@ _SIGMA = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-#: largest width for which dense 2^n matrices are built
-DENSE_CAP = 12
+#: largest width for which dense 2^n matrices are built, here and in the
+#: dense oracle and density-matrix initial states
+DENSE_CAP = 10
 
 #: decomposition coefficients below this magnitude are dropped
 DECOMPOSE_TOL = 1e-10
@@ -83,6 +85,19 @@ def _require_same_width(a: "PauliString", b: "PauliString") -> None:
         raise DimensionMismatchError(
             f"operands act on {a.n_qubits} and {b.n_qubits} qubits"
         )
+
+
+def check_widths(strings: Iterable["PauliString"], n_qubits: int) -> None:
+    for s in strings:
+        if s.n_qubits != n_qubits:
+            raise DimensionMismatchError(
+                f"string {s} acts on {s.n_qubits} qubits, expected {n_qubits}"
+            )
+
+
+def _check_dense(n_qubits: int) -> None:
+    if n_qubits > DENSE_CAP:
+        raise ValueError(f"dense matrix for {n_qubits} qubits exceeds cap {DENSE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -181,10 +196,7 @@ class PauliString:
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix (site 1 is the leftmost tensor factor)."""
-        if self.n_qubits > DENSE_CAP:
-            raise ValueError(
-                f"dense matrix for {self.n_qubits} qubits exceeds cap {DENSE_CAP}"
-            )
+        _check_dense(self.n_qubits)
         m = np.array([[1.0 + 0j]])
         for site in range(1, self.n_qubits + 1):
             m = np.kron(m, _SIGMA[self.cell(site)])
@@ -201,10 +213,6 @@ class PhasedString:
     phase_exponent: int  # mod 4
     string: PauliString
 
-    @property
-    def phase(self) -> complex:
-        return 1j ** (self.phase_exponent % 4)
-
 
 @dataclass(frozen=True)
 class WeightedPauliSum:
@@ -219,12 +227,9 @@ class WeightedPauliSum:
     terms: tuple[tuple[float, PauliString], ...]
 
     def __post_init__(self):
+        check_widths(self.strings(), self.n_qubits)
         seen = set()
         for _, s in self.terms:
-            if s.n_qubits != self.n_qubits:
-                raise DimensionMismatchError(
-                    f"term on {s.n_qubits} qubits in a {self.n_qubits}-qubit sum"
-                )
             key = (s.x_mask, s.z_mask)
             if key in seen:
                 raise ValueError(f"duplicate string {s} in sum")
@@ -247,13 +252,14 @@ class WeightedPauliSum:
     def strings(self) -> tuple[PauliString, ...]:
         return tuple(s for _, s in self.terms)
 
-    def normalized(self, tol: float = DECOMPOSE_TOL) -> "WeightedPauliSum":
-        """Drop |coeff| < tol and order terms canonically."""
-        kept = [(c, s) for c, s in self.terms if abs(c) >= tol]
+    def normalized(self) -> "WeightedPauliSum":
+        """Drop |coeff| < DECOMPOSE_TOL and order terms canonically."""
+        kept = [(c, s) for c, s in self.terms if abs(c) >= DECOMPOSE_TOL]
         kept.sort(key=lambda t: t[1].sort_key())
         return WeightedPauliSum(self.n_qubits, tuple(kept))
 
     def to_matrix(self) -> np.ndarray:
+        _check_dense(self.n_qubits)
         m = np.zeros((2 ** self.n_qubits,) * 2, dtype=complex)
         for c, s in self.terms:
             m += c * s.to_matrix()
@@ -290,15 +296,12 @@ def phase_free_product(a: PauliString, b: PauliString) -> PauliString:
 def bracket(a: PauliString, b: PauliString) -> Optional[tuple[float, PauliString]]:
     """Commutator [a, b] = i*c*r with real c, or None when a and b commute.
 
-    For anticommuting strings [a, b] = 2ab, so c is always +2 or -2.
+    The product ab = i^phi r of Hermitian strings is Hermitian, phi even,
+    exactly when they commute.  Otherwise [a, b] = 2ab, so c is +2 or -2.
     """
-    _require_same_width(a, b)
-    if (((a.x_mask & b.z_mask).bit_count()
-         ^ (a.z_mask & b.x_mask).bit_count()) & 1) == 0:
-        return None
     prod = multiply(a, b)
-    # anticommuting Hermitian strings have an anti-Hermitian product: phi is odd
-    assert prod.phase_exponent % 2 == 1, "internal phase bookkeeping error"
+    if prod.phase_exponent % 2 == 0:
+        return None
     c = 2.0 if prod.phase_exponent == 1 else -2.0
     return c, prod.string
 
@@ -310,6 +313,18 @@ def bracket_normalized(a: PauliString, b: PauliString) -> Optional[PauliString]:
          ^ (a.z_mask & b.x_mask).bit_count()) & 1) == 0:
         return None
     return PauliString(a.n_qubits, a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask)
+
+
+def canonical_digamma(strings: Iterable[PauliString]) -> list[PauliString]:
+    """The decomposed Hamiltonian set: distinct non-identity strings, canonical order.
+
+    The identity commutes with everything, so it never edges two members.
+    """
+    out = {}
+    for s in strings:
+        if not s.is_identity:
+            out.setdefault((s.x_mask, s.z_mask), s)
+    return sorted(out.values(), key=lambda s: s.sort_key())
 
 
 def apply_sequence(
@@ -393,11 +408,7 @@ class PauliTable:
 
     @classmethod
     def from_strings(cls, strings: Sequence[PauliString], n_qubits: int) -> "PauliTable":
-        for s in strings:
-            if s.n_qubits != n_qubits:
-                raise DimensionMismatchError(
-                    f"string {s} acts on {s.n_qubits} qubits, expected {n_qubits}"
-                )
+        check_widths(strings, n_qubits)
         m = len(strings)
         words = (n_qubits + 63) // 64
         x = np.empty((m, words), dtype=np.uint64)
@@ -490,17 +501,6 @@ def _canonical_keys(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 DECOMPOSE_CAP = 8
 
 
-def _parity_table(n: int) -> np.ndarray:
-    t = np.arange(1 << n, dtype=np.int64)
-    p = np.zeros(1 << n, dtype=np.int64)
-    while True:
-        p ^= t & 1
-        t >>= 1
-        if not t.any():
-            break
-    return p
-
-
 def _reverse_bits(v: int, n: int) -> int:
     # masks put site 1 at bit 0; dense indices put site 1 at the high bit
     r = 0
@@ -510,20 +510,31 @@ def _reverse_bits(v: int, n: int) -> int:
     return r
 
 
+def pauli_trace(s: PauliString, mat: np.ndarray) -> complex:
+    """Tr(s M) for a dense 2^n x 2^n matrix M.
+
+    Tr(P M) = sum_c i^pc(x&z) * (-1)^pc(z&c) * M[c, c^x], with the masks x, z
+    in dense-index bit order.
+    """
+    x, z = (_reverse_bits(mask, s.n_qubits) for mask in (s.x_mask, s.z_mask))
+    cols = np.arange(mat.shape[0])
+    signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
+    return (1j ** ((x & z).bit_count() % 4)) * np.dot(signs, mat[cols, cols ^ x])
+
+
 def decompose(
     operator: Union[np.ndarray, WeightedPauliSum],
     n_qubits: Optional[int] = None,
-    tol: float = DECOMPOSE_TOL,
 ) -> WeightedPauliSum:
     """Minimal Pauli-basis expansion of a Hermitian operator.
 
     Accepts either a dense Hermitian matrix (dimension 2^n, n <= 8) or an
-    existing sum, which is merged, pruned of |coeff| < tol and canonically
-    ordered.  Matrix coefficients come from the normalized trace inner
-    product Tr(P M) / 2^n.
+    existing sum, which is merged, pruned of |coeff| < DECOMPOSE_TOL and
+    canonically ordered.  Matrix coefficients come from the normalized trace
+    inner product Tr(P M) / 2^n.
     """
     if isinstance(operator, WeightedPauliSum):
-        return WeightedPauliSum.merged(operator.terms, operator.n_qubits).normalized(tol)
+        return WeightedPauliSum.merged(operator.terms, operator.n_qubits).normalized()
 
     mat = np.asarray(operator, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -539,22 +550,15 @@ def decompose(
     if not np.allclose(mat, mat.conj().T, atol=1e-10):
         raise ValueError("operator is not Hermitian")
 
-    # Tr(P M) = sum_c i^pc(x&z) * (-1)^pc(z&c) * M[c, c^x], with x, z in
-    # dense-index bit order
-    cols = np.arange(dim)
-    parity = _parity_table(n)
     terms = []
     for x in range(dim):
-        col_vals = mat[cols, cols ^ x]
         for z in range(dim):
-            signs = 1.0 - 2.0 * parity[cols & z]
-            c = (1j ** ((x & z).bit_count() % 4)) * np.dot(signs, col_vals) / dim
-            if abs(c) < tol:
+            s = PauliString(n, x, z)
+            c = pauli_trace(s, mat) / dim
+            if abs(c) < DECOMPOSE_TOL:
                 continue
             assert abs(c.imag) < 1e-9, "Hermitian input must give real coefficients"
-            terms.append(
-                (float(c.real), PauliString(n, _reverse_bits(x, n), _reverse_bits(z, n)))
-            )
+            terms.append((float(c.real), s))
     terms.sort(key=lambda t: t[1].sort_key())
     return WeightedPauliSum(n, tuple(terms))
 

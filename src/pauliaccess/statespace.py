@@ -4,7 +4,7 @@ With x_j = <O_j> and a Hamiltonian sum over strings H_m, Heisenberg evolution
 gives dx_j/dt = sum_m h_m <i [H_m, O_j]>; expanding each commutator back in
 the accessible set yields the real matrix A with x' = A x.  Because the set
 is closed under bracketing, the constant-forcing slot B is identically zero;
-it is kept in the model (as an empty sparse block) for format fidelity.
+the model JSON keeps an empty ``"B"`` list for format fidelity.
 A is antisymmetric by construction: entries are -h*c with [H_m, O_j] = i*c*R
 and c = +/-2, so the flow is orthogonal and norms are conserved.
 """
@@ -20,17 +20,18 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .closure import AccessibleSet, ClosureError, _json_int, _json_texts, _unique_index
+from .closure import AccessibleSet, ClosureError
 from .hamiltonian import HamiltonianSpec, MeasurementSpec
-from .oracle import DENSE_CAP
+from .oracle import validate_density_matrix
 from .pauli import (
+    DENSE_CAP,
     PauliString,
     PauliTable,
-    WeightedPauliSum,
-    _reverse_bits,
     decompose,
     parse_term,
+    pauli_trace,
 )
+from .validation import json_int, json_list, json_schema, unique_index
 
 __all__ = [
     "StateSpaceModel",
@@ -41,7 +42,6 @@ __all__ = [
     "simulate_reduced",
     "model_to_json",
     "model_from_json",
-    "save_model",
     "load_model",
     "trajectory_to_csv",
     "BLOCH_KETS",
@@ -70,18 +70,17 @@ class SimulationUnstableError(RuntimeError):
 
 @dataclass
 class StateSpaceModel:
-    """Sparse (A, B, C) over an ordered accessible set.
+    """Sparse (A, C) over an ordered accessible set; B is always zero.
 
-    Entries are (row, col, value) triplets sorted by (row, col).  B is kept
-    explicitly empty; C rows are the raw measurements expanded in the state
-    ordering.  ``coupling_provenance`` maps each nonzero A entry to the
-    Hamiltonian term indices that produced it.
+    Entries are (row, col, value) triplets sorted by (row, col).  C rows are
+    the raw measurements expanded in the state ordering.
+    ``coupling_provenance`` maps each nonzero A entry to the Hamiltonian term
+    indices that produced it.
     """
 
     n_qubits: int
     ordering: tuple[PauliString, ...]
     a_entries: tuple[tuple[int, int, float], ...]
-    b_entries: tuple[tuple[int, int, float], ...]
     c_entries: tuple[tuple[int, int, float], ...]
     n_outputs: int
     coupling_provenance: Optional[dict[tuple[int, int], tuple[int, ...]]] = None
@@ -114,7 +113,7 @@ class StateSpaceModel:
 def build_model(
     g: AccessibleSet, spec: HamiltonianSpec, meas: MeasurementSpec
 ) -> StateSpaceModel:
-    """Assemble (A, B, C) for an ordered accessible set.
+    """Assemble A and C for an ordered accessible set.
 
     Raises :class:`ClosureError` when a bracket or a measurement string falls
     outside the set (the set was not generated for this Hamiltonian or
@@ -162,7 +161,6 @@ def build_model(
         g.n_qubits,
         tuple(g.members),
         a_entries,
-        (),
         c_entries,
         len(meas.operators),
         provenance,
@@ -219,25 +217,10 @@ def _x0_from_density(rho: np.ndarray, g: AccessibleSet) -> np.ndarray:
             f"dense density matrices are capped at {DENSE_CAP} qubits; "
             "use a product-state description"
         )
-    rho = np.asarray(rho, dtype=complex)
-    dim = 1 << g.n_qubits
-    if rho.shape != (dim, dim):
-        raise ValueError(f"density matrix shape {rho.shape}, expected {(dim, dim)}")
-    if not np.allclose(rho, rho.conj().T, atol=1e-10):
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise ValueError("density matrix trace is not 1")
-    if np.linalg.eigvalsh(rho).min() < -1e-10:
-        raise ValueError("density matrix is not positive semidefinite")
-    cols = np.arange(dim)
+    rho = validate_density_matrix(rho, g.n_qubits)
     x0 = np.empty(len(g.members))
     for i, s in enumerate(g.members):
-        # dense-index bit order: site 1 is the high bit
-        x = _reverse_bits(s.x_mask, g.n_qubits)
-        z = _reverse_bits(s.z_mask, g.n_qubits)
-        signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
-        val = (1j ** ((x & z).bit_count() % 4)) * np.dot(signs, rho[cols, cols ^ x])
-        x0[i] = val.real
+        x0[i] = pauli_trace(s, rho).real
     return x0
 
 
@@ -363,7 +346,7 @@ def model_to_json(model: StateSpaceModel) -> dict:
         "n_qubits": model.n_qubits,
         "ordering": [s.to_text() for s in model.ordering],
         "A": [[r, c, v] for r, c, v in model.a_entries],
-        "B": [[r, c, v] for r, c, v in model.b_entries],
+        "B": [],
         "C": [[r, c, v] for r, c, v in model.c_entries],
         "n_outputs": model.n_outputs,
     }
@@ -375,20 +358,16 @@ def model_from_json(data: dict) -> StateSpaceModel:
     Malformed input (wrong types, indices out of range, a repeated ordering
     string, A not antisymmetric) raises ValueError.
     """
-    if not isinstance(data, dict) or data.get("schema") != MODEL_SCHEMA_ID:
-        schema = data.get("schema") if isinstance(data, dict) else None
-        raise ValueError(
-            f"unsupported model schema {schema!r}, expected {MODEL_SCHEMA_ID!r}"
-        )
-    n = _json_int(data["n_qubits"], "n_qubits", lo=1)
-    ordering = tuple(parse_term(t, n) for t in _json_texts(data["ordering"], "ordering"))
-    _unique_index(ordering, "ordering string")
+    json_schema(data, MODEL_SCHEMA_ID, "model")
+    n = json_int(data["n_qubits"], "n_qubits", lo=1)
+    ordering = tuple(parse_term(t, n) for t in json_list(data["ordering"], "ordering"))
+    unique_index(ordering, "ordering string")
     dim = len(ordering)
-    n_outputs = _json_int(data["n_outputs"], "n_outputs")
+    n_outputs = json_int(data["n_outputs"], "n_outputs")
     a = _triplets(data["A"], "A", dim, dim)
-    b = _triplets(data["B"], "B", dim, 0)  # no inputs: B is identically zero
+    _triplets(data["B"], "B", dim, 0)  # no inputs: B must be empty
     c = _triplets(data["C"], "C", n_outputs, dim)
-    model = StateSpaceModel(n, ordering, a, b, c, n_outputs)
+    model = StateSpaceModel(n, ordering, a, c, n_outputs)
     _check_antisymmetry(model)
     return model
 
@@ -416,10 +395,6 @@ def _check_antisymmetry(model: StateSpaceModel) -> None:
     for (r, c), v in entries.items():
         if entries.get((c, r), 0.0) != -v:
             raise ValueError(f"A is not antisymmetric at ({r}, {c})")
-
-
-def save_model(model: StateSpaceModel, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(model_to_json(model), indent=2) + "\n")
 
 
 def load_model(path: Union[str, Path]) -> StateSpaceModel:

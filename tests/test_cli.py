@@ -195,7 +195,8 @@ def _append_antisymmetric_pair(model, row, col):
     model["A"] += [[row, col, 1.0], [col, row, -1.0]]
 
 
-#: malformed set and model files, each as (file kind, in-place edit)
+#: malformed input files, each as (file kind, edit); an edit changes the
+#: file's JSON in place or returns the value to write instead
 MALFORMED = {
     "members not a list": ("set", lambda d: d.update(members=5)),
     "duplicate member": ("set", lambda d: d["members"].__setitem__(1, d["members"][0])),
@@ -207,24 +208,36 @@ MALFORMED = {
     "duplicate ordering entry": (
         "model", lambda d: d["ordering"].__setitem__(1, d["ordering"][0])
     ),
+    "spec terms not a list": ("spec", lambda d: d.update(terms=5)),
+    "spec top-level list": ("spec", lambda d: [d]),
+    "spec coeff not a number": ("spec", lambda d: d["terms"][0].update(coeff="x")),
+    "spec coeff null": ("spec", lambda d: d["terms"][0].update(coeff=None)),
+    "config key func": ("config", lambda d: d.update(func=1)),
+    "config times not a string": ("config", lambda d: d.update(times=5)),
+    "config unknown key": ("config", lambda d: d.update(nope=1)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     kind, edit = MALFORMED[case]
-    set_path, model_path = tmp_path / "set.json", tmp_path / "model.json"
+    paths = {name: tmp_path / f"{name}.json" for name in ("set", "model", "spec", "config")}
     source = ("--chain", "3", "--measurement", "Y1 Z2")
-    assert run(capsys, "gen", *source, "--out", str(set_path))[0] == 0
-    assert run(capsys, "model", "--set", str(set_path), *source, "--out", str(model_path))[0] == 0
-    path = set_path if kind == "set" else model_path
-    data = json.loads(path.read_text())
-    edit(data)
-    path.write_text(json.dumps(data))
-    if kind == "set":
-        argv = ("graph", "--set", str(set_path), "--chain", "3")
-    else:
-        argv = ("simulate", "--model", str(model_path), "--rho0", "i+,0,0", "--times", "0:1:0.5")
+    set_arg, model_arg = ("--set", str(paths["set"])), ("--model", str(paths["model"]))
+    assert run(capsys, "chain", "--n", "3", "--out", str(paths["spec"]))[0] == 0
+    assert run(capsys, "gen", *source, "--out", str(paths["set"]))[0] == 0
+    assert run(capsys, "model", *set_arg, *source, "--out", str(paths["model"]))[0] == 0
+    paths["config"].write_text("{}")
+    data = json.loads(paths[kind].read_text())
+    edited = edit(data)
+    paths[kind].write_text(json.dumps(data if edited is None else edited))
+    simulate = ("simulate", *model_arg, "--rho0", "i+,0,0")
+    argv = {
+        "set": ("graph", *set_arg, "--chain", "3"),
+        "model": (*simulate, "--times", "0:1:0.5"),
+        "spec": ("gen", "--hamiltonian", str(paths["spec"]), "--measurement", "Y1 Z2"),
+        "config": ("--config", str(paths["config"]), *simulate),
+    }[kind]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err

@@ -60,16 +60,6 @@ def test_generate_rejects_mixed_widths():
         generate(exchange_digamma(2), [parse_term("X1", 3)])
 
 
-def test_generate_threads_match_serial():
-    dig = exchange_digamma(6)
-    seed = [parse_term("Y1 Z2", 6)]
-    serial = generate(dig, seed)
-    for threads in (2, 4):
-        parallel = generate(dig, seed, threads=threads)
-        assert texts(parallel) == texts(serial)
-        assert parallel.provenance == serial.provenance
-
-
 def test_generate_deterministic_across_runs():
     dig = exchange_digamma(5)
     seed = [parse_term("X1 Y2 Z3", 5)]

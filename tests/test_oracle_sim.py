@@ -21,6 +21,7 @@ from pauliaccess import (
 )
 from pauliaccess.closure import AccessibleSet
 from pauliaccess.oracle import propagator, validate_density_matrix
+from pauliaccess.pauli import DENSE_CAP
 
 
 def basis_ket_rho(n, bits):
@@ -63,9 +64,10 @@ def test_time_zero_matches_initial_state_vector():
 
 
 def test_cap_rejected():
-    spec = build_exchange_chain(3, [1.0, 1.0])
+    n = DENSE_CAP + 1
+    spec = build_exchange_chain(n, [1.0] * (n - 1))
     with pytest.raises(ValueError):
-        evolve_expectation(spec, parse_sum("Z1", 3), np.eye(8) / 8, [0.0], cap=2)
+        evolve_expectation(spec, parse_sum("Z1", n), np.eye(1 << n) / (1 << n), [0.0])
 
 
 def test_density_matrix_validation():
