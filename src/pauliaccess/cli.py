@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -82,10 +83,20 @@ CHAIN_CASES = {
 # shared input handling
 
 
+def _finite(text: str, option: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{option} takes finite numbers, got {text.strip()!r}")
+    return value
+
+
 def _parse_couplings(text: Optional[str], n_qubits: int) -> list[float]:
     if text is None:
         return [1.0] * (n_qubits - 1)
-    vals = [float(v) for v in text.split(",") if v.strip() != ""]
+    vals = [_finite(v, "--couplings") for v in text.split(",") if v.strip() != ""]
     if len(vals) != n_qubits - 1:
         raise ValueError(
             f"expected {n_qubits - 1} couplings for {n_qubits} qubits, got {len(vals)}"
@@ -134,11 +145,13 @@ def _parse_times(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("times must be start:stop:step")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = (_finite(p, "--times") for p in parts)
     if step <= 0:
         raise ValueError("time step must be positive")
-    count = int((stop - start) / step + 1e-9) + 1
-    return start + step * np.arange(count)
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise ValueError(f"--times {text!r} has too many steps to count")
+    return start + step * np.arange(int(steps + 1e-9) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +213,8 @@ def cmd_model(args) -> int:
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     times = _parse_times(args.times)
+    if not math.isfinite(args.step):
+        raise ValueError(f"--step takes a finite number, got {args.step!r}")
     if args.rho0_file:
         rho = np.asarray(json.loads(Path(args.rho0_file).read_text()), dtype=complex)
         x0_source = rho

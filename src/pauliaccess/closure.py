@@ -17,7 +17,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .pauli import PauliString, PauliTable, canonical_digamma, check_widths, parse_term
+from .pauli import (
+    PauliString,
+    PauliTable,
+    canonical_digamma,
+    check_widths,
+    label_texts,
+    parse_term,
+)
 from .validation import json_int, json_list, json_schema, unique_index
 
 __all__ = [
@@ -110,7 +117,7 @@ class AccessibleSet:
 
     def to_text(self) -> str:
         """Flat format: one operator per line."""
-        return "\n".join(s.to_text() for s in self.members) + "\n"
+        return "\n".join(self.table().texts()) + "\n"
 
 
 def _dedupe_seeds(seeds: Sequence[PauliString]) -> list[PauliString]:
@@ -264,14 +271,15 @@ def chain_closed_form(n_qubits: int, m: int, axis: str) -> AccessibleSet:
 
 
 def accessible_set_to_json(g: AccessibleSet) -> dict:
+    edges = label_texts(p[1] for p in g.provenance if p is not None)
     return {
         "schema": SET_SCHEMA_ID,
         "n_qubits": g.n_qubits,
-        "members": [s.to_text() for s in g.members],
+        "members": g.table().texts(),
         "provenance": [
             {"parent": None, "edge": None}
             if p is None
-            else {"parent": p[0], "edge": p[1].to_text()}
+            else {"parent": p[0], "edge": edges[p[1]]}
             for p in g.provenance
         ],
         "partition": None

@@ -16,7 +16,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .closure import AccessibleSet, ClosureError
-from .pauli import PauliString, PauliTable, bracket_normalized, phase_free_product
+from .pauli import (
+    PauliString,
+    PauliTable,
+    bracket_normalized,
+    label_texts,
+    phase_free_product,
+)
 
 __all__ = [
     "AccessGraph",
@@ -316,19 +322,21 @@ def export_dot(
     lines = ["graph access_set {"]
     if graph.members:
         lines.append("  node [shape=box];")
+    texts = graph.table().texts()
     blocks = _blocks_as_ranges(partition)
     if blocks is None:
-        for i, s in enumerate(graph.members):
-            lines.append(f'  n{i} [label="{s.to_text()}"];')
+        for i, text in enumerate(texts):
+            lines.append(f'  n{i} [label="{text}"];')
     else:
         for pos, (k, indices) in enumerate(blocks):
             lines.append(f"  subgraph cluster_{pos} {{")
             lines.append(f'    label="k={k}";')
             for i in indices:
-                lines.append(f'    n{i} [label="{graph.members[i].to_text()}"];')
+                lines.append(f'    n{i} [label="{texts[i]}"];')
             lines.append("  }")
+    labels = label_texts(lab for _, _, lab in graph.edges)
     for u, v, lab in graph.edges:
-        lines.append(f'  n{u} -- n{v} [label="{lab.to_text()}"];')
+        lines.append(f'  n{u} -- n{v} [label="{labels[lab]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -338,12 +346,13 @@ def graph_to_json(
     partition: Union[KFinitePartition, Sequence[tuple[int, int, int]], None] = None,
 ) -> dict:
     blocks = _blocks_as_ranges(partition)
+    labels = label_texts(lab for _, _, lab in graph.edges)
     return {
         "schema": "pauli-access-graph/1",
         "n_qubits": graph.n_qubits,
-        "vertices": [s.to_text() for s in graph.members],
+        "vertices": graph.table().texts(),
         "edges": [
-            {"u": u, "v": v, "label": lab.to_text()} for u, v, lab in graph.edges
+            {"u": u, "v": v, "label": labels[lab]} for u, v, lab in graph.edges
         ],
         "blocks": None
         if blocks is None

@@ -327,6 +327,14 @@ def canonical_digamma(strings: Iterable[PauliString]) -> list[PauliString]:
     return sorted(out.values(), key=lambda s: s.sort_key())
 
 
+def label_texts(labels: Iterable[PauliString]) -> dict[PauliString, str]:
+    """:meth:`PauliString.to_text` of each distinct string, rendered once.
+
+    Edge and provenance labels repeat a few dozen strings thousands of times.
+    """
+    return {s: s.to_text() for s in set(labels)}
+
+
 def apply_sequence(
     start: PauliString, sequence: Sequence[PauliString]
 ) -> Optional[PauliString]:
@@ -376,6 +384,15 @@ def _popcount_rows(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=8)
+def _cell_tokens(n_qubits: int) -> np.ndarray:
+    """The ``to_text`` token of code c at site s + 1, at index 4*s + c."""
+    return np.array(
+        [f"{letter}{site}" for site in range(1, n_qubits + 1) for letter in CELL_LETTERS],
+        dtype=object,
+    )
+
+
 @dataclass(frozen=True)
 class BracketTable:
     """Anticommuting (member, string) pairs of a packed set, member-major.
@@ -421,6 +438,28 @@ class PauliTable:
 
     def __len__(self) -> int:
         return self.x.shape[0]
+
+    def cell_codes(self) -> np.ndarray:
+        """uint8[M, N] cell codes, site 1 first: I=0 < X=1 < Y=2 < Z=3 as in
+        :meth:`PauliString.sort_key`."""
+        n = self.n_qubits
+        x, z = (
+            np.unpackbits(w.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :n]
+            for w in (self.x, self.z)
+        )
+        return (z << 1) | (x ^ z)
+
+    def texts(self) -> list[str]:
+        """:meth:`PauliString.to_text` of every row, rendered in one pass."""
+        codes = self.cell_codes()
+        rows, sites = np.nonzero(codes)
+        cells = _cell_tokens(self.n_qubits)[4 * sites + codes[rows, sites]].tolist()
+        ends = np.bincount(rows, minlength=len(self)).cumsum().tolist()
+        out, start = [], 0
+        for end in ends:
+            out.append(" ".join(cells[start:end]) if end > start else "I")
+            start = end
+        return out
 
     def _canonical(self) -> None:
         keys = _canonical_keys(self.x, self.z)

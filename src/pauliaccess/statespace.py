@@ -199,16 +199,14 @@ def initial_state_vector(
         raise ValueError(
             f"product state has {len(blochs)} sites, set has {g.n_qubits}"
         )
-    x0 = np.empty(len(g.members))
-    for i, s in enumerate(g.members):
-        val = 1.0
-        for site, letter in s.cells().items():
-            bx, by, bz = blochs[site - 1]
-            val *= {"X": bx, "Y": by, "Z": bz}[letter]
-            if val == 0.0:
-                break
-        x0[i] = val
-    return x0
+    factor = np.ones((g.n_qubits, 4))
+    factor[:, 1:] = blochs  # columns by cell code I, X, Y, Z
+    values = factor[np.arange(g.n_qubits), g.table().cell_codes()]
+    # every factor is 0 or +/-1, so only the sign of a zero product depends on
+    # which factors enter it: stop at the first zero, site 1 first
+    zero = values == 0.0
+    values[:, 1:][np.logical_or.accumulate(zero, axis=1)[:, :-1]] = 1.0
+    return values.prod(axis=1)
 
 
 def _x0_from_density(rho: np.ndarray, g: AccessibleSet) -> np.ndarray:
@@ -344,7 +342,7 @@ def model_to_json(model: StateSpaceModel) -> dict:
     return {
         "schema": MODEL_SCHEMA_ID,
         "n_qubits": model.n_qubits,
-        "ordering": [s.to_text() for s in model.ordering],
+        "ordering": PauliTable.from_strings(model.ordering, model.n_qubits).texts(),
         "A": [[r, c, v] for r, c, v in model.a_entries],
         "B": [],
         "C": [[r, c, v] for r, c, v in model.c_entries],
@@ -411,9 +409,7 @@ def trajectory_to_csv(result: SimulationResult) -> str:
         + [f"y_{i}" for i in range(1, n_out + 1)]
     )
     lines = [",".join(header)]
-    for i, ti in enumerate(result.times):
-        row = [repr(float(ti))]
-        row += [repr(float(v)) for v in result.states[i]]
-        row += [repr(float(v)) for v in result.outputs[i]]
-        lines.append(",".join(row))
+    # one row at a time: a list of Python floats takes about 4x the array's memory
+    for ti, x, y in zip(result.times.tolist(), result.states, result.outputs):
+        lines.append(",".join(map(repr, [ti, *x.tolist(), *y.tolist()])))
     return "\n".join(lines) + "\n"

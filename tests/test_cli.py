@@ -241,3 +241,31 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err
+
+
+#: non-finite numbers on the command line, and a time grid whose step count
+#: overflows, as (option named in the error, argv)
+NON_FINITE = {
+    "gen --couplings nan": (
+        "--couplings", ("gen", "--chain", "3", "--couplings", "nan,1", "--measurement", "Y1 Z2")
+    ),
+    "chain --couplings nan": ("--couplings", ("chain", "--n", "3", "--couplings", "nan,1")),
+    "simulate --times inf": ("--times", ("simulate", "--times", "0:inf:1")),
+    "simulate --times overflow": ("--times", ("simulate", "--times", "0:1e308:1e-300")),
+    "simulate --step inf": ("--step", ("simulate", "--integrator", "rk4", "--step", "inf")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_number_exits_2_naming_the_option(tmp_path, capsys, case):
+    option, argv = NON_FINITE[case]
+    if argv[0] == "simulate":
+        set_path, model_path = tmp_path / "set.json", tmp_path / "model.json"
+        source = ("--chain", "3", "--measurement", "Y1 Z2")
+        assert run(capsys, "gen", *source, "--out", str(set_path))[0] == 0
+        assert run(capsys, "model", "--set", str(set_path), *source, "--out", str(model_path))[0] == 0
+        argv = (*argv, "--model", str(model_path), "--rho0", "i+,0,0")
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert option in err

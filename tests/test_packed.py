@@ -1,5 +1,6 @@
 """Packed tables against the scalar string algebra, across 64-bit word boundaries."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,10 +15,17 @@ from pauliaccess import (
     build_model,
     decomposed_digamma,
     exchange_digamma,
+    export_dot,
     generate,
+    initial_state_vector,
+    order_members,
     parse_term,
+    partition_k_finite,
 )
+from pauliaccess.closure import accessible_set_to_json
+from pauliaccess.graph import graph_to_json
 from pauliaccess.pauli import PauliTable
+from pauliaccess.statespace import BLOCH_KETS, model_to_json
 
 #: widths on both sides of one and two 64-bit words
 WIDTHS = (1, 2, 63, 64, 65, 130)
@@ -66,6 +74,49 @@ def test_bracket_table_matches_bracket(case):
                 want.append((i, j, index.get((r[1].x_mask, r[1].z_mask), -1), r[0]))
     got = list(zip(br.member.tolist(), br.string.tolist(), br.target.tolist(), br.sign.tolist()))
     assert got == want
+
+
+def with_identity(n, max_size):
+    return distinct(n, max_size).map(lambda m: m + [PauliString.identity(n)])
+
+
+@given(st.sampled_from(WIDTHS).flatmap(lambda n: with_identity(n, 40)))
+def test_table_texts_match_to_text(members):
+    table = PauliTable.from_strings(members, members[0].n_qubits)
+    assert table.texts() == [s.to_text() for s in members]
+
+
+def test_empty_table_has_no_texts():
+    assert PauliTable.from_strings([], 3).texts() == []
+
+
+def x0_reference(kets, members):
+    """Product-state x0 member by member, stopping at the first zero factor."""
+    out = []
+    for s in members:
+        val = 1.0
+        for site, letter in s.cells().items():
+            val *= BLOCH_KETS[kets[site - 1]]["XYZ".index(letter)]
+            if val == 0.0:
+                break
+        out.append(val)
+    return np.array(out)
+
+
+@st.composite
+def kets_and_members(draw):
+    n = draw(st.sampled_from(WIDTHS))
+    kets = draw(st.lists(st.sampled_from(sorted(BLOCH_KETS)), min_size=n, max_size=n))
+    return kets, draw(with_identity(n, 40))
+
+
+@given(kets_and_members())
+def test_product_x0_matches_member_loop(case):
+    kets, members = case
+    g = AccessibleSet(len(kets), tuple(members), (None,) * len(members))
+    got, want = initial_state_vector(kets, g), x0_reference(kets, members)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @given(st.sampled_from(WIDTHS).flatmap(strings))
@@ -137,3 +188,34 @@ def test_graph_and_model_match_pair_loops_at_n70():
     meas = MeasurementSpec.from_texts(["X1"], n)
     model = build_model(g, spec, meas)
     assert model.a_entries == tuple((j, l, v) for (j, l), v in sorted(a.items()) if v != 0.0)
+
+
+def test_payloads_match_member_texts_at_n70():
+    n = 70
+    spec = build_exchange_chain(n, [0.5 + 0.01 * k for k in range(n - 1)])
+    digamma = decomposed_digamma(spec)
+    g = generate(digamma, [parse_term("X1", n)])  # case (a)
+    g = order_members(g, build_graph(g, digamma), partition_k_finite(g))
+    graph = build_graph(g, digamma)
+    texts = [s.to_text() for s in g.members]
+
+    lines = ["graph access_set {", "  node [shape=box];"]
+    for pos, (k, a, b) in enumerate(g.partition):
+        lines += [f"  subgraph cluster_{pos} {{", f'    label="k={k}";']
+        lines += [f'    n{i} [label="{texts[i]}"];' for i in range(a, b)]
+        lines.append("  }")
+    lines += [f'  n{u} -- n{v} [label="{lab.to_text()}"];' for u, v, lab in graph.edges]
+    assert export_dot(graph, g.partition) == "\n".join(lines + ["}"]) + "\n"
+
+    data = graph_to_json(graph, g.partition)
+    assert data["vertices"] == texts
+    assert [e["label"] for e in data["edges"]] == [lab.to_text() for _, _, lab in graph.edges]
+
+    data = accessible_set_to_json(g)
+    assert data["members"] == texts
+    assert [p["edge"] for p in data["provenance"]] == [
+        None if p is None else p[1].to_text() for p in g.provenance
+    ]
+
+    model = build_model(g, spec, MeasurementSpec.from_texts(["X1"], n))
+    assert model_to_json(model)["ordering"] == texts
