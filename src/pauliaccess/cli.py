@@ -68,6 +68,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+#: largest number of points a --times grid may hold
+MAX_TIME_POINTS = 1_000_000
+
 #: common single-string measurement schemes on the chain, by case name
 CHAIN_CASES = {
     "a": "X1",
@@ -144,13 +147,14 @@ def _dump_json(data: dict) -> str:
 def _parse_times(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError("times must be start:stop:step")
+        raise ValueError(f"--times takes start:stop:step, got {text!r}")
     start, stop, step = (_finite(p, "--times") for p in parts)
     if step <= 0:
-        raise ValueError("time step must be positive")
+        raise ValueError(f"--times step must be positive, got {text!r}")
     steps = (stop - start) / step
-    if not math.isfinite(steps):
-        raise ValueError(f"--times {text!r} has too many steps to count")
+    # counted before np.arange allocates; an overflowing count fails it too
+    if not steps + 1 <= MAX_TIME_POINTS:
+        raise ValueError(f"--times {text!r} asks for more than {MAX_TIME_POINTS} time points")
     return start + step * np.arange(int(steps + 1e-9) + 1)
 
 

@@ -53,12 +53,8 @@ _CODE_FROM_BITS = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
 _LETTER_FROM_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _BITS_FROM_LETTER = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
-_SIGMA = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+#: i^k for k = 0..3, exact
+_I_POWERS = np.array([1, 1j, -1, -1j], dtype=complex)
 
 #: largest width for which dense 2^n matrices are built, here and in the
 #: dense oracle and density-matrix initial states
@@ -98,6 +94,25 @@ def check_widths(strings: Iterable["PauliString"], n_qubits: int) -> None:
 def _check_dense(n_qubits: int) -> None:
     if n_qubits > DENSE_CAP:
         raise ValueError(f"dense matrix for {n_qubits} qubits exceeds cap {DENSE_CAP}")
+
+
+def _reverse_bits(v: int, n: int) -> int:
+    # masks put site 1 at bit 0; dense indices put site 1 at the high bit
+    r = 0
+    for _ in range(n):
+        r = (r << 1) | (v & 1)
+        v >>= 1
+    return r
+
+
+def _signed_permutation(s: "PauliString") -> tuple[np.ndarray, np.ndarray]:
+    """Column and value of the one nonzero in each row of ``s.to_matrix()``."""
+    # with x, z in dense-index bit order, row r holds
+    # i^pc(x&z) * (-1)^pc(z & (r^x)) at column r^x
+    x, z = (_reverse_bits(mask, s.n_qubits) for mask in (s.x_mask, s.z_mask))
+    cols = np.arange(1 << s.n_qubits) ^ x
+    signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
+    return cols, _I_POWERS[(x & z).bit_count() % 4] * signs
 
 
 @dataclass(frozen=True)
@@ -197,9 +212,10 @@ class PauliString:
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix (site 1 is the leftmost tensor factor)."""
         _check_dense(self.n_qubits)
-        m = np.array([[1.0 + 0j]])
-        for site in range(1, self.n_qubits + 1):
-            m = np.kron(m, _SIGMA[self.cell(site)])
+        dim = 1 << self.n_qubits
+        cols, vals = _signed_permutation(self)
+        m = np.zeros((dim, dim), dtype=complex)
+        m[np.arange(dim), cols] = vals
         return m
 
     def __str__(self) -> str:
@@ -260,9 +276,12 @@ class WeightedPauliSum:
 
     def to_matrix(self) -> np.ndarray:
         _check_dense(self.n_qubits)
-        m = np.zeros((2 ** self.n_qubits,) * 2, dtype=complex)
+        dim = 1 << self.n_qubits
+        rows = np.arange(dim)
+        m = np.zeros((dim, dim), dtype=complex)
         for c, s in self.terms:
-            m += c * s.to_matrix()
+            cols, vals = _signed_permutation(s)
+            m[rows, cols] += c * vals
         return m
 
     def __str__(self) -> str:
@@ -538,15 +557,6 @@ def _canonical_keys(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 #: widths above this are refused by matrix-input decompose
 DECOMPOSE_CAP = 8
-
-
-def _reverse_bits(v: int, n: int) -> int:
-    # masks put site 1 at bit 0; dense indices put site 1 at the high bit
-    r = 0
-    for _ in range(n):
-        r = (r << 1) | (v & 1)
-        v >>= 1
-    return r
 
 
 def pauli_trace(s: PauliString, mat: np.ndarray) -> complex:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pauliaccess import cli
 from pauliaccess.cli import main
 
 
@@ -243,8 +244,8 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
-#: non-finite numbers on the command line, and a time grid whose step count
-#: overflows, as (option named in the error, argv)
+#: non-finite numbers on the command line, a time grid whose step count
+#: overflows and grids over the point budget, as (option named in the error, argv)
 NON_FINITE = {
     "gen --couplings nan": (
         "--couplings", ("gen", "--chain", "3", "--couplings", "nan,1", "--measurement", "Y1 Z2")
@@ -252,6 +253,8 @@ NON_FINITE = {
     "chain --couplings nan": ("--couplings", ("chain", "--n", "3", "--couplings", "nan,1")),
     "simulate --times inf": ("--times", ("simulate", "--times", "0:inf:1")),
     "simulate --times overflow": ("--times", ("simulate", "--times", "0:1e308:1e-300")),
+    "simulate --times 1e21 points": ("--times", ("simulate", "--times", "0:1e12:1e-9")),
+    "simulate --times 1e7 points": ("--times", ("simulate", "--times", "0:1e7:1")),
     "simulate --step inf": ("--step", ("simulate", "--integrator", "rk4", "--step", "inf")),
 }
 
@@ -269,3 +272,17 @@ def test_non_finite_number_exits_2_naming_the_option(tmp_path, capsys, case):
     assert code == 2
     assert "Traceback" not in err
     assert option in err
+
+
+def test_time_grid_point_budget(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_TIME_POINTS", 10)
+    assert len(cli._parse_times("0:9:1")) == 10
+    assert len(cli._parse_times("0:1:0.125")) == 9
+    with pytest.raises(ValueError, match="--times '0:10:1' asks for more than 10 time points"):
+        cli._parse_times("0:10:1")
+
+
+@pytest.mark.parametrize("text", ["0:1", "0:1:0", "0:1:-0.5"])
+def test_malformed_time_grid_names_the_option(text):
+    with pytest.raises(ValueError, match="--times"):
+        cli._parse_times(text)

@@ -1,12 +1,19 @@
 """Dense full-space evolution and the truncated commutator series."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import dense_ref
 from conftest import cases_fitting
 from pauliaccess import (
+    HamiltonianSpec,
     MeasurementSpec,
+    PauliString,
+    WeightedPauliSum,
     build_exchange_chain,
     build_model,
     decompose,
@@ -22,6 +29,11 @@ from pauliaccess import (
 from pauliaccess.closure import AccessibleSet
 from pauliaccess.oracle import propagator, validate_density_matrix
 from pauliaccess.pauli import DENSE_CAP
+
+
+def string_of(label):
+    """Package string of a dense_ref label like 'ZYI'."""
+    return PauliString.from_cells(len(label), {i + 1: c for i, c in enumerate(label) if c != "I"})
 
 
 def basis_ket_rho(n, bits):
@@ -68,6 +80,30 @@ def test_cap_rejected():
     spec = build_exchange_chain(n, [1.0] * (n - 1))
     with pytest.raises(ValueError):
         evolve_expectation(spec, parse_sum("Z1", n), np.eye(1 << n) / (1 << n), [0.0])
+
+
+def test_evolve_expectation_matches_expm_route():
+    # random Hermitian H (every string, random weight), a non-product mixed
+    # rho and a weighted measurement, against Tr(M expm(-iHt) rho expm(iHt))
+    n = 3
+    rng = np.random.default_rng(17)
+    labels = dense_ref.all_labels(n)
+    coeffs = rng.normal(scale=0.4, size=len(labels))
+    strings = [string_of(lab) for lab in labels]
+    spec = HamiltonianSpec(n, WeightedPauliSum(n, tuple(zip(coeffs.tolist(), strings))))
+    h = sum(c * dense_ref.dense(lab) for c, lab in zip(coeffs, labels))
+    meas = parse_sum("0.7 * Y1 Z2 + -1.3 * X3 + 0.25 * Z1 Z2 Z3", n)
+    m = 0.7 * dense_ref.dense("YZI") - 1.3 * dense_ref.dense("IIX") + 0.25 * dense_ref.dense("ZZZ")
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    times = [0.0, 0.013, 0.4, 1.7, np.pi, 9.25]
+    expected = []
+    for t in times:
+        u = scipy.linalg.expm(-1j * h * t)
+        expected.append(np.trace(m @ u @ rho @ u.conj().T).real)
+    series = evolve_expectation(spec, meas, rho, times)
+    assert np.max(np.abs(series - expected)) < 1e-12
 
 
 def test_density_matrix_validation():
@@ -158,3 +194,65 @@ def test_reduced_matches_dense_trajectory_n3():
     rho = np.outer(psi, psi.conj())
     dense = evolve_expectation(spec, meas.operators[0], rho, times)
     assert np.max(np.abs(reduced - dense)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# signed-permutation matrices against the kron route
+
+
+def test_string_matrix_matches_kron_for_every_string():
+    for n in range(1, 5):
+        for lab in dense_ref.all_labels(n):
+            assert np.array_equal(string_of(lab).to_matrix(), dense_ref.dense(lab)), lab
+
+
+def strings_at(n):
+    full = (1 << n) - 1
+    return st.builds(PauliString, st.just(n), st.integers(0, full), st.integers(0, full))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, DENSE_CAP).flatmap(strings_at))
+def test_string_matrix_matches_kron_up_to_the_cap(s):
+    assert np.array_equal(s.to_matrix(), dense_ref.dense(dense_ref.string_label(s)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.floats(-10, 10), strings_at(n)),
+            max_size=12,
+            unique_by=lambda t: (t[1].x_mask, t[1].z_mask),
+        ).map(lambda terms: WeightedPauliSum(n, tuple(terms)))
+    )
+)
+def test_sum_matrix_matches_kron_sum(wps):
+    expected = np.zeros((1 << wps.n_qubits,) * 2, dtype=complex)
+    for c, s in wps.terms:
+        expected += c * dense_ref.dense(dense_ref.string_label(s))
+    assert np.array_equal(wps.to_matrix(), expected)
+
+
+def test_chain_hamiltonian_matrix_matches_kron_sum_at_the_cap():
+    n = DENSE_CAP
+    spec = build_exchange_chain(n, list(np.linspace(0.5, 1.5, n - 1)))
+    expected = np.zeros((1 << n,) * 2, dtype=complex)
+    for c, s in spec.terms.terms:
+        expected += c * dense_ref.dense(dense_ref.string_label(s))
+    assert np.array_equal(spec.terms.to_matrix(), expected)
+
+
+@pytest.mark.parametrize("kind", ["string", "sum"])
+def test_matrix_over_the_cap_refused_before_allocating(kind):
+    n = DENSE_CAP + 1
+    s = parse_term("X1 Y2", n)
+    op = s if kind == "string" else WeightedPauliSum(n, ((1.0, s),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds cap"):
+            op.to_matrix()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the matrix would be 64 MB
