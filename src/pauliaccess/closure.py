@@ -1,17 +1,24 @@
 """Generation of accessible observable sets by commutator closure.
 
-``generate`` is the production rule: breadth-first bracketing of frontier
-strings against the decomposed Hamiltonian set, deduplicated on bit masks so
-membership never requires materializing the 4^N basis.  ``generate_reference``
-re-implements the original trace-test rule densely as a small-width oracle,
-and ``chain_closed_form`` emits the known alternating ladder for the exchange
-chain with a single Z-prefixed seed.
+``generate`` is the production rule: breadth-first bracketing of members
+against the decomposed Hamiltonian set (digamma), deduplicated on one packed
+int key per string, ``x | z << n``, so membership never requires
+materializing the 4^N basis.  Each member carries its syndrome: bit j is set
+when it anticommutes with digamma string nu_j.  The symplectic form is
+bilinear over GF(2), so the child t ^ nu_j has syndrome syn(t) ^ S_j, where
+row S_j is nu_j's own syndrome against digamma.  A member therefore costs
+one step per string it anticommutes with (its degree), not one per string of
+digamma.  The resulting set holds the keys and builds its ``PauliString``
+members only when asked.
+
+``generate_reference`` re-implements the original trace-test rule densely as
+a small-width oracle, and ``chain_closed_form`` emits the known alternating
+ladder for the exchange chain with a single Z-prefixed seed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -37,10 +44,16 @@ __all__ = [
     "accessible_set_from_json",
     "load_accessible_set",
     "REFERENCE_CAP",
+    "MAX_MEMBERS",
 ]
 
 #: widest system the dense reference rule will enumerate (4^N candidates)
 REFERENCE_CAP = 4
+
+#: most members :func:`generate` builds before it gives up.  Heisenberg XXX
+#: with seed Z1 closes to 4^N / 4 members: N = 11 (about 1.05 M) fits, while
+#: N = 12 (about 4.2 M) would need several GB of Python objects.
+MAX_MEMBERS = 2**21
 
 SET_SCHEMA_ID = "pauli-access-set/1"
 
@@ -49,7 +62,6 @@ class ClosureError(RuntimeError):
     """Internal fixpoint violation; indicates an implementation bug."""
 
 
-@dataclass
 class AccessibleSet:
     """Ordered, deduplicated strings closed under bracketing with a set.
 
@@ -57,26 +69,80 @@ class AccessibleSet:
     that first produced member i, or None for seeds.  ``partition`` and
     ``cores`` stay None until the graph stage orders the set; partition
     entries are ``(k, start, end)`` with end exclusive.
+
+    A set made by :func:`generate` holds its members as packed keys
+    ``x | z << n`` and builds the ``members`` tuple on first access; length,
+    membership, ``member_keys`` and ``index_map`` answer from the keys.
     """
 
-    n_qubits: int
-    members: tuple[PauliString, ...]
-    provenance: tuple[Optional[tuple[int, PauliString]], ...]
-    partition: Optional[tuple[tuple[int, int, int], ...]] = None
-    cores: Optional[tuple[int, ...]] = None
-    _index: Optional[dict] = field(default=None, repr=False, compare=False)
-    _table: Optional[PauliTable] = field(default=None, repr=False, compare=False)
-    _depths: Optional[list[int]] = field(default=None, repr=False, compare=False)
+    def __init__(
+        self,
+        n_qubits: int,
+        members: tuple[PauliString, ...],
+        provenance: tuple[Optional[tuple[int, PauliString]], ...],
+        partition: Optional[tuple[tuple[int, int, int], ...]] = None,
+        cores: Optional[tuple[int, ...]] = None,
+        _index: Optional[dict] = None,
+    ):
+        self.n_qubits = n_qubits
+        self._members = members
+        self.provenance = provenance
+        self.partition = partition
+        self.cores = cores
+        self._index = _index
+        self._keys: Optional[list[int]] = None
+        self._key_set: Optional[set[int]] = None
+        self._table: Optional[PauliTable] = None
+        self._depths: Optional[list[int]] = None
+
+    @classmethod
+    def _from_keys(cls, n_qubits, keys, key_set, provenance) -> "AccessibleSet":
+        g = cls(n_qubits, None, provenance)
+        g._keys, g._key_set = keys, key_set
+        return g
+
+    @property
+    def members(self) -> tuple[PauliString, ...]:
+        """The members as strings, decoded from the keys once on demand."""
+        if self._members is None:
+            n = self.n_qubits
+            full = (1 << n) - 1
+            self._members = tuple(PauliString(n, k & full, k >> n) for k in self._keys)
+        return self._members
+
+    def packed_keys(self) -> list[int]:
+        """One int ``x | z << n_qubits`` per member, in member order."""
+        if self._keys is None:
+            n = self.n_qubits
+            self._keys = [s.x_mask | s.z_mask << n for s in self._members]
+        return self._keys
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._keys if self._members is None else self._members)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AccessibleSet):
+            return NotImplemented
+        return (
+            self.n_qubits == other.n_qubits
+            and self.packed_keys() == other.packed_keys()
+            and self.provenance == other.provenance
+            and self.partition == other.partition
+            and self.cores == other.cores
+        )
+
+    def __repr__(self) -> str:
+        return f"AccessibleSet(n_qubits={self.n_qubits}, {len(self)} members)"
+
+    def _masks(self):
+        n = self.n_qubits
+        full = (1 << n) - 1
+        return ((k & full, k >> n) for k in self.packed_keys())
 
     def index_map(self) -> dict[tuple[int, int], int]:
         """Mask-keyed member index, built once on demand."""
         if self._index is None:
-            self._index = {
-                (s.x_mask, s.z_mask): i for i, s in enumerate(self.members)
-            }
+            self._index = {m: i for i, m in enumerate(self._masks())}
         return self._index
 
     def table(self) -> PauliTable:
@@ -86,10 +152,15 @@ class AccessibleSet:
         return self._table
 
     def __contains__(self, s: PauliString) -> bool:
-        return (s.x_mask, s.z_mask) in self.index_map()
+        n = self.n_qubits
+        if (s.x_mask | s.z_mask) >> n:
+            return False
+        if self._key_set is None:
+            self._key_set = set(self.packed_keys())
+        return s.x_mask | s.z_mask << n in self._key_set
 
     def member_keys(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.index_map())
+        return frozenset(self._masks())
 
     def depths(self) -> list[int]:
         """Provenance chain length of every member, computed once.
@@ -98,7 +169,7 @@ class AccessibleSet:
         """
         if self._depths is None:
             on_path = -1
-            depth = [-2] * len(self.members)
+            depth = [-2] * len(self)
             for start in range(len(depth)):
                 path, i = [], start
                 while depth[i] < 0:
@@ -133,7 +204,12 @@ def generate(
     """Minimal fixpoint containing the seeds under bracketing with digamma.
 
     Members are ordered by discovery: seeds first, then breadth-first in
-    (frontier order x canonical digamma order).
+    (frontier order x canonical digamma order).  Each member t carries its
+    syndrome over canonical digamma; its set bits, low to high, are exactly
+    the strings nu_j it anticommutes with, and the child t ^ nu_j inherits
+    syn(t) ^ S_j.  Work per member is thus O(degree), not O(|digamma|).
+
+    Raises ValueError when the set would grow past :data:`MAX_MEMBERS`.
     """
     if not seeds:
         raise ValueError("seed set must be nonempty")
@@ -141,34 +217,56 @@ def generate(
     check_widths(seeds, n)
     check_widths(digamma, n)
     dig = canonical_digamma(digamma)
-    dig_masks = [(s.x_mask, s.z_mask) for s in dig]
+    # t anticommutes with nu exactly when key(t) & dual(nu) has odd popcount,
+    # where key = x | z << n and dual = z | x << n
+    duals = [s.z_mask | s.x_mask << n for s in dig]
 
-    seed_list = _dedupe_seeds(seeds)
-    members: list[tuple[int, int]] = []
-    prov: list[Optional[tuple[int, int]]] = []
-    seen: dict[tuple[int, int], int] = {}
-    for s in seed_list:
-        seen[(s.x_mask, s.z_mask)] = len(members)
-        members.append((s.x_mask, s.z_mask))
-        prov.append(None)
+    def syndrome(key: int) -> int:
+        return sum(1 << j for j, d in enumerate(duals) if (key & d).bit_count() & 1)
 
-    head = 0
-    while head < len(members):
-        tx, tz = members[head]
-        for j, (vx, vz) in enumerate(dig_masks):
-            if ((tx & vz).bit_count() ^ (tz & vx).bit_count()) & 1:
-                key = (tx ^ vx, tz ^ vz)
-                if key not in seen:
-                    seen[key] = len(members)
-                    members.append(key)
-                    prov.append((head, j))
-        head += 1
+    # lowest syndrome bit 1 << j -> (key of nu_j, its syndrome row S_j, nu_j)
+    steps = {}
+    for j, s in enumerate(dig):
+        key = s.x_mask | s.z_mask << n
+        steps[1 << j] = (key, syndrome(key), s)
 
-    strings = tuple(PauliString(n, x, z) for x, z in members)
-    provenance = tuple(
-        None if p is None else (p[0], dig[p[1]]) for p in prov
+    budget = MAX_MEMBERS
+    keys: list[int] = []
+    seen: set[int] = set()
+    for s in seeds:
+        key = s.x_mask | s.z_mask << n
+        if key not in seen:
+            seen.add(key)
+            keys.append(key)
+    if len(keys) > budget:
+        raise ValueError(_over_budget(budget, len(keys)))
+    syns = [syndrome(key) for key in keys]
+    prov: list[Optional[tuple[int, PauliString]]] = [None] * len(keys)
+
+    # the loop also visits the members appended while it runs
+    for head, t in enumerate(keys):
+        syn = rest = syns[head]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v, row, nu = steps[low]
+            child = t ^ v
+            if child not in seen:
+                if len(keys) >= budget:
+                    raise ValueError(_over_budget(budget, len(keys)))
+                seen.add(child)
+                keys.append(child)
+                syns.append(syn ^ row)
+                prov.append((head, nu))
+
+    return AccessibleSet._from_keys(n, keys, seen, tuple(prov))
+
+
+def _over_budget(budget: int, reached: int) -> str:
+    return (
+        f"accessible set exceeds the member budget MAX_MEMBERS = {budget} "
+        f"({reached} members reached before closing)"
     )
-    return AccessibleSet(n, strings, provenance)
 
 
 def generate_reference(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pauliaccess import cli
+from pauliaccess import cli, closure
 from pauliaccess.cli import main
 
 
@@ -55,6 +55,19 @@ def test_gen_rejects_bad_site(capsys):
 def test_gen_rejects_missing_measurement(capsys):
     code, _, err = run(capsys, "gen", "--chain", "3")
     assert code == 2
+
+
+def test_gen_member_budget(tmp_path, monkeypatch, capsys):
+    # case (d) at N = 5 closes to exactly 50 members
+    argv = ("gen", "--chain", "5", "--measurement", "Y1 Z2", "--out", str(tmp_path / "s.json"))
+    monkeypatch.setattr(closure, "MAX_MEMBERS", 50)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(closure, "MAX_MEMBERS", 49)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "MAX_MEMBERS = 49" in err
+    assert "Traceback" not in err
 
 
 def test_graph_dot_and_model_and_simulate(tmp_path, capsys):

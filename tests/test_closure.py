@@ -1,7 +1,11 @@
 """Accessible-set generation: fast rule, reference rule, closed forms."""
 
+from typing import Optional, Sequence
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cases_fitting
 from pauliaccess import (
@@ -13,10 +17,13 @@ from pauliaccess import (
     generate_reference,
     parse_term,
 )
+from pauliaccess import closure
 from pauliaccess.closure import (
+    _dedupe_seeds,
     accessible_set_from_json,
     accessible_set_to_json,
 )
+from pauliaccess.pauli import canonical_digamma, check_widths
 
 
 def texts(g: AccessibleSet):
@@ -203,3 +210,158 @@ def test_set_json_round_trip():
 def test_set_text_format():
     g = generate(exchange_digamma(2), [parse_term("Z1", 2)])
     assert g.to_text() == "Z1\nY1 X2\nX1 Y2\nZ2\n"
+
+
+# ---------------------------------------------------------------------------
+# syndrome BFS against the all-pairs loop it replaced
+
+
+def all_pairs_generate(
+    digamma: Sequence[PauliString], seeds: Sequence[PauliString]
+) -> AccessibleSet:
+    """Minimal fixpoint containing the seeds under bracketing with digamma.
+
+    Members are ordered by discovery: seeds first, then breadth-first in
+    (frontier order x canonical digamma order).
+    """
+    if not seeds:
+        raise ValueError("seed set must be nonempty")
+    n = seeds[0].n_qubits
+    check_widths(seeds, n)
+    check_widths(digamma, n)
+    dig = canonical_digamma(digamma)
+    dig_masks = [(s.x_mask, s.z_mask) for s in dig]
+
+    seed_list = _dedupe_seeds(seeds)
+    members: list[tuple[int, int]] = []
+    prov: list[Optional[tuple[int, int]]] = []
+    seen: dict[tuple[int, int], int] = {}
+    for s in seed_list:
+        seen[(s.x_mask, s.z_mask)] = len(members)
+        members.append((s.x_mask, s.z_mask))
+        prov.append(None)
+
+    head = 0
+    while head < len(members):
+        tx, tz = members[head]
+        for j, (vx, vz) in enumerate(dig_masks):
+            if ((tx & vz).bit_count() ^ (tz & vx).bit_count()) & 1:
+                key = (tx ^ vx, tz ^ vz)
+                if key not in seen:
+                    seen[key] = len(members)
+                    members.append(key)
+                    prov.append((head, j))
+        head += 1
+
+    strings = tuple(PauliString(n, x, z) for x, z in members)
+    provenance = tuple(
+        None if p is None else (p[0], dig[p[1]]) for p in prov
+    )
+    return AccessibleSet(n, strings, provenance)
+
+
+def assert_same_closure(digamma, seeds):
+    fast = generate(digamma, seeds)
+    ref = all_pairs_generate(digamma, seeds)
+    assert fast.members == ref.members
+    assert fast.provenance == ref.provenance
+
+
+@st.composite
+def closure_inputs(draw):
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 63, 64, 65, 66]))
+    masks = st.integers(0, (1 << n) - 1)
+    pool = draw(st.lists(st.builds(PauliString, st.just(n), masks, masks), min_size=1, max_size=8))
+    pick = st.sampled_from(pool + [PauliString.identity(n)])
+    digamma = draw(st.lists(pick, max_size=8))
+    seeds = draw(st.lists(pick, min_size=1, max_size=3))
+    return digamma, seeds
+
+
+@settings(max_examples=150, deadline=None)
+@given(closure_inputs())
+def test_generate_matches_all_pairs_loop(inputs):
+    assert_same_closure(*inputs)
+
+
+def test_generate_matches_all_pairs_case_d_n70():
+    # two 64-bit words per mask, about 169 000 members
+    assert_same_closure(exchange_digamma(70), [parse_term("Y1 Z2", 70)])
+
+
+def test_generate_matches_all_pairs_heisenberg_n6():
+    n = 6
+    digamma = [
+        PauliString.from_cells(n, {k: a, k + 1: a})
+        for k in range(1, n)
+        for a in "XYZ"
+    ]
+    g = generate(digamma, [parse_term("Z1", n)])
+    assert len(g) == 4**n // 4
+    assert_same_closure(digamma, [parse_term("Z1", n)])
+
+
+# ---------------------------------------------------------------------------
+# lazy members
+
+
+@pytest.fixture
+def string_count(monkeypatch):
+    """Number of PauliString objects constructed since the fixture started."""
+    made = [0]
+    check = PauliString.__post_init__
+
+    def counting(self):
+        made[0] += 1
+        check(self)
+
+    monkeypatch.setattr(PauliString, "__post_init__", counting)
+    return made
+
+
+CASE_D_N6 = (exchange_digamma(6), [parse_term("Y1 Z2", 6)])
+
+
+def test_lazy_set_answers_from_keys(string_count):
+    g = generate(*CASE_D_N6)
+    outside = parse_term("X1 X2 X3", 6)
+    member = parse_term("Y1 Z2", 6)
+    wider = PauliString(7, 1 << 6, 0)
+    string_count[0] = 0
+    assert len(g) == (6**3 - 6**2) // 2
+    assert len(g.member_keys()) == len(g)
+    assert g.index_map()[(member.x_mask, member.z_mask)] == 0
+    assert member in g and outside not in g and wider not in g
+    assert string_count[0] == 0
+
+
+def test_lazy_members_decode_keys():
+    g = generate(*CASE_D_N6)
+    n, full = g.n_qubits, (1 << g.n_qubits) - 1
+    decoded = tuple(PauliString(n, k & full, k >> n) for k in g.packed_keys())
+    assert g.members == decoded
+    assert g.members is g.members
+
+
+def test_lazy_set_equals_eager_copy(string_count):
+    lazy = generate(*CASE_D_N6)
+    eager = all_pairs_generate(*CASE_D_N6)
+    string_count[0] = 0
+    assert lazy == eager and eager == lazy
+    assert string_count[0] == 0
+    assert lazy != AccessibleSet(eager.n_qubits, eager.members[::-1], eager.provenance)
+    assert lazy.depths() == eager.depths()
+    for a, b in ((lazy.table().x, eager.table().x), (lazy.table().z, eager.table().z)):
+        np.testing.assert_array_equal(a, b)
+    assert lazy.to_text() == eager.to_text()
+
+
+# ---------------------------------------------------------------------------
+# member budget
+
+
+def test_member_budget_counts_seeds(monkeypatch):
+    monkeypatch.setattr(closure, "MAX_MEMBERS", 1)
+    seeds = [parse_term("X1", 2), parse_term("Z2", 2)]
+    with pytest.raises(ValueError, match="MAX_MEMBERS = 1"):
+        generate([], seeds)
