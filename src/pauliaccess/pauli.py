@@ -480,6 +480,30 @@ class PauliTable:
             start = end
         return out
 
+    def traces(self, mat: np.ndarray) -> np.ndarray:
+        """Tr(P M) of every row P for a dense 2^n x 2^n matrix M.
+
+        The formula of :func:`pauli_trace`, evaluated in row chunks so the
+        temporaries stay at a few MB.
+        """
+        dim = 1 << self.n_qubits
+        if mat.shape != (dim, dim):
+            raise DimensionMismatchError(f"matrix shape {mat.shape}, expected {(dim, dim)}")
+        codes = self.cell_codes()
+        zbits = codes >> 1
+        xbits = (codes & 1) ^ zbits
+        # dense indices put site 1 at the high bit
+        weights = 1 << np.arange(self.n_qubits - 1, -1, -1, dtype=np.int64)
+        x, z = xbits @ weights, zbits @ weights
+        cols = np.arange(dim)
+        sums = np.empty(len(self), dtype=complex)
+        step = max(1, _CHUNK_CELLS // dim)
+        for lo in range(0, len(self), step):
+            xs, zs = x[lo : lo + step, None], z[lo : lo + step, None]
+            signs = 1.0 - 2.0 * (np.bitwise_count(cols & zs) & 1)
+            sums[lo : lo + step] = (signs * mat[cols, cols ^ xs]).sum(axis=1)
+        return _I_POWERS[np.bitwise_count(x & z) % 4] * sums
+
     def _canonical(self) -> None:
         keys = _canonical_keys(self.x, self.z)
         order = np.argsort(keys, kind="stable")

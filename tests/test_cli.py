@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from pauliaccess import cli, closure
@@ -108,6 +109,27 @@ def test_graph_dot_and_model_and_simulate(tmp_path, capsys):
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0].startswith("t,x_1")
     assert len(lines) == 6
+
+
+def test_simulate_default_integrator_above_old_dense_cap(tmp_path, capsys):
+    # case (d) at N = 20 has 3 800 states, above the 2 000 the dense expm took
+    chain = ("--chain", "20", "--measurement", "Y1 Z2")
+    set_path, model_path = tmp_path / "set.json", tmp_path / "model.json"
+    assert run(capsys, "gen", *chain, "--out", str(set_path))[0] == 0
+    assert run(capsys, "model", "--set", str(set_path), *chain, "--out", str(model_path))[0] == 0
+    kets = ",".join(("+", "0", "i+", "1", "-", "i-")[i % 6] for i in range(20))
+    simulate = ("simulate", "--model", str(model_path), "--rho0", kets)
+    default, rk4 = tmp_path / "default.csv", tmp_path / "rk4.csv"
+    assert run(capsys, *simulate, "--out", str(default))[0] == 0
+    code, _, _ = run(
+        capsys, *simulate, "--integrator", "rk4", "--step", "1e-3", "--out", str(rk4)
+    )
+    assert code == 0
+    exact, marched = (np.loadtxt(p, delimiter=",", skiprows=1) for p in (default, rk4))
+    assert exact.shape == (101, 1 + 3800 + 1)
+    assert np.max(np.abs(exact - marched)) <= 1e-9
+    norms = np.linalg.norm(exact[:, 1:3801], axis=1)
+    assert np.max(np.abs(norms - norms[0])) <= 1e-12
 
 
 def test_graph_detects_non_fixpoint_set(tmp_path, capsys):

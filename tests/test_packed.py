@@ -1,5 +1,7 @@
 """Packed tables against the scalar string algebra, across 64-bit word boundaries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +26,7 @@ from pauliaccess import (
 )
 from pauliaccess.closure import accessible_set_to_json
 from pauliaccess.graph import graph_to_json
-from pauliaccess.pauli import PauliTable
+from pauliaccess.pauli import DENSE_CAP, PauliTable, pauli_trace
 from pauliaccess.statespace import BLOCH_KETS, model_to_json
 
 #: widths on both sides of one and two 64-bit words
@@ -117,6 +119,48 @@ def test_product_x0_matches_member_loop(case):
     got, want = initial_state_vector(kets, g), x0_reference(kets, members)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def random_density(rng, n):
+    """A random full-rank density matrix on n qubits."""
+    g = rng.standard_normal((1 << n, 1 << n)) + 1j * rng.standard_normal((1 << n, 1 << n))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@st.composite
+def densities_and_sets(draw):
+    n = draw(st.integers(1, 5))
+    full = (1 << n) - 1
+    seed = draw(st.builds(PauliString, st.just(n), st.integers(0, full), st.integers(0, full)))
+    g = generate(exchange_digamma(n) if n >= 2 else [], [seed])
+    return random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n), g
+
+
+@given(densities_and_sets())
+def test_density_x0_matches_member_loop(case):
+    rho, g = case
+    want = np.array([pauli_trace(s, rho).real for s in g.members])
+    assert np.max(np.abs(initial_state_vector(rho, g) - want), initial=0.0) <= 1e-14
+
+
+def test_traces_work_in_chunks_at_the_dense_cap():
+    # 2^14 rows x 1 024 columns: a complex gather over all of them is 256 MB
+    n, rows = DENSE_CAP, 1 << 14
+    rng = np.random.default_rng(10)
+    x, z = (rng.integers(0, 1 << n, size=(rows, 1), dtype=np.uint64) for _ in "xz")
+    rho = random_density(rng, n)
+    table = PauliTable(n, x, z)
+    tracemalloc.start()
+    try:
+        got = table.traces(rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    for i in rng.choice(rows, 50, replace=False).tolist():
+        s = PauliString(n, int(x[i, 0]), int(z[i, 0]))
+        assert abs(got[i] - pauli_trace(s, rho)) <= 1e-14
 
 
 @given(st.sampled_from(WIDTHS).flatmap(strings))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import dense_ref
 from pauliaccess import (
@@ -23,6 +24,7 @@ from pauliaccess import (
 )
 from pauliaccess.closure import ClosureError
 from pauliaccess.statespace import (
+    DENSE_DIM,
     SimulationUnstableError,
     model_from_json,
     model_to_json,
@@ -261,6 +263,35 @@ def test_simulate_integrators_agree():
     via_expm = simulate_reduced(model, x0, times, integrator="expm")
     via_rk4 = simulate_reduced(model, x0, times, integrator="rk4", step=1e-3)
     assert np.max(np.abs(via_expm.states - via_rk4.states)) < 1e-6
+
+
+@pytest.fixture(scope="module")
+def chain_f_n8():
+    """Chain N = 8 case f (dim 784), a unit x0 and a cache of dense expm(A t)."""
+    rng = np.random.default_rng(8)
+    ordered, spec, meas, _ = ordered_pipeline(8, "X1 Y2 Z3", list(rng.uniform(0.5, 1.5, 7)))
+    model = build_model(ordered, spec, meas)
+    x0 = rng.standard_normal(model.dim)
+    return model, x0 / np.linalg.norm(x0), {}
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        [0.0, 0.5, 1.0],  # uniform from t = 0
+        [0.5, 1.0, 1.5],  # uniform from t0 > 0
+        [0.0, 0.5, 0.5, 1.5],  # non-uniform, with a repeated point
+        [1.0],  # one point
+    ],
+)
+def test_expm_above_dense_dim_matches_dense_route(chain_f_n8, times):
+    model, x0, props = chain_f_n8
+    assert model.dim > DENSE_DIM  # the sparse expm_multiply path
+    got = simulate_reduced(model, x0, times).states
+    for t, x in zip(times, got):
+        if t not in props:
+            props[t] = scipy.linalg.expm(model.a_dense() * t)
+        assert np.max(np.abs(x - props[t] @ x0)) <= 1e-12
 
 
 def test_simulate_rejects_bad_times():
