@@ -300,8 +300,12 @@ def _run_expm_multiply(
     # start, and only models above DENSE_DIM use it
     from scipy.sparse.linalg import expm_multiply
 
-    if uniform:
-        return expm_multiply(a, x0, start=t[0], stop=t[-1], num=len(t), endpoint=True)
+    if uniform and t[-1] > t[0]:
+        # the interval call sizes its Taylor steps for stop - start alone and
+        # applies them to start too, so it must start at 0: x0 reaches t[0]
+        # by a call of its own
+        x = expm_multiply(a * t[0], x0) if t[0] != 0.0 else x0
+        return expm_multiply(a, x, start=0.0, stop=t[-1] - t[0], num=len(t), endpoint=True)
     # any other grid: step from point to point, starting from x0 at t = 0
     states = np.empty((len(t), len(x0)))
     x, t_cur = x0, 0.0

@@ -282,6 +282,8 @@ def chain_f_n8():
         [0.5, 1.0, 1.5],  # uniform from t0 > 0
         [0.0, 0.5, 0.5, 1.5],  # non-uniform, with a repeated point
         [1.0],  # one point
+        [10.0, 10.5, 11.0],  # uniform from t0 well above the span
+        [1.0, 1.0, 1.0],  # uniform with zero span
     ],
 )
 def test_expm_above_dense_dim_matches_dense_route(chain_f_n8, times):
