@@ -64,6 +64,7 @@ from .statespace import (
     simulate_reduced,
     trajectory_to_csv,
 )
+from .validation import dump_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -137,12 +138,11 @@ def _load_measurement(args, n_qubits: int) -> MeasurementSpec:
 def _write_output(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
-def _dump_json(data: dict) -> str:
-    return json.dumps(data, indent=2) + "\n"
+        return
+    # in slices, so no encoded copy of the whole payload is made at once
+    with open(out, "w") as f:
+        for i in range(0, len(text), 1 << 20):
+            f.write(text[i : i + (1 << 20)])
 
 
 def _parse_times(text: str) -> np.ndarray:
@@ -165,7 +165,7 @@ def _parse_times(text: str) -> np.ndarray:
 
 def cmd_chain(args) -> int:
     spec = build_exchange_chain(args.n, _parse_couplings(args.couplings, args.n))
-    _write_output(_dump_json(hamiltonian_to_json(spec)), args.out)
+    _write_output(dump_json(hamiltonian_to_json(spec)), args.out)
     return EXIT_OK
 
 
@@ -182,7 +182,7 @@ def cmd_gen(args) -> int:
     if args.format == "text":
         payload = ordered.to_text()
     else:
-        payload = _dump_json(accessible_set_to_json(ordered))
+        payload = dump_json(accessible_set_to_json(ordered))
     _write_output(payload, args.out)
     summary = [f"members: {len(ordered)}"]
     blocks = " ".join(f"k={k}:{b - a}" for k, a, b in ordered.partition)
@@ -201,7 +201,7 @@ def cmd_graph(args) -> int:
     if args.format == "dot":
         payload = export_dot(gr, g.partition)
     else:
-        payload = _dump_json(graph_to_json(gr, g.partition))
+        payload = dump_json(graph_to_json(gr, g.partition))
     _write_output(payload, args.out)
     return EXIT_OK
 
@@ -211,7 +211,7 @@ def cmd_model(args) -> int:
     spec = _load_hamiltonian(args)
     meas = _load_measurement(args, g.n_qubits)
     model = build_model(g, spec, meas)
-    _write_output(_dump_json(model_to_json(model)), args.out)
+    _write_output(dump_json(model_to_json(model)), args.out)
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ from .pauli import (
     parse_sum,
     parse_term,
 )
-from .validation import json_float, json_int, json_list, json_schema
+from .validation import dump_json, json_float, json_int, json_list, json_schema
 
 __all__ = [
     "HamiltonianSpec",
@@ -227,4 +227,4 @@ def save_spec_file(
         if isinstance(obj, HamiltonianSpec)
         else measurement_to_json(obj)
     )
-    Path(path).write_text(json.dumps(data, indent=2) + "\n")
+    Path(path).write_text(dump_json(data))

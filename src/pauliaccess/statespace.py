@@ -9,9 +9,10 @@ A is antisymmetric by construction: entries are -h*c with [H_m, O_j] = i*c*R
 and c = +/-2, so the flow is orthogonal and norms are conserved.
 
 A is sparse, so the integrators pick their representation of it from the
-state dimension alone: up to :data:`DENSE_DIM` states A is a dense matrix
-(Pade scaling-and-squaring for ``expm``, dense products for ``rk4``), and
-above it a sparse one (``scipy.sparse.linalg.expm_multiply`` for ``expm``,
+state dimension and, for ``expm``, the time grid: up to :data:`DENSE_DIM`
+states A is a dense matrix (Pade scaling-and-squaring for ``expm`` on a
+uniform grid, dense products for ``rk4``), and above it, or on a non-uniform
+grid, a sparse one (``scipy.sparse.linalg.expm_multiply`` for ``expm``,
 sparse products for ``rk4``).  Neither integrator has a size cap.
 """
 
@@ -249,8 +250,8 @@ def simulate_reduced(
     classical Runge-Kutta scheme.  Both take A dense up to
     :data:`DENSE_DIM` states and sparse above it: ``expm`` then switches from
     scaling-and-squaring on the dense A to ``expm_multiply`` on the sparse A
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011).  There is no size
-    cap.
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011), which it also uses
+    on a grid that is not uniform at any size.  There is no size cap.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or len(t) == 0:
@@ -275,20 +276,18 @@ def simulate_reduced(
 def _run_expm(model: StateSpaceModel, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
     steps = np.diff(t)
     uniform = len(t) > 2 and np.allclose(steps, steps[0], rtol=0, atol=1e-12)
-    if model.dim > DENSE_DIM:
+    if model.dim > DENSE_DIM or not uniform:
+        # a non-uniform grid would take one dense expm per point, far more
+        # than stepping with expm_multiply at any dimension
         return _run_expm_multiply(model.a_sparse(), x0, t, uniform)
     a = model.a_dense()
     states = np.empty((len(t), model.dim))
-    if uniform:
-        x = scipy.linalg.expm(a * t[0]) @ x0 if t[0] != 0.0 else x0.copy()
-        prop = scipy.linalg.expm(a * steps[0])
-        for i in range(len(t)):
-            states[i] = x
-            if i + 1 < len(t):
-                x = prop @ x
-    else:
-        for i, ti in enumerate(t):
-            states[i] = scipy.linalg.expm(a * ti) @ x0
+    x = scipy.linalg.expm(a * t[0]) @ x0 if t[0] != 0.0 else x0.copy()
+    prop = scipy.linalg.expm(a * steps[0])
+    for i in range(len(t)):
+        states[i] = x
+        if i + 1 < len(t):
+            x = prop @ x
     return states
 
 
@@ -297,7 +296,7 @@ def _run_expm_multiply(
 ) -> np.ndarray:
     """exp(A t) x0 at each time, without forming exp(A t)."""
     # imported here, not at the top: it adds about 13 ms to every process
-    # start, and only models above DENSE_DIM use it
+    # start, and only models above DENSE_DIM or non-uniform grids use it
     from scipy.sparse.linalg import expm_multiply
 
     if uniform and t[-1] > t[0]:
@@ -383,7 +382,8 @@ def model_from_json(data: dict) -> StateSpaceModel:
     """Rebuild a model written by :func:`model_to_json`.
 
     Malformed input (wrong types, indices out of range, a repeated ordering
-    string, A not antisymmetric) raises ValueError.
+    string, a repeated A or C position, A not antisymmetric) raises
+    ValueError.
     """
     json_schema(data, MODEL_SCHEMA_ID, "model")
     n = json_int(data["n_qubits"], "n_qubits", lo=1)
@@ -391,37 +391,60 @@ def model_from_json(data: dict) -> StateSpaceModel:
     unique_index(ordering, "ordering string")
     dim = len(ordering)
     n_outputs = json_int(data["n_outputs"], "n_outputs")
-    a = _triplets(data["A"], "A", dim, dim)
+    a, a_arr = _triplets(data["A"], "A", dim, dim)
     _triplets(data["B"], "B", dim, 0)  # no inputs: B must be empty
-    c = _triplets(data["C"], "C", n_outputs, dim)
-    model = StateSpaceModel(n, ordering, a, c, n_outputs)
-    _check_antisymmetry(model)
-    return model
+    c, _ = _triplets(data["C"], "C", n_outputs, dim)
+    _check_antisymmetry(a_arr, dim)
+    return StateSpaceModel(n, ordering, a, c, n_outputs)
 
 
-def _triplets(raw, name: str, rows: int, cols: int) -> tuple[tuple[int, int, float], ...]:
-    """[row, col, value] entries with integer indices inside rows x cols."""
+def _triplets(raw, name: str, rows: int, cols: int):
+    """[row, col, value] entries with integer indices inside rows x cols,
+    each (row, col) at most once, as a tuple and as an (n, 3) array."""
     try:
         arr = np.array(raw, dtype=float)
     except (TypeError, ValueError):
         arr = None
     if not isinstance(raw, list) or arr is None or arr.shape not in ((0,), (len(raw), 3)):
         raise ValueError(f"{name} must be a list of [row, col, value] triplets")
-    r, c, v = arr.reshape(-1, 3).T
+    arr = arr.reshape(-1, 3)
+    r, c, v = arr.T
     ok = (r == np.floor(r)) & (c == np.floor(c)) & np.isfinite(v)
     ok &= (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
     if not ok.all():
         bad = raw[int(np.flatnonzero(~ok)[0])]
         raise ValueError(f"{name} entry {bad!r} is not a finite value inside {rows} x {cols}")
+    keys = _keys(r, c, cols)
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if repeats.size:
+        i = int(repeats.min())
+        raise ValueError(
+            f"{name} entry {raw[i]!r} repeats an earlier entry at ({int(r[i])}, {int(c[i])})"
+        )
     # int() and float() hand back the parsed JSON objects instead of copies
-    return tuple((int(r), int(c), float(v)) for r, c, v in raw)
+    return tuple((int(r), int(c), float(v)) for r, c, v in raw), arr
 
 
-def _check_antisymmetry(model: StateSpaceModel) -> None:
-    entries = {(r, c): v for r, c, v in model.a_entries}
-    for (r, c), v in entries.items():
-        if entries.get((c, r), 0.0) != -v:
-            raise ValueError(f"A is not antisymmetric at ({r}, {c})")
+def _keys(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
+    """One int64 key per (row, col) index pair, row-major in a dim-wide matrix."""
+    return rows.astype(np.int64) * dim + cols.astype(np.int64)
+
+
+def _check_antisymmetry(a: np.ndarray, dim: int) -> None:
+    """A[c, r] == -A[r, c] for every [r, c, v] row of a, a missing entry
+    counting as 0; names the first failing entry in file order."""
+    r, c, v = a.T
+    keys = _keys(r, c, dim)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    transposed = _keys(c, r, dim)
+    pos = np.minimum(np.searchsorted(sorted_keys, transposed), len(keys) - 1)
+    partner = np.where(sorted_keys[pos] == transposed, v[order][pos], 0.0)
+    bad = np.flatnonzero(partner != -v)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"A is not antisymmetric at ({int(r[i])}, {int(c[i])})")
 
 
 def load_model(path: Union[str, Path]) -> StateSpaceModel:
@@ -437,8 +460,9 @@ def trajectory_to_csv(result: SimulationResult) -> str:
         + [f"x_{i}" for i in range(1, dim + 1)]
         + [f"y_{i}" for i in range(1, n_out + 1)]
     )
-    lines = [",".join(header)]
-    # one row at a time: a list of Python floats takes about 4x the array's memory
+    lines = [",".join(header) + "\n"]
+    # one row at a time: a list of Python floats takes about 4x the array's
+    # memory; the rows and their one join are the only full-size copies
     for ti, x, y in zip(result.times.tolist(), result.states, result.outputs):
-        lines.append(",".join(map(repr, [ti, *x.tolist(), *y.tolist()])))
-    return "\n".join(lines) + "\n"
+        lines.append(",".join(map(repr, [ti, *x.tolist(), *y.tolist()])) + "\n")
+    return "".join(lines)

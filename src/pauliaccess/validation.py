@@ -1,4 +1,5 @@
-"""Checks on values read from JSON input files: specs, sets and models.
+"""JSON in and out: checks on values read from spec, set and model files,
+and the indented writer every JSON payload goes through.
 
 Each check raises ValueError naming the field, which the CLI reports with
 exit code 2 instead of a traceback.
@@ -6,7 +7,10 @@ exit code 2 instead of a traceback.
 
 from __future__ import annotations
 
+import json
 import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .pauli import PauliString
@@ -60,3 +64,63 @@ def unique_index(strings: Sequence[PauliString], what: str) -> dict[tuple[int, i
         if first != i:
             raise ValueError(f"{what} {s} is listed twice (entries {first} and {i})")
     return index
+
+
+def dump_json(data) -> str:
+    """Exactly ``json.dumps(data, indent=2) + "\\n"``, mostly through the C encoder.
+
+    With ``indent`` the standard library encodes in pure Python, one chunk
+    string per bracket, separator and scalar.  Without it, the C encoder
+    takes any item separator, so a container of scalars (the member texts,
+    one provenance entry) is one C call whose separator carries the newline
+    and indent.  A list of such rows (the model's [row, col, value]
+    triplets, all provenance entries) is one C call too, with the
+    separator used inside a row; a closing bracket followed by that
+    separator then marks a row boundary, which one ``str.replace``
+    re-indents.  Other containers recurse.
+    """
+    return _indented(data, "\n") + "\n"
+
+
+_CONTAINERS = (list, tuple, dict)
+
+
+def _scalars(items) -> bool:
+    """Whether no item is a container; one type per item, checked in C."""
+    return not any(issubclass(t, _CONTAINERS) for t in set(map(type, items)))
+
+
+def _indented(value, newline: str) -> str:
+    """``value`` indented by 2, where ``newline`` is "\\n" plus its line's indent."""
+    if not isinstance(value, _CONTAINERS):
+        return json.dumps(value)
+    start, end = "{}" if isinstance(value, dict) else "[]"
+    if not value:
+        return start + end
+    inner = newline + "  "
+    # no JSON text holds a raw newline, so a separator with one in it
+    # appears in the C encoder's output only between items
+    if _scalars(value.values() if start == "{" else value):
+        text = json.dumps(value, separators=("," + inner, ": "))
+        return start + inner + text[1:-1] + newline + end
+    if start == "[":
+        kind = dict if isinstance(value[0], dict) else (list, tuple)
+        if all(isinstance(v, kind) and v for v in value) and _scalars(
+            chain.from_iterable(map(dict.values, value) if kind is dict else value)
+        ):
+            # no scalar's text ends in a bracket, so "],<row>[" or
+            # "},<row>{" is a row boundary
+            row = inner + "  "
+            a, b = "{}" if kind is dict else "[]"
+            text = json.dumps(value, separators=("," + row, ": "))[2:-2]
+            text = text.replace(f"{b},{row}{a}", f"{inner}{b},{inner}{a}{row}")
+            return f"[{inner}{a}{row}{text}{inner}{b}{newline}]"
+        items = (_indented(v, inner) for v in value)
+    elif all(isinstance(k, str) for k in value):
+        items = (
+            f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in value.items()
+        )
+    else:
+        # the standard encoder converts or rejects other keys
+        return json.dumps(value, indent=2).replace("\n", newline)
+    return start + inner + ("," + inner).join(items) + newline + end

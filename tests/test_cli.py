@@ -227,6 +227,14 @@ def test_text_format_output(capsys):
     assert "members: 3" in err
 
 
+def test_write_output_slices_keep_every_byte(tmp_path):
+    # about 4 MB, so the file is written in several slices
+    text = "".join(f"{i},{i * 0.1!r}\n" for i in range(300_000))
+    out = tmp_path / "out.csv"
+    cli._write_output(text, str(out))
+    assert out.read_bytes() == text.encode()
+
+
 def _append_antisymmetric_pair(model, row, col):
     model["A"] += [[row, col, 1.0], [col, row, -1.0]]
 
@@ -241,6 +249,8 @@ MALFORMED = {
     ),
     "A index out of range": ("model", lambda d: _append_antisymmetric_pair(d, 0, 99)),
     "C index out of range": ("model", lambda d: d["C"][0].__setitem__(1, 99)),
+    "A entry repeated": ("model", lambda d: d["A"].append(list(d["A"][0]))),
+    "C entry repeated": ("model", lambda d: d["C"].append(list(d["C"][0]))),
     "duplicate ordering entry": (
         "model", lambda d: d["ordering"].__setitem__(1, d["ordering"][0])
     ),

@@ -1,8 +1,11 @@
 """State-space extraction and reduced integration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import dense_ref
 from pauliaccess import (
@@ -25,6 +28,7 @@ from pauliaccess import (
 from pauliaccess.closure import ClosureError
 from pauliaccess.statespace import (
     DENSE_DIM,
+    SimulationResult,
     SimulationUnstableError,
     model_from_json,
     model_to_json,
@@ -265,14 +269,32 @@ def test_simulate_integrators_agree():
     assert np.max(np.abs(via_expm.states - via_rk4.states)) < 1e-6
 
 
-@pytest.fixture(scope="module")
-def chain_f_n8():
-    """Chain N = 8 case f (dim 784), a unit x0 and a cache of dense expm(A t)."""
-    rng = np.random.default_rng(8)
-    ordered, spec, meas, _ = ordered_pipeline(8, "X1 Y2 Z3", list(rng.uniform(0.5, 1.5, 7)))
+def chain_f(n):
+    """Chain case f, a unit x0 and a cache of dense expm(A t)."""
+    rng = np.random.default_rng(n)
+    ordered, spec, meas, _ = ordered_pipeline(n, "X1 Y2 Z3", list(rng.uniform(0.5, 1.5, n - 1)))
     model = build_model(ordered, spec, meas)
     x0 = rng.standard_normal(model.dim)
     return model, x0 / np.linalg.norm(x0), {}
+
+
+def assert_matches_dense_expm(model, x0, props, times):
+    """simulate_reduced's expm states against dense expm(A t) x0 per point."""
+    got = simulate_reduced(model, x0, times).states
+    for t, x in zip(times, got):
+        if t not in props:
+            props[t] = scipy.linalg.expm(model.a_dense() * t)
+        assert np.max(np.abs(x - props[t] @ x0)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def chain_f_n7():
+    return chain_f(7)  # dim 441
+
+
+@pytest.fixture(scope="module")
+def chain_f_n8():
+    return chain_f(8)  # dim 784
 
 
 @pytest.mark.parametrize(
@@ -289,11 +311,21 @@ def chain_f_n8():
 def test_expm_above_dense_dim_matches_dense_route(chain_f_n8, times):
     model, x0, props = chain_f_n8
     assert model.dim > DENSE_DIM  # the sparse expm_multiply path
-    got = simulate_reduced(model, x0, times).states
-    for t, x in zip(times, got):
-        if t not in props:
-            props[t] = scipy.linalg.expm(model.a_dense() * t)
-        assert np.max(np.abs(x - props[t] @ x0)) <= 1e-12
+    assert_matches_dense_expm(model, x0, props, times)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        [0.0, 0.3, 0.3, 1.7, 4.0, 10.0],  # non-uniform, with a repeated point
+        [2.0, 2.5],  # two points count as non-uniform
+        [1.0],  # one point
+    ],
+)
+def test_expm_on_non_uniform_grid_below_dense_dim(chain_f_n7, times):
+    model, x0, props = chain_f_n7
+    assert model.dim <= DENSE_DIM  # stepped with expm_multiply all the same
+    assert_matches_dense_expm(model, x0, props, times)
 
 
 def test_simulate_rejects_bad_times():
@@ -332,6 +364,70 @@ def test_model_json_validates_antisymmetry():
     data["A"][0][2] = 99.0
     with pytest.raises(ValueError):
         model_from_json(data)
+
+
+def test_model_json_rejects_repeated_entries():
+    model, _ = model_case_b2()
+    data = model_to_json(model)
+    # the dense A kept the last value and the sparse A summed them
+    data["A"] = [[0, 1, 1.0], [0, 1, 2.0], [1, 0, -2.0]]
+    with pytest.raises(ValueError, match=r"A entry \[0, 1, 2.0\] repeats .* \(0, 1\)"):
+        model_from_json(data)
+    # the first repeat in file order is named, not the first in key order
+    data["A"] = [[1, 0, -2.0], [1, 0, -2.0], [0, 1, 2.0], [0, 1, 2.0]]
+    with pytest.raises(ValueError, match=r"A entry \[1, 0, -2.0\] repeats .* \(1, 0\)"):
+        model_from_json(data)
+
+
+def reference_antisymmetry_error(entries):
+    """The per-entry dict walk: the first entry whose transpose is not -v."""
+    a = {(r, c): v for r, c, v in entries}
+    for (r, c), v in a.items():
+        if a.get((c, r), 0.0) != -v:
+            return f"A is not antisymmetric at ({r}, {c})"
+    return None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+        max_size=10,
+    ),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_antisymmetry_check_names_the_first_failing_entry(a, mirror, rnd):
+    entries = [[r, c, v] for (r, c), v in a.items()]
+    if mirror:  # antisymmetric except where both (r, c) and (c, r) were drawn
+        entries += [[c, r, -v] for (r, c), v in a.items() if (c, r) not in a]
+    rnd.shuffle(entries)
+    data = model_to_json(model_case_b2()[0])
+    data["ordering"] += ["X1"]  # dim 5
+    data["A"] = entries
+    want = reference_antisymmetry_error(entries)
+    if want is None:
+        assert model_from_json(data).a_entries == tuple(map(tuple, entries))
+    else:
+        with pytest.raises(ValueError) as err:
+            model_from_json(data)
+        assert str(err.value) == want
+
+
+def test_trajectory_csv_peaks_at_two_copies():
+    # the N = 30 chain trajectory's 101 rows, about a sixth as wide
+    rng = np.random.default_rng(5)
+    states = rng.standard_normal((101, 2000))
+    res = SimulationResult(np.linspace(0.0, 1.0, 101), states, states[:, :1] * 0.5)
+    tracemalloc.start()
+    try:
+        text = trajectory_to_csv(res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the row strings and their join; a third full-size copy reads 3.0
+    assert peak <= 2.3 * len(text)
 
 
 def test_trajectory_csv_header_and_rows():
