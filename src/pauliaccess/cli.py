@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -145,6 +146,18 @@ def _write_output(text: str, out: Optional[str]) -> None:
             f.write(text[i : i + (1 << 20)])
 
 
+def _read_rho0(path: str) -> np.ndarray:
+    """The density matrix in a --rho0-file: a square JSON matrix of numbers."""
+    rows = json.loads(Path(path).read_text())
+    square = isinstance(rows, list) and len(rows) > 0 and all(
+        isinstance(row, list) and len(row) == len(rows) for row in rows
+    )
+    # bool is an int subclass, so the types are matched exactly
+    if not square or not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        raise ValueError(f"--rho0-file {path} must hold a square matrix of numbers")
+    return np.array(rows, dtype=complex)
+
+
 def _parse_times(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
@@ -221,17 +234,12 @@ def cmd_simulate(args) -> int:
     if not math.isfinite(args.step):
         raise ValueError(f"--step takes a finite number, got {args.step!r}")
     if args.rho0_file:
-        rho = np.asarray(json.loads(Path(args.rho0_file).read_text()), dtype=complex)
-        x0_source = rho
+        x0_source = _read_rho0(args.rho0_file)
     else:
         if args.rho0 is None:
             raise ValueError("provide --rho0 KETS or --rho0-file FILE")
         x0_source = args.rho0
-    # initial_state_vector keys off an ordered member list; wrap the model's
-    ordering_set = AccessibleSet(
-        model.n_qubits, model.ordering, tuple(None for _ in model.ordering)
-    )
-    x0 = initial_state_vector(x0_source, ordering_set)
+    x0 = initial_state_vector(x0_source, model.table)
     result = simulate_reduced(
         model, x0, times, integrator=args.integrator, step=args.step
     )

@@ -31,8 +31,16 @@ from .pauli import (
     check_widths,
     label_texts,
     parse_term,
+    strings_from_keys,
 )
-from .validation import json_int, json_list, json_schema, unique_index
+from .validation import (
+    json_column,
+    json_fields,
+    json_int,
+    json_list,
+    json_schema,
+    unique_rows,
+)
 
 __all__ = [
     "AccessibleSet",
@@ -70,29 +78,32 @@ class AccessibleSet:
     ``cores`` stay None until the graph stage orders the set; partition
     entries are ``(k, start, end)`` with end exclusive.
 
-    A set made by :func:`generate` holds its members as packed keys
-    ``x | z << n`` and builds the ``members`` tuple on first access; length,
-    membership, ``member_keys`` and ``index_map`` answer from the keys.
+    ``members`` is given as a tuple of strings or as a :class:`PauliTable`
+    of them.  A set made by :func:`generate` holds its members as packed
+    keys ``x | z << n`` instead.  Whatever a set holds, it builds the other
+    forms on first access: the ``members`` tuple, :meth:`packed_keys` and
+    :meth:`table`.
     """
 
     def __init__(
         self,
         n_qubits: int,
-        members: tuple[PauliString, ...],
+        members: Union[tuple[PauliString, ...], PauliTable],
         provenance: tuple[Optional[tuple[int, PauliString]], ...],
         partition: Optional[tuple[tuple[int, int, int], ...]] = None,
         cores: Optional[tuple[int, ...]] = None,
-        _index: Optional[dict] = None,
     ):
         self.n_qubits = n_qubits
+        self._table: Optional[PauliTable] = None
+        if isinstance(members, PauliTable):
+            self._table, members = members, None
         self._members = members
         self.provenance = provenance
         self.partition = partition
         self.cores = cores
-        self._index = _index
+        self._index: Optional[dict] = None
         self._keys: Optional[list[int]] = None
         self._key_set: Optional[set[int]] = None
-        self._table: Optional[PauliTable] = None
         self._depths: Optional[list[int]] = None
 
     @classmethod
@@ -103,21 +114,24 @@ class AccessibleSet:
 
     @property
     def members(self) -> tuple[PauliString, ...]:
-        """The members as strings, decoded from the keys once on demand."""
+        """The members as strings, decoded once on demand."""
         if self._members is None:
-            n = self.n_qubits
-            full = (1 << n) - 1
-            self._members = tuple(PauliString(n, k & full, k >> n) for k in self._keys)
+            self._members = strings_from_keys(self.packed_keys(), self.n_qubits)
         return self._members
 
     def packed_keys(self) -> list[int]:
         """One int ``x | z << n_qubits`` per member, in member order."""
         if self._keys is None:
-            n = self.n_qubits
-            self._keys = [s.x_mask | s.z_mask << n for s in self._members]
+            if self._members is None:
+                self._keys = self._table.keys()
+            else:
+                n = self.n_qubits
+                self._keys = [s.x_mask | s.z_mask << n for s in self._members]
         return self._keys
 
     def __len__(self) -> int:
+        if self._table is not None:
+            return len(self._table)
         return len(self._keys if self._members is None else self._members)
 
     def __eq__(self, other) -> bool:
@@ -148,7 +162,10 @@ class AccessibleSet:
     def table(self) -> PauliTable:
         """The members packed as x/z words, built once on demand."""
         if self._table is None:
-            self._table = PauliTable.from_strings(self.members, self.n_qubits)
+            if self._members is None:
+                self._table = PauliTable.from_keys(self._keys, self.n_qubits)
+            else:
+                self._table = PauliTable.from_strings(self._members, self.n_qubits)
         return self._table
 
     def __contains__(self, s: PauliString) -> bool:
@@ -390,48 +407,55 @@ def accessible_set_to_json(g: AccessibleSet) -> dict:
 def accessible_set_from_json(data: dict) -> AccessibleSet:
     """Rebuild a set written by :func:`accessible_set_to_json`.
 
-    Malformed input (wrong types, indices out of range, repeated members)
-    raises ValueError.
+    Malformed input (wrong types, missing fields, indices out of range,
+    repeated members) raises ValueError.
     """
     json_schema(data, SET_SCHEMA_ID, "set")
-    n = json_int(data["n_qubits"], "n_qubits", lo=1)
-    members = tuple(parse_term(t, n) for t in json_list(data["members"], "members"))
-    m = len(members)
-    index = unique_index(members, "member")
+    n_qubits, texts, entries = json_fields(data, ("n_qubits", "members", "provenance"), "set")
+    n = json_int(n_qubits, "n_qubits", lo=1)
+    table = PauliTable.from_texts(json_list(texts, "members"), n)
+    unique_rows(table, "member")
+    m = len(table)
 
-    entries = json_list(data["provenance"], "provenance", dict)
+    entries = json_list(entries, "provenance", dict)
     if len(entries) != m:
         raise ValueError(f"provenance must have {m} entries, one per member")
+    parents = json_column(entries, "parent", "provenance entry")
+    edge_texts = json_column(entries, "edge", "provenance entry")
+    # each distinct edge text is parsed once; the checks are inline, as this
+    # loop runs once per member
     edges: dict[str, PauliString] = {}
     provenance = []
-    for e in entries:
-        if e["parent"] is None:
+    for parent, text in zip(parents, edge_texts):
+        if parent is None:
             provenance.append(None)
             continue
-        parent = json_int(e["parent"], "provenance parent", hi=m - 1)
-        text = e["edge"]
-        if not isinstance(text, str):
+        if type(parent) is not int or not 0 <= parent < m:
+            raise ValueError(
+                f"provenance parent must be an integer in 0..{m - 1}, got {parent!r}"
+            )
+        if type(text) is not str:
             raise ValueError("provenance edge must be an operator text")
-        if text not in edges:
-            edges[text] = parse_term(text, n)
-        provenance.append((parent, edges[text]))
+        edge = edges.get(text)
+        if edge is None:
+            edge = edges[text] = parse_term(text, n)
+        provenance.append((parent, edge))
 
     partition = data.get("partition")
     if partition is not None:
-        partition = tuple(
-            (
-                json_int(e["k"], "partition k", lo=1, hi=n),
-                json_int(e["start"], "partition start", hi=m),
-                json_int(e["end"], "partition end", lo=e["start"], hi=m),
-            )
-            for e in json_list(partition, "partition", dict)
-        )
+        blocks = []
+        for e in json_list(partition, "partition", dict):
+            k, start, end = json_fields(e, ("k", "start", "end"), "partition entry")
+            k = json_int(k, "partition k", lo=1, hi=n)
+            start = json_int(start, "partition start", hi=m)
+            blocks.append((k, start, json_int(end, "partition end", lo=start, hi=m)))
+        partition = tuple(blocks)
     cores = data.get("cores")
     if cores is not None:
         if not isinstance(cores, list):
             raise ValueError("cores must be a list of member indices")
         cores = tuple(json_int(c, "core", hi=m - 1) for c in cores)
-    return AccessibleSet(n, members, tuple(provenance), partition, cores, _index=index)
+    return AccessibleSet(n, table, tuple(provenance), partition, cores)
 
 
 def load_accessible_set(path: Union[str, Path]) -> AccessibleSet:

@@ -9,6 +9,7 @@ block's core operator.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -20,7 +21,6 @@ from .pauli import (
     PauliString,
     PauliTable,
     bracket_normalized,
-    label_texts,
     phase_free_product,
 )
 
@@ -40,33 +40,43 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class AccessGraph:
     """Simple undirected graph over accessible-set members.
 
-    Edges are stored once per unordered pair (u < v), sorted by (u, v), each
-    labeled by its edging string.  The adjacency matrix is derived on demand
-    rather than stored.
+    ``table`` holds the members packed, one vertex per row.  Edge e joins
+    ``ends[e] = (u, v)``, u < v, and is labeled by its edging string
+    ``digamma[label_index[e]]``; edges are stored once per unordered pair,
+    sorted by (u, v).  The ``edges`` triplets and the adjacency matrix are
+    derived on demand rather than stored.
     """
 
     n_qubits: int
-    members: tuple[PauliString, ...]
-    edges: tuple[tuple[int, int, PauliString], ...]
-    _table: Optional[PauliTable] = field(default=None, repr=False, compare=False)
+    table: PauliTable = field(repr=False)
+    ends: np.ndarray = field(repr=False)
+    label_index: np.ndarray = field(repr=False)
+    digamma: tuple[PauliString, ...] = field(repr=False)
 
-    def table(self) -> PauliTable:
-        """The members packed as x/z words, built once on demand."""
-        if self._table is None:
-            self._table = PauliTable.from_strings(self.members, self.n_qubits)
-        return self._table
+    def __len__(self) -> int:
+        return len(self.table)
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, int, PauliString], ...]:
+        """(u, v, label) per edge, sorted by (u, v)."""
+        labels = [self.digamma[j] for j in self.label_index.tolist()]
+        return tuple(zip(*self.ends.T.tolist(), labels))
+
+    def edge_label_texts(self) -> list[str]:
+        """The ``to_text`` of each edge's label, each distinct string rendered once."""
+        texts = [s.to_text() for s in self.digamma]
+        return [texts[j] for j in self.label_index.tolist()]
 
     def neighbor_lists(self) -> list[list[int]]:
         """Adjacency lists with neighbors in canonical string order."""
-        ends = np.array([(u, v) for u, v, _ in self.edges], dtype=np.int64).reshape(-1, 2)
-        src = np.concatenate([ends[:, 0], ends[:, 1]])
-        dst = np.concatenate([ends[:, 1], ends[:, 0]])
-        order = np.lexsort((self.table().canonical_ranks()[dst], src))
-        bounds = np.searchsorted(src[order], np.arange(len(self.members) + 1)).tolist()
+        src = np.concatenate([self.ends[:, 0], self.ends[:, 1]])
+        dst = np.concatenate([self.ends[:, 1], self.ends[:, 0]])
+        order = np.lexsort((self.table.canonical_ranks()[dst], src))
+        bounds = np.searchsorted(src[order], np.arange(len(self) + 1)).tolist()
         dst = dst[order].tolist()
         return [dst[a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -95,7 +105,7 @@ def build_graph(g: AccessibleSet, digamma: Sequence[PauliString]) -> AccessGraph
     br = table.brackets(PauliTable.from_strings(digamma, g.n_qubits))
     outside = np.flatnonzero(br.target < 0)
     if outside.size:
-        om = g.members[br.member[outside[0]]]
+        om = table.string(br.member[outside[0]])
         nu = digamma[br.string[outside[0]]]
         raise ClosureError(
             f"bracket of {om} with {nu} lands outside the set "
@@ -103,20 +113,19 @@ def build_graph(g: AccessibleSet, digamma: Sequence[PauliString]) -> AccessGraph
         )
     # nu is the mask XOR of its two endpoints, so both directions of an edge
     # carry the same label
-    size = len(g.members)
+    size = len(g)
     key = np.minimum(br.member, br.target) * size + np.maximum(br.member, br.target)
     key, first = np.unique(key, return_index=True)
-    labels = [digamma[j] for j in br.string[first].tolist()]
-    edges = tuple(zip((key // size).tolist(), (key % size).tolist(), labels))
-    return AccessGraph(g.n_qubits, g.members, edges, table)
+    ends = np.stack((key // size, key % size), axis=1)
+    return AccessGraph(g.n_qubits, table, ends, br.string[first], tuple(digamma))
 
 
 def adjacency_matrix(graph: AccessGraph) -> np.ndarray:
     """Symmetric boolean adjacency with zero diagonal."""
-    n = len(graph.members)
+    n = len(graph)
     a = np.zeros((n, n), dtype=bool)
-    for u, v, _ in graph.edges:
-        a[u, v] = a[v, u] = True
+    u, v = graph.ends.T
+    a[u, v] = a[v, u] = True
     return a
 
 
@@ -155,16 +164,20 @@ def partition_k_finite(g: AccessibleSet) -> KFinitePartition:
     The all-identity string is rejected: it cannot arise from brackets of
     non-commuting pairs and has no defined ending site.
     """
-    by_k: dict[int, list[int]] = {}
-    for i, s in enumerate(g.members):
-        k = s.highest_site()
-        if k == 0:
-            raise ValueError("the all-identity string has no k-finite block")
-        by_k.setdefault(k, []).append(i)
-    blocks = tuple((k, tuple(idx)) for k, idx in sorted(by_k.items()))
-    core_key = _core_key(g)
-    cores = tuple(min(idx, key=core_key) for _, idx in blocks)
-    return KFinitePartition(blocks, cores)
+    sites = g.table().highest_sites()
+    if (sites == 0).any():
+        raise ValueError("the all-identity string has no k-finite block")
+    by_site = np.argsort(sites, kind="stable")
+    ks, starts = np.unique(sites[by_site], return_index=True)
+    bounds = [*starts.tolist(), len(sites)]
+    indices = by_site.tolist()
+    blocks = tuple(
+        (k, tuple(indices[a:b])) for k, a, b in zip(ks.tolist(), bounds, bounds[1:])
+    )
+    # sorted by site, then as _core_key: each block's first member is its core
+    depth = np.array(g.depths(), dtype=np.int64)
+    by_core = np.lexsort((g.table().canonical_ranks(), depth, sites))
+    return KFinitePartition(blocks, tuple(by_core[starts].tolist()))
 
 
 def _core_key(g: AccessibleSet):
@@ -236,7 +249,6 @@ def order_members(
             new_order.extend(ordered)
 
     old_to_new = {old: new for new, old in enumerate(new_order)}
-    members = tuple(g.members[i] for i in new_order)
     provenance = tuple(
         None
         if g.provenance[i] is None
@@ -245,7 +257,7 @@ def order_members(
     )
     return AccessibleSet(
         g.n_qubits,
-        members,
+        g.table().take(new_order),
         provenance,
         partition=tuple(new_partition),
         cores=tuple(new_cores),
@@ -320,9 +332,9 @@ def export_dot(
 ) -> str:
     """Deterministic Graphviz text; blocks become clusters when given."""
     lines = ["graph access_set {"]
-    if graph.members:
+    if len(graph):
         lines.append("  node [shape=box];")
-    texts = graph.table().texts()
+    texts = graph.table.texts()
     blocks = _blocks_as_ranges(partition)
     if blocks is None:
         for i, text in enumerate(texts):
@@ -334,9 +346,9 @@ def export_dot(
             for i in indices:
                 lines.append(f'    n{i} [label="{texts[i]}"];')
             lines.append("  }")
-    labels = label_texts(lab for _, _, lab in graph.edges)
-    for u, v, lab in graph.edges:
-        lines.append(f'  n{u} -- n{v} [label="{labels[lab]}"];')
+    u, v = graph.ends.T.tolist()
+    for a, b, label in zip(u, v, graph.edge_label_texts()):
+        lines.append(f'  n{a} -- n{b} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -346,13 +358,14 @@ def graph_to_json(
     partition: Union[KFinitePartition, Sequence[tuple[int, int, int]], None] = None,
 ) -> dict:
     blocks = _blocks_as_ranges(partition)
-    labels = label_texts(lab for _, _, lab in graph.edges)
+    u, v = graph.ends.T.tolist()
     return {
         "schema": "pauli-access-graph/1",
         "n_qubits": graph.n_qubits,
-        "vertices": graph.table().texts(),
+        "vertices": graph.table.texts(),
         "edges": [
-            {"u": u, "v": v, "label": labels[lab]} for u, v, lab in graph.edges
+            {"u": a, "v": b, "label": label}
+            for a, b, label in zip(u, v, graph.edge_label_texts())
         ],
         "blocks": None
         if blocks is None

@@ -455,8 +455,75 @@ class PauliTable:
             z[:, w] = np.fromiter(((s.z_mask >> shift) & _WORD for s in strings), np.uint64, m)
         return cls(n_qubits, x, z)
 
+    @classmethod
+    def from_keys(cls, keys: Sequence[int], n_qubits: int) -> "PauliTable":
+        """Rows from packed ints ``x | z << n_qubits``, as :meth:`keys` gives."""
+        m = len(keys)
+        words = (n_qubits + 63) // 64
+        full = (1 << n_qubits) - 1
+        x = np.empty((m, words), dtype=np.uint64)
+        z = np.empty((m, words), dtype=np.uint64)
+        for w in range(words):
+            shift, low = 64 * w, (full >> 64 * w) & _WORD
+            x[:, w] = np.fromiter(((k >> shift) & low for k in keys), np.uint64, m)
+            z[:, w] = np.fromiter(((k >> n_qubits + shift) & _WORD for k in keys), np.uint64, m)
+        return cls(n_qubits, x, z)
+
+    @classmethod
+    def from_texts(cls, texts: Sequence[str], n_qubits: int) -> "PauliTable":
+        """:func:`parse_term` of every text, with canonical text read in bulk.
+
+        A row is canonical when it is ``to_text`` output: bare ``I``, or
+        tokens X/Y/Z followed by a site of up to 4 digits without a leading
+        zero, sites strictly ascending inside 1..n_qubits, one space apart.
+        Those rows are parsed together with numpy on the joined ASCII bytes;
+        every other row (all of them, when the text is not ASCII) goes
+        through :func:`parse_term`, in row order, so its errors are the same.
+        """
+        m = len(texts)
+        words = (n_qubits + 63) // 64
+        x = np.zeros((m, words), dtype=np.uint64)
+        z = np.zeros((m, words), dtype=np.uint64)
+        try:
+            ok = _parse_canonical_rows(texts, n_qubits, x, z)
+        except UnicodeEncodeError:
+            ok = np.zeros(m, dtype=bool)
+        for i in np.flatnonzero(~ok).tolist():
+            s = parse_term(texts[i], n_qubits)
+            for w in range(words):
+                x[i, w] = (s.x_mask >> 64 * w) & _WORD
+                z[i, w] = (s.z_mask >> 64 * w) & _WORD
+        return cls(n_qubits, x, z)
+
     def __len__(self) -> int:
         return self.x.shape[0]
+
+    def take(self, rows) -> "PauliTable":
+        """The table of the given rows, in the given order."""
+        return PauliTable(self.n_qubits, self.x[rows], self.z[rows])
+
+    def strings(self) -> tuple[PauliString, ...]:
+        """Every row as a :class:`PauliString`."""
+        return strings_from_keys(self.keys(), self.n_qubits)
+
+    def string(self, i: int) -> PauliString:
+        """Row i as a :class:`PauliString`."""
+        return self.take([i]).strings()[0]
+
+    def keys(self) -> list[int]:
+        """One int ``x | z << n_qubits`` per row, as :meth:`from_keys` reads."""
+        n = self.n_qubits
+        return [x | z << n for x, z in zip(_row_ints(self.x), _row_ints(self.z))]
+
+    def highest_sites(self) -> np.ndarray:
+        """:meth:`PauliString.highest_site` of every row; 0 for the identity."""
+        occ = self.x | self.z
+        for shift in (1, 2, 4, 8, 16, 32):
+            occ |= occ >> np.uint64(shift)
+        # each word is now ones up to its highest set bit
+        lengths = np.bitwise_count(occ).astype(np.int64)
+        offsets = 64 * np.arange(occ.shape[1], dtype=np.int64)
+        return np.where(lengths > 0, lengths + offsets, 0).max(axis=1, initial=0)
 
     def cell_codes(self) -> np.ndarray:
         """uint8[M, N] cell codes, site 1 first: I=0 < X=1 < Y=2 < Z=3 as in
@@ -506,27 +573,41 @@ class PauliTable:
 
     def _canonical(self) -> None:
         keys = _canonical_keys(self.x, self.z)
-        order = np.argsort(keys, kind="stable")
-        ranked = keys[order]
-        dup = np.flatnonzero(ranked[1:] == ranked[:-1])
-        if dup.size:
-            i = int(order[dup[0]])
-            raise ValueError(f"duplicate string at rows {i} and {int(order[dup[0] + 1])}")
-        self._keys = ranked
-        self._sorted = order
+        # stable, so equal rows stay in row order
+        self._sorted = np.argsort(keys, kind="stable")
+        self._keys = keys[self._sorted]
+
+    def repeat(self) -> Optional[tuple[int, int]]:
+        """``(j, i)`` for the first row i, in row order, equal to an earlier
+        row j (its first occurrence); None when the rows are distinct."""
+        if self._sorted is None:
+            self._canonical()
+        later = np.flatnonzero(self._keys[1:] == self._keys[:-1]) + 1
+        if not later.size:
+            return None
+        pos = later[np.argmin(self._sorted[later])]
+        first = np.searchsorted(self._keys, self._keys[pos : pos + 1])[0]
+        return int(self._sorted[first]), int(self._sorted[pos])
+
+    def _distinct(self) -> None:
+        pair = self.repeat()
+        if pair is not None:
+            raise ValueError(f"duplicate string at rows {pair[0]} and {pair[1]}")
 
     def canonical_ranks(self) -> np.ndarray:
         """Rank of each row in canonical string order; rows must be distinct."""
-        if self._sorted is None:
-            self._canonical()
+        self._distinct()
         ranks = np.empty(len(self), dtype=np.int64)
         ranks[self._sorted] = np.arange(len(self))
         return ranks
 
+    def find(self, other: "PauliTable") -> np.ndarray:
+        """Row index of each row of ``other`` in this table, -1 where absent."""
+        self._distinct()
+        return self._lookup(other.x, other.z)
+
     def _lookup(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Row index of each queried (x, z) row, -1 when it is not in the table."""
-        if self._sorted is None:
-            self._canonical()
         if len(self) == 0:
             return np.full(x.shape[0], -1, dtype=np.int64)
         query = _canonical_keys(x, z)
@@ -542,6 +623,7 @@ class PauliTable:
             raise DimensionMismatchError(
                 f"tables act on {self.n_qubits} and {strings.n_qubits} qubits"
             )
+        self._distinct()
         vx, vz = strings.x, strings.z
         v_y = _popcount_rows(vx & vz)
         step = max(1, _CHUNK_CELLS // max(1, vx.size))
@@ -574,6 +656,96 @@ def _canonical_keys(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     low = (x ^ z).astype("<u8").view(np.uint8)
     codes = _CELL_CODES[(high << 8) | low].astype(">u2")
     return codes.view(np.dtype((np.void, codes.shape[1] * 2))).reshape(-1)
+
+
+def strings_from_keys(keys: Iterable[int], n_qubits: int) -> tuple[PauliString, ...]:
+    """The strings of packed ints ``x | z << n_qubits``."""
+    full = (1 << n_qubits) - 1
+    return tuple(PauliString(n_qubits, k & full, k >> n_qubits) for k in keys)
+
+
+def _row_ints(words: np.ndarray) -> list[int]:
+    """Each row of a uint64[M, W] word array as one Python int."""
+    out = words[:, 0].tolist() if words.shape[1] else [0] * len(words)
+    for w in range(1, words.shape[1]):
+        out = [a | b << 64 * w for a, b in zip(out, words[:, w].tolist())]
+    return out
+
+
+#: longest site number a canonical row may carry; longer ones take parse_term
+_SITE_DIGITS = 4
+
+#: byte classes of canonical text: other, X/Y/Z, digit, space
+_OTHER, _LETTER, _DIGIT, _SPACE = range(4)
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[[ord(c) for c in "XYZ"]] = _LETTER
+_BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
+_BYTE_CLASS[ord(" ")] = _SPACE
+
+
+def _parse_canonical_rows(
+    texts: Sequence[str], n_qubits: int, x: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """Pack the canonical rows of ``texts`` into the zeroed x, z words.
+
+    Returns which rows were canonical; the others are left zero.  Raises
+    UnicodeEncodeError when the texts are not ASCII.
+    """
+    m = len(texts)
+    lengths = np.fromiter(map(len, texts), np.int64, m)
+    b = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
+    ends = np.cumsum(lengths)
+    full = lengths > 0
+    kind = _BYTE_CLASS[b]
+    # the classes of each byte's neighbours inside its row, _OTHER past its ends
+    before = np.concatenate((np.zeros(1, np.uint8), kind[:-1]))
+    before[(ends - lengths)[full]] = _OTHER
+    after = np.concatenate((kind[1:], np.zeros(1, np.uint8)))
+    after[ends[full] - 1] = _OTHER
+    # a letter opens the row or follows a space; a digit follows a letter or
+    # a digit; a space sits between a digit and a letter
+    good = (kind == _LETTER) & ((before == _OTHER) | (before == _SPACE))
+    good |= (kind == _DIGIT) & ((before == _LETTER) | (before == _DIGIT))
+    good |= (kind == _SPACE) & (before == _DIGIT) & (after == _LETTER)
+    row = np.repeat(np.arange(m, dtype=np.int32), lengths)
+    ok = full.copy()
+    ok[row[~good]] = False
+    identity = lengths == 1
+    identity[identity] = b[ends[identity] - 1] == ord("I")
+    ok |= identity
+
+    # each letter opens a token whose site digits run to the next space or
+    # the row's end; a canonical row has 1 to _SITE_DIGITS of them, the
+    # first nonzero, and ascending sites up to n_qubits
+    tok = np.flatnonzero(kind == _LETTER)
+    tok_row = row[tok]
+    same_row = tok_row[1:] == tok_row[:-1]
+    stop = ends[tok_row]
+    stop[:-1][same_row] = tok[1:][same_row] - 1
+    width = stop - tok - 1
+    padded = np.concatenate((b, np.zeros(_SITE_DIGITS, np.uint8)))
+    site = np.zeros(len(tok), dtype=np.int32)
+    for k in range(min(_SITE_DIGITS, width.max(initial=0))):
+        digit = padded[tok + 1 + k].astype(np.int32) - ord("0")
+        site = np.where(width > k, 10 * site + digit, site)
+    bad = (width < 1) | (width > _SITE_DIGITS) | (padded[tok + 1] == ord("0"))
+    bad |= site > n_qubits
+    bad[1:] |= same_row & (site[1:] <= site[:-1])
+    ok[tok_row[bad]] = False
+
+    keep = ok[tok_row]
+    letters, site, tok_row = b[tok[keep]], site[keep] - 1, tok_row[keep]
+    if site.size:
+        bit = np.left_shift(np.uint64(1), (site % 64).astype(np.uint64))
+        # tokens run by row and sites ascend inside a row, so each (row, word)
+        # cell is one run of equal keys
+        cell = tok_row.astype(np.int64) * x.shape[1] + site // 64
+        first = np.flatnonzero(np.append(True, cell[1:] != cell[:-1]))
+        for out, on in ((x, letters != ord("Z")), (z, letters != ord("X"))):
+            out.reshape(-1)[cell[first]] = np.bitwise_or.reduceat(
+                np.where(on, bit, np.uint64(0)), first
+            )
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -749,49 +921,8 @@ def _parse_one_term(tokens, i, n_qubits: int, allow_coeff: bool):
     return coeff, PauliString.from_cells(n_qubits, cells), i
 
 
-#: highest site the canonical-text table covers; higher sites take the tokenizer
-_CANONICAL_SITES = 4096
-
-
-@functools.lru_cache(maxsize=8)
-def _canonical_cells(n_qubits: int) -> dict[str, tuple[int, int, int]]:
-    """The cell tokens ``to_text`` emits at this width: token -> (site, x, z)."""
-    cells = {}
-    for site in range(1, min(n_qubits, _CANONICAL_SITES) + 1):
-        bit = 1 << (site - 1)
-        for letter in "XYZ":
-            xb, zb = _BITS_FROM_LETTER[letter]
-            cells[f"{letter}{site}"] = (site, xb * bit, zb * bit)
-    return cells
-
-
-def _parse_canonical(text: str, n_qubits: int) -> Optional[PauliString]:
-    """The string of canonical text (``to_text`` output), else None."""
-    if text == "I":
-        return PauliString(n_qubits, 0, 0)
-    cells = _canonical_cells(n_qubits)
-    x = z = last = 0
-    for token in text.split(" "):
-        cell = cells.get(token)
-        if cell is None or cell[0] <= last:
-            return None
-        last = cell[0]
-        x |= cell[1]
-        z |= cell[2]
-    return PauliString(n_qubits, x, z)
-
-
 def parse_term(text: str, n_qubits: int) -> PauliString:
-    """Parse a single coefficient-free term such as ``"Y1 Z2"``.
-
-    Canonical text (sites strictly ascending, one space apart, or bare ``I``)
-    is read through a table of cell tokens; anything else goes through the
-    full grammar.
-    """
-    if isinstance(text, str):
-        fast = _parse_canonical(text, n_qubits)
-        if fast is not None:
-            return fast
+    """Parse a single coefficient-free term such as ``"Y1 Z2"``."""
     tokens = _tokenize(text)
     if not tokens:
         raise GrammarError("empty operator text", 0)

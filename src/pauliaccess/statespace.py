@@ -35,9 +35,8 @@ from .pauli import (
     PauliString,
     PauliTable,
     decompose,
-    parse_term,
 )
-from .validation import json_int, json_list, json_schema, unique_index
+from .validation import json_fields, json_int, json_list, json_schema, unique_rows
 
 __all__ = [
     "StateSpaceModel",
@@ -75,46 +74,75 @@ class SimulationUnstableError(RuntimeError):
     """State norm drifted far beyond its conserved value; reduce the step."""
 
 
-@dataclass
+@dataclass(eq=False)
 class StateSpaceModel:
     """Sparse (A, C) over an ordered accessible set; B is always zero.
 
-    Entries are (row, col, value) triplets sorted by (row, col).  C rows are
-    the raw measurements expanded in the state ordering.
-    ``coupling_provenance`` maps each nonzero A entry to the Hamiltonian term
-    indices that produced it.
+    ``table`` holds the state ordering packed.  A's nonzeros are
+    ``a_values[k]`` at ``a_index[k] = (row, col)``, sorted by (row, col) in
+    a built model and in file order in a loaded one; C's are ``c_values``
+    at ``c_index``, its rows the raw measurements expanded in the state
+    ordering.  ``a_terms[k]`` is the Hamiltonian term that produced A entry
+    k, None for a loaded model.
     """
 
-    n_qubits: int
-    ordering: tuple[PauliString, ...]
-    a_entries: tuple[tuple[int, int, float], ...]
-    c_entries: tuple[tuple[int, int, float], ...]
+    table: PauliTable
+    a_index: np.ndarray
+    a_values: np.ndarray
+    c_index: np.ndarray
+    c_values: np.ndarray
     n_outputs: int
-    coupling_provenance: Optional[dict[tuple[int, int], tuple[int, ...]]] = None
+    a_terms: Optional[np.ndarray] = None
+
+    @property
+    def n_qubits(self) -> int:
+        return self.table.n_qubits
 
     @property
     def dim(self) -> int:
-        return len(self.ordering)
+        return len(self.table)
+
+    @property
+    def ordering(self) -> tuple[PauliString, ...]:
+        """The ordered members as strings, decoded on each access."""
+        return self.table.strings()
+
+    @property
+    def a_entries(self) -> tuple[tuple[int, int, float], ...]:
+        """A's nonzeros as (row, col, value) triplets."""
+        return _entries(self.a_index, self.a_values)
+
+    @property
+    def c_entries(self) -> tuple[tuple[int, int, float], ...]:
+        """C's nonzeros as (row, col, value) triplets."""
+        return _entries(self.c_index, self.c_values)
+
+    @property
+    def coupling_provenance(self) -> Optional[dict[tuple[int, int], tuple[int, ...]]]:
+        """The Hamiltonian term indices behind each nonzero A entry."""
+        if self.a_terms is None:
+            return None
+        return {(r, c): (m,) for r, c, m in zip(*self.a_index.T.tolist(), self.a_terms.tolist())}
 
     def a_dense(self) -> np.ndarray:
         a = np.zeros((self.dim, self.dim))
-        for r, c, v in self.a_entries:
-            a[r, c] = v
+        a[self.a_index[:, 0], self.a_index[:, 1]] = self.a_values
         return a
 
     def a_sparse(self) -> scipy.sparse.csr_matrix:
-        rows = [e[0] for e in self.a_entries]
-        cols = [e[1] for e in self.a_entries]
-        vals = [e[2] for e in self.a_entries]
+        rows, cols = self.a_index.T
         return scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(self.dim, self.dim)
+            (self.a_values, (rows, cols)), shape=(self.dim, self.dim)
         )
 
     def c_dense(self) -> np.ndarray:
         c = np.zeros((self.n_outputs, self.dim))
-        for r, col, v in self.c_entries:
-            c[r, col] = v
+        c[self.c_index[:, 0], self.c_index[:, 1]] = self.c_values
         return c
+
+
+def _entries(index: np.ndarray, values: np.ndarray) -> tuple[tuple[int, int, float], ...]:
+    return tuple(zip(*index.T.tolist(), values.tolist()))
 
 
 def build_model(
@@ -128,12 +156,13 @@ def build_model(
     """
     if spec.n_qubits != g.n_qubits or meas.n_qubits != g.n_qubits:
         raise ValueError("qubit counts of set, Hamiltonian and measurement differ")
+    table = g.table()
     terms = spec.terms.terms
-    br = g.table().brackets(PauliTable.from_strings([s for _, s in terms], g.n_qubits))
+    br = table.brackets(PauliTable.from_strings([s for _, s in terms], g.n_qubits))
     outside = np.flatnonzero(br.target < 0)
     if outside.size:
         hm = terms[br.string[outside[0]]][1]
-        oj = g.members[br.member[outside[0]]]
+        oj = table.string(br.member[outside[0]])
         raise ClosureError(
             f"bracket of {hm} with member {oj} leaves the set; "
             "not a fixpoint for this Hamiltonian"
@@ -144,33 +173,24 @@ def build_model(
     values = -h[br.string] * br.sign
     keep = np.flatnonzero(values != 0.0)
     keep = keep[np.lexsort((br.target[keep], br.member[keep]))]
-    # one int object per member, shared by its entries: tolist() would make
-    # two per entry, about 5 MB more at N = 30
-    ids = list(range(len(g.members)))
-    rows, cols = ([ids[i] for i in a[keep].tolist()] for a in (br.member, br.target))
-    values, term = (a[keep].tolist() for a in (values, br.string))
-    a_entries = tuple(zip(rows, cols, values))
-    provenance = {(r, c): (m,) for r, c, m in zip(rows, cols, term)}
+    a_index = np.stack((br.member[keep], br.target[keep]), axis=1)
 
-    index = g.index_map()
     c_rows = []
     for r, op in enumerate(meas.operators):
-        for coeff, s in decompose(op).terms:
-            l = index.get((s.x_mask, s.z_mask))
-            if l is None:
+        strings = decompose(op).terms
+        cols = table.find(PauliTable.from_strings([s for _, s in strings], g.n_qubits))
+        for (coeff, s), col in zip(strings, cols.tolist()):
+            if col < 0:
                 raise ClosureError(
                     f"measurement string {s} is not in the accessible set"
                 )
-            c_rows.append((r, l, coeff))
-    c_entries = tuple(sorted(c_rows))
+            c_rows.append((r, col, coeff))
+    c_rows.sort()
+    c_index = np.array([e[:2] for e in c_rows], dtype=np.int64).reshape(-1, 2)
+    c_values = np.array([e[2] for e in c_rows], dtype=float)
 
     return StateSpaceModel(
-        g.n_qubits,
-        tuple(g.members),
-        a_entries,
-        c_entries,
-        len(meas.operators),
-        provenance,
+        table, a_index, values[keep], c_index, c_values, len(meas.operators), br.string[keep]
     )
 
 
@@ -192,23 +212,25 @@ def _product_state_bloch(description: Union[str, Sequence[str]]) -> list[tuple]:
 
 
 def initial_state_vector(
-    rho0: Union[str, Sequence[str], np.ndarray], g: AccessibleSet
+    rho0: Union[str, Sequence[str], np.ndarray],
+    members: Union[AccessibleSet, PauliTable],
 ) -> np.ndarray:
     """Expectations x0[k] = Tr(O_k rho0) for each ordered member.
 
     ``rho0`` is either a product-state description (one ket per site from
     0, 1, +, -, i+, i-) valid at any width, or a dense density matrix.
+    ``members`` is the ordered set or its packed table, e.g. a model's.
     """
+    table = members.table() if isinstance(members, AccessibleSet) else members
+    n = table.n_qubits
     if isinstance(rho0, np.ndarray):
-        return _x0_from_density(rho0, g)
+        return _x0_from_density(rho0, table)
     blochs = _product_state_bloch(rho0)
-    if len(blochs) != g.n_qubits:
-        raise ValueError(
-            f"product state has {len(blochs)} sites, set has {g.n_qubits}"
-        )
-    factor = np.ones((g.n_qubits, 4))
+    if len(blochs) != n:
+        raise ValueError(f"product state has {len(blochs)} sites, set has {n}")
+    factor = np.ones((n, 4))
     factor[:, 1:] = blochs  # columns by cell code I, X, Y, Z
-    values = factor[np.arange(g.n_qubits), g.table().cell_codes()]
+    values = factor[np.arange(n), table.cell_codes()]
     # every factor is 0 or +/-1, so only the sign of a zero product depends on
     # which factors enter it: stop at the first zero, site 1 first
     zero = values == 0.0
@@ -216,14 +238,14 @@ def initial_state_vector(
     return values.prod(axis=1)
 
 
-def _x0_from_density(rho: np.ndarray, g: AccessibleSet) -> np.ndarray:
-    if g.n_qubits > DENSE_CAP:
+def _x0_from_density(rho: np.ndarray, table: PauliTable) -> np.ndarray:
+    if table.n_qubits > DENSE_CAP:
         raise ValueError(
             f"dense density matrices are capped at {DENSE_CAP} qubits; "
             "use a product-state description"
         )
-    rho = validate_density_matrix(rho, g.n_qubits)
-    return g.table().traces(rho).real
+    rho = validate_density_matrix(rho, table.n_qubits)
+    return table.traces(rho).real
 
 
 # ---------------------------------------------------------------------------
@@ -370,43 +392,55 @@ def model_to_json(model: StateSpaceModel) -> dict:
     return {
         "schema": MODEL_SCHEMA_ID,
         "n_qubits": model.n_qubits,
-        "ordering": PauliTable.from_strings(model.ordering, model.n_qubits).texts(),
-        "A": [[r, c, v] for r, c, v in model.a_entries],
+        "ordering": model.table.texts(),
+        "A": _triplet_lists(model.a_index, model.a_values),
         "B": [],
-        "C": [[r, c, v] for r, c, v in model.c_entries],
+        "C": _triplet_lists(model.c_index, model.c_values),
         "n_outputs": model.n_outputs,
     }
+
+
+def _triplet_lists(index: np.ndarray, values: np.ndarray) -> list[list]:
+    return list(map(list, zip(*index.T.tolist(), values.tolist())))
 
 
 def model_from_json(data: dict) -> StateSpaceModel:
     """Rebuild a model written by :func:`model_to_json`.
 
-    Malformed input (wrong types, indices out of range, a repeated ordering
-    string, a repeated A or C position, A not antisymmetric) raises
-    ValueError.
+    Malformed input (wrong types, missing fields, indices out of range, a
+    repeated ordering string, a repeated A or C position, A not
+    antisymmetric) raises ValueError.
     """
     json_schema(data, MODEL_SCHEMA_ID, "model")
-    n = json_int(data["n_qubits"], "n_qubits", lo=1)
-    ordering = tuple(parse_term(t, n) for t in json_list(data["ordering"], "ordering"))
-    unique_index(ordering, "ordering string")
-    dim = len(ordering)
-    n_outputs = json_int(data["n_outputs"], "n_outputs")
-    a, a_arr = _triplets(data["A"], "A", dim, dim)
-    _triplets(data["B"], "B", dim, 0)  # no inputs: B must be empty
-    c, _ = _triplets(data["C"], "C", n_outputs, dim)
-    _check_antisymmetry(a_arr, dim)
-    return StateSpaceModel(n, ordering, a, c, n_outputs)
+    fields = ("n_qubits", "ordering", "A", "B", "C", "n_outputs")
+    n_qubits, ordering, a, b, c, n_outputs = json_fields(data, fields, "model")
+    n = json_int(n_qubits, "n_qubits", lo=1)
+    table = PauliTable.from_texts(json_list(ordering, "ordering"), n)
+    unique_rows(table, "ordering string")
+    dim = len(table)
+    n_outputs = json_int(n_outputs, "n_outputs")
+    a_index, a_values = _triplets(a, "A", dim, dim)
+    _triplets(b, "B", dim, 0)  # no inputs: B must be empty
+    c_index, c_values = _triplets(c, "C", n_outputs, dim)
+    _check_antisymmetry(a_index, a_values, dim)
+    return StateSpaceModel(table, a_index, a_values, c_index, c_values, n_outputs)
 
 
-def _triplets(raw, name: str, rows: int, cols: int):
-    """[row, col, value] entries with integer indices inside rows x cols,
-    each (row, col) at most once, as a tuple and as an (n, 3) array."""
+def _triplets(raw, name: str, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """[row, col, value] entries with integer indices inside rows x cols and
+    finite values, each (row, col) at most once, as an int64 (n, 2) index
+    array and a float value array in file order."""
     try:
         arr = np.array(raw, dtype=float)
     except (TypeError, ValueError):
         arr = None
     if not isinstance(raw, list) or arr is None or arr.shape not in ((0,), (len(raw), 3)):
         raise ValueError(f"{name} must be a list of [row, col, value] triplets")
+    # np.array converted booleans, and numeric strings, without complaint
+    kinds = {(type(r), type(c), type(v)) for r, c, v in raw}
+    if not kinds <= _TRIPLET_TYPES:
+        bad = next(e for e in raw if tuple(map(type, e)) not in _TRIPLET_TYPES)
+        raise ValueError(f"{name} entry {bad!r} must be [integer, integer, number]")
     arr = arr.reshape(-1, 3)
     r, c, v = arr.T
     ok = (r == np.floor(r)) & (c == np.floor(c)) & np.isfinite(v)
@@ -414,7 +448,8 @@ def _triplets(raw, name: str, rows: int, cols: int):
     if not ok.all():
         bad = raw[int(np.flatnonzero(~ok)[0])]
         raise ValueError(f"{name} entry {bad!r} is not a finite value inside {rows} x {cols}")
-    keys = _keys(r, c, cols)
+    index = arr[:, :2].astype(np.int64)
+    keys = _keys(index, cols)
     order = np.argsort(keys, kind="stable")
     repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
     if repeats.size:
@@ -422,29 +457,31 @@ def _triplets(raw, name: str, rows: int, cols: int):
         raise ValueError(
             f"{name} entry {raw[i]!r} repeats an earlier entry at ({int(r[i])}, {int(c[i])})"
         )
-    # int() and float() hand back the parsed JSON objects instead of copies
-    return tuple((int(r), int(c), float(v)) for r, c, v in raw), arr
+    return index, v.copy()
 
 
-def _keys(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
-    """One int64 key per (row, col) index pair, row-major in a dim-wide matrix."""
-    return rows.astype(np.int64) * dim + cols.astype(np.int64)
+#: the JSON types of a [row, col, value] triplet: bool is not int here
+_TRIPLET_TYPES = {(int, int, int), (int, int, float)}
 
 
-def _check_antisymmetry(a: np.ndarray, dim: int) -> None:
-    """A[c, r] == -A[r, c] for every [r, c, v] row of a, a missing entry
-    counting as 0; names the first failing entry in file order."""
-    r, c, v = a.T
-    keys = _keys(r, c, dim)
+def _keys(index: np.ndarray, dim: int) -> np.ndarray:
+    """One int64 key per (row, col) pair, row-major in a dim-wide matrix."""
+    return index[:, 0] * dim + index[:, 1]
+
+
+def _check_antisymmetry(index: np.ndarray, values: np.ndarray, dim: int) -> None:
+    """A[c, r] == -A[r, c] for every entry, a missing entry counting as 0;
+    names the first failing entry in file order."""
+    keys = _keys(index, dim)
     order = np.argsort(keys)
     sorted_keys = keys[order]
-    transposed = _keys(c, r, dim)
+    transposed = _keys(index[:, ::-1], dim)
     pos = np.minimum(np.searchsorted(sorted_keys, transposed), len(keys) - 1)
-    partner = np.where(sorted_keys[pos] == transposed, v[order][pos], 0.0)
-    bad = np.flatnonzero(partner != -v)
+    partner = np.where(sorted_keys[pos] == transposed, values[order][pos], 0.0)
+    bad = np.flatnonzero(partner != -values)
     if bad.size:
-        i = bad[0]
-        raise ValueError(f"A is not antisymmetric at ({int(r[i])}, {int(c[i])})")
+        r, c = index[bad[0]].tolist()
+        raise ValueError(f"A is not antisymmetric at ({r}, {c})")
 
 
 def load_model(path: Union[str, Path]) -> StateSpaceModel:

@@ -13,7 +13,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
-from .pauli import PauliString
+from .pauli import PauliTable
 
 _ITEM_NAMES = {str: "operator texts", dict: "objects", list: "lists"}
 
@@ -51,19 +51,34 @@ def json_float(value, what: str) -> float:
 
 def json_list(value, what: str, item: type = str) -> list:
     """A JSON list whose entries are all strings, objects or lists."""
-    if not isinstance(value, list) or not all(isinstance(v, item) for v in value):
+    if not isinstance(value, list) or not set(map(type, value)) <= {item}:
         raise ValueError(f"{what} must be a list of {_ITEM_NAMES[item]}")
     return value
 
 
-def unique_index(strings: Sequence[PauliString], what: str) -> dict[tuple[int, int], int]:
-    """Mask-keyed index of distinct strings; a repeated string is an input error."""
-    index: dict[tuple[int, int], int] = {}
-    for i, s in enumerate(strings):
-        first = index.setdefault((s.x_mask, s.z_mask), i)
-        if first != i:
-            raise ValueError(f"{what} {s} is listed twice (entries {first} and {i})")
-    return index
+def json_fields(data: dict, keys: Sequence[str], what: str) -> list:
+    """The values of ``keys`` in a JSON object; a missing key is named."""
+    try:
+        return [data[k] for k in keys]
+    except KeyError as exc:
+        raise ValueError(f"{what} has no {exc.args[0]!r} field") from None
+
+
+def json_column(objects: list[dict], key: str, what: str) -> list:
+    """One field of every JSON object in a list; a missing field is named."""
+    try:
+        return [o[key] for o in objects]
+    except KeyError:
+        raise ValueError(f"{what} has no {key!r} field") from None
+
+
+def unique_rows(table: PauliTable, what: str) -> None:
+    """Reject a table with a repeated string, naming its first repeat."""
+    pair = table.repeat()
+    if pair is not None:
+        first, i = pair
+        text = table.take([i]).texts()[0]
+        raise ValueError(f"{what} {text} is listed twice (entries {first} and {i})")
 
 
 def dump_json(data) -> str:

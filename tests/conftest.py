@@ -30,3 +30,17 @@ def cases_fitting(n: int):
 @pytest.fixture
 def chain_cases():
     return CHAIN_CASES
+
+
+@pytest.fixture
+def string_count(monkeypatch):
+    """Number of PauliString objects constructed since the fixture started."""
+    made = [0]
+    check = PauliString.__post_init__
+
+    def counting(self):
+        made[0] += 1
+        check(self)
+
+    monkeypatch.setattr(PauliString, "__post_init__", counting)
+    return made

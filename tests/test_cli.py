@@ -261,19 +261,50 @@ MALFORMED = {
     "config key func": ("config", lambda d: d.update(func=1)),
     "config times not a string": ("config", lambda d: d.update(times=5)),
     "config unknown key": ("config", lambda d: d.update(nope=1)),
+    "set without members": ("set", lambda d: d.__delitem__("members")),
+    "provenance entry without parent": ("set", lambda d: d["provenance"][0].__delitem__("parent")),
+    "partition entry without start": ("set", lambda d: d["partition"][0].__delitem__("start")),
+    "model without A": ("model", lambda d: d.__delitem__("A")),
+    "A index a boolean": ("model", lambda d: d["A"][0].__setitem__(0, False)),
+    "A index a float": ("model", lambda d: d["A"][0].__setitem__(0, 0.0)),
+    "C index a boolean": ("model", lambda d: d["C"][0].__setitem__(0, False)),
+    "C value a boolean": ("model", lambda d: d["C"][0].__setitem__(2, True)),
+    "rho0 file an object": ("rho0", lambda d: {"a": 1}),
+    "rho0 file a number": ("rho0", lambda d: 5),
+    "rho0 file one row": ("rho0", lambda d: d[0]),
+    "rho0 file ragged": ("rho0", lambda d: d[0].__delitem__(-1)),
+    "rho0 file not square": ("rho0", lambda d: d.__delitem__(-1)),
+    "rho0 file booleans": ("rho0", lambda d: [[v == 1 for v in row] for row in d]),
+    "rho0 file numeric strings": ("rho0", lambda d: [[str(v) for v in row] for row in d]),
+}
+
+#: text the error message must hold, for the cases that name what is wrong
+MALFORMED_MESSAGES = {
+    "set without members": "set has no 'members' field",
+    "provenance entry without parent": "provenance entry has no 'parent' field",
+    "partition entry without start": "partition entry has no 'start' field",
+    "model without A": "model has no 'A' field",
+    "A index a boolean": "A entry [False, ",
+    "A index a float": "A entry [0.0, ",
+    "C index a boolean": "C entry [False, ",
+    "C value a boolean": "must be [integer, integer, number]",
+    **{case: "--rho0-file" for case in MALFORMED if case.startswith("rho0 file")},
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     kind, edit = MALFORMED[case]
-    paths = {name: tmp_path / f"{name}.json" for name in ("set", "model", "spec", "config")}
+    kinds = ("set", "model", "spec", "config", "rho0")
+    paths = {name: tmp_path / f"{name}.json" for name in kinds}
     source = ("--chain", "3", "--measurement", "Y1 Z2")
     set_arg, model_arg = ("--set", str(paths["set"])), ("--model", str(paths["model"]))
     assert run(capsys, "chain", "--n", "3", "--out", str(paths["spec"]))[0] == 0
     assert run(capsys, "gen", *source, "--out", str(paths["set"]))[0] == 0
     assert run(capsys, "model", *set_arg, *source, "--out", str(paths["model"]))[0] == 0
     paths["config"].write_text("{}")
+    # |000><000|
+    paths["rho0"].write_text(json.dumps([[int(r == c == 0) for c in range(8)] for r in range(8)]))
     data = json.loads(paths[kind].read_text())
     edited = edit(data)
     paths[kind].write_text(json.dumps(data if edited is None else edited))
@@ -283,10 +314,55 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
         "model": (*simulate, "--times", "0:1:0.5"),
         "spec": ("gen", "--hamiltonian", str(paths["spec"]), "--measurement", "Y1 Z2"),
         "config": ("--config", str(paths["config"]), *simulate),
+        "rho0": (*simulate, "--rho0-file", str(paths["rho0"]), "--times", "0:1:0.5"),
     }[kind]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err
+    assert MALFORMED_MESSAGES.get(case, "") in err
+
+
+def test_rho0_file_density_matrix_matches_kets(tmp_path, capsys):
+    source = ("--chain", "3", "--measurement", "Y1 Z2")
+    set_path, model_path, rho_path = (tmp_path / f for f in ("set.json", "model.json", "rho.json"))
+    assert run(capsys, "gen", *source, "--out", str(set_path))[0] == 0
+    assert run(capsys, "model", "--set", str(set_path), *source, "--out", str(model_path))[0] == 0
+    rho_path.write_text(json.dumps([[int(r == c == 0) for c in range(8)] for r in range(8)]))
+    simulate = ("simulate", "--model", str(model_path), "--times", "0:1:0.5")
+    code, from_rho, _ = run(capsys, *simulate, "--rho0-file", str(rho_path))
+    assert code == 0
+    code, from_kets, _ = run(capsys, *simulate, "--rho0", "0,0,0")
+    assert code == 0
+    assert np.allclose(
+        np.loadtxt(from_rho.splitlines(), delimiter=",", skiprows=1),
+        np.loadtxt(from_kets.splitlines(), delimiter=",", skiprows=1),
+        rtol=0, atol=1e-12,
+    )
+
+
+def test_reloads_build_no_string_per_member(tmp_path, capsys, string_count):
+    # case (d) at N = 30: 13 050 members; graph, model and simulate read the
+    # payloads into packed tables and build strings only for the edge labels
+    # and the Hamiltonian's own terms
+    n = 30
+    source = ("--chain", str(n), "--measurement", "Y1 Z2")
+    set_path, model_path = tmp_path / "set.json", tmp_path / "model.json"
+    assert run(capsys, "gen", *source, "--out", str(set_path))[0] == 0
+    provenance = json.loads(set_path.read_text())["provenance"]
+    labels = {p["edge"] for p in provenance if p["edge"] is not None}
+    terms = 2 * (n - 1)
+    steps = {
+        "graph": ("graph", "--set", str(set_path), *source[:2], "--out", str(tmp_path / "g.dot")),
+        "model": ("model", "--set", str(set_path), *source, "--out", str(model_path)),
+        "simulate": (
+            "simulate", "--model", str(model_path), "--rho0", ",".join("0" * n),
+            "--times", "0:0.1:0.1", "--out", str(tmp_path / "t.csv"),
+        ),
+    }
+    for name, argv in steps.items():
+        string_count[0] = 0
+        assert run(capsys, *argv)[0] == 0
+        assert string_count[0] <= len(labels) + terms + 4, name
 
 
 #: non-finite numbers on the command line, a time grid whose step count

@@ -305,20 +305,6 @@ def test_generate_matches_all_pairs_heisenberg_n6():
 # lazy members
 
 
-@pytest.fixture
-def string_count(monkeypatch):
-    """Number of PauliString objects constructed since the fixture started."""
-    made = [0]
-    check = PauliString.__post_init__
-
-    def counting(self):
-        made[0] += 1
-        check(self)
-
-    monkeypatch.setattr(PauliString, "__post_init__", counting)
-    return made
-
-
 CASE_D_N6 = (exchange_digamma(6), [parse_term("Y1 Z2", 6)])
 
 

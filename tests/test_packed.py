@@ -1,10 +1,12 @@
 """Packed tables against the scalar string algebra, across 64-bit word boundaries."""
 
+import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pauliaccess import (
     AccessibleSet,
@@ -24,10 +26,11 @@ from pauliaccess import (
     parse_term,
     partition_k_finite,
 )
-from pauliaccess.closure import accessible_set_to_json
+from pauliaccess.closure import accessible_set_from_json, accessible_set_to_json
 from pauliaccess.graph import graph_to_json
 from pauliaccess.pauli import DENSE_CAP, PauliTable, pauli_trace
-from pauliaccess.statespace import BLOCH_KETS, model_to_json
+from pauliaccess.statespace import BLOCH_KETS, model_from_json, model_to_json
+from pauliaccess.validation import dump_json
 
 #: widths on both sides of one and two 64-bit words
 WIDTHS = (1, 2, 63, 64, 65, 130)
@@ -177,6 +180,91 @@ def test_non_canonical_text_takes_the_grammar():
         parse_term("X1 Y3", 2)
 
 
+#: ways to write a row that ``to_text`` never emits, as (text, width) -> text
+NON_CANONICAL = {
+    "unsorted sites": lambda t, n: " ".join(reversed(t.split(" "))),
+    "doubled space": lambda t, n: t.replace(" ", "  ", 1) if " " in t else t + "  ",
+    "leading space": lambda t, n: " " + t,
+    "trailing space": lambda t, n: t + " ",
+    "no space": lambda t, n: t.replace(" ", ""),
+    "repeated site": lambda t, n: f"{t} {t.split()[-1]}" if t != "I" else "X1 Z1",
+    "lowercase letter": lambda t, n: t[0].lower() + t[1:],
+    "star": lambda t, n: t.replace(" ", "*") if " " in t else t + "*",
+    "leading zero": lambda t, n: re.sub(r"(\d+)", r"0\1", t, count=1),
+    "site 0": lambda t, n: re.sub(r"\d+", "0", t, count=1),
+    "site above n": lambda t, n: re.sub(r"\d+", str(n + 1), t, count=1) if t != "I" else f"X{n + 1}",
+    "non-ASCII": lambda t, n: t + "\u00e9",
+    "I with cells": lambda t, n: "I " + t,
+}
+
+
+def parsed_or_error(parse):
+    try:
+        return parse(), None
+    except Exception as exc:  # the error itself is the result compared
+        return None, (type(exc), str(exc))
+
+
+def assert_same_as_parse_term(texts, n):
+    want, want_error = parsed_or_error(lambda: [parse_term(t, n) for t in texts])
+    got, got_error = parsed_or_error(lambda: PauliTable.from_texts(texts, n))
+    assert got_error == want_error
+    if want is not None:
+        ref = PauliTable.from_strings(want, n)
+        np.testing.assert_array_equal(got.x, ref.x)
+        np.testing.assert_array_equal(got.z, ref.z)
+
+
+@st.composite
+def texts_with_variants(draw):
+    n = draw(st.sampled_from(WIDTHS))
+    texts = [s.to_text() for s in draw(with_identity(n, 12))]
+    edits = st.tuples(st.integers(0, len(texts) - 1), st.sampled_from(sorted(NON_CANONICAL)))
+    for row, name in draw(st.lists(edits, max_size=3)):
+        texts[row] = NON_CANONICAL[name](texts[row], n)
+    return draw(st.permutations(texts)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts_with_variants())
+def test_from_texts_matches_parse_term(case):
+    assert_same_as_parse_term(*case)
+
+
+@pytest.mark.parametrize("name", sorted(NON_CANONICAL))
+@pytest.mark.parametrize("n", WIDTHS)
+def test_from_texts_sends_non_canonical_rows_to_parse_term(name, n):
+    texts = ["I", "X1", "X1 Z2 Y3"[: 3 * min(n, 3) - 1]]
+    if n > 1:
+        texts += [f"Z1 Y{n}", f"Y{n - 1} Z{n}"]
+    for text in texts:
+        row = NON_CANONICAL[name](text, n)
+        assert_same_as_parse_term(["X1", row, "I"], n)
+
+
+def test_from_texts_edge_cases():
+    assert len(PauliTable.from_texts([], 3)) == 0
+    with pytest.raises(GrammarError, match="empty operator text"):
+        PauliTable.from_texts(["X1", ""], 3)
+    # five digits, and a site number with more digits than the table reads
+    assert PauliTable.from_texts(["X10000"], 10000).highest_sites().tolist() == [10000]
+    assert_same_as_parse_term(["X12345"], 20000)
+
+
+def test_table_keys_round_trip():
+    g = generate(exchange_digamma(70), [parse_term("X1", 70)])  # case (a)
+    table = PauliTable.from_keys(g.packed_keys(), 70)
+    assert table.keys() == g.packed_keys()
+    assert table.strings() == g.members
+    assert table.highest_sites().tolist() == [s.highest_site() for s in g.members]
+
+
+def test_repeat_names_the_first_repeat_in_row_order():
+    table = PauliTable.from_texts(["X1", "Z2", "Z2", "X1", "Z2"], 2)
+    assert table.repeat() == (1, 2)
+    assert PauliTable.from_texts(["X1", "Z2"], 2).repeat() is None
+
+
 def test_duplicate_rows_have_no_rank():
     s = parse_term("X1", 2)
     with pytest.raises(ValueError, match="duplicate"):
@@ -263,3 +351,18 @@ def test_payloads_match_member_texts_at_n70():
 
     model = build_model(g, spec, MeasurementSpec.from_texts(["X1"], n))
     assert model_to_json(model)["ordering"] == texts
+
+
+def test_set_and_model_json_round_trip_at_n70():
+    n = 70
+    spec = build_exchange_chain(n, [0.5 + 0.01 * k for k in range(n - 1)])
+    digamma = decomposed_digamma(spec)
+    g = generate(digamma, [parse_term("X1", n)])  # case (a)
+    g = order_members(g, build_graph(g, digamma), partition_k_finite(g))
+    model = build_model(g, spec, MeasurementSpec.from_texts(["X1", "0.5 * Z1 Y2 + X1"], n))
+    set_text = dump_json(accessible_set_to_json(g))
+    model_text = dump_json(model_to_json(model))
+    loaded = accessible_set_from_json(json.loads(set_text))
+    assert dump_json(accessible_set_to_json(loaded)) == set_text
+    assert dump_json(model_to_json(model_from_json(json.loads(model_text)))) == model_text
+    assert loaded == g
