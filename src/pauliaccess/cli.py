@@ -58,6 +58,7 @@ from .pauli import (
 )
 from .statespace import (
     DENSE_DIM,
+    SimulationUnstableError,
     build_model,
     initial_state_vector,
     load_model,
@@ -73,6 +74,10 @@ EXIT_INTERNAL = 3
 
 #: largest number of points a --times grid may hold
 MAX_TIME_POINTS = 1_000_000
+
+#: most steps an rk4 run may take, about the last time over --step; each
+#: step is four products with A
+MAX_RK4_STEPS = 1_000_000
 
 #: common single-string measurement schemes on the chain, by case name
 CHAIN_CASES = {
@@ -233,6 +238,12 @@ def cmd_simulate(args) -> int:
     times = _parse_times(args.times)
     if not math.isfinite(args.step):
         raise ValueError(f"--step takes a finite number, got {args.step!r}")
+    t_end = float(times.max(initial=0.0))  # an empty grid is refused below
+    if args.integrator == "rk4" and args.step > 0 and t_end / args.step > MAX_RK4_STEPS:
+        raise ValueError(
+            f"--step {args.step!r} asks for more than {MAX_RK4_STEPS} rk4 steps "
+            f"to reach t = {t_end!r}"
+        )
     if args.rho0_file:
         x0_source = _read_rho0(args.rho0_file)
     else:
@@ -623,7 +634,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ClosureError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (GrammarError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (
+        GrammarError, ValueError, OSError, json.JSONDecodeError, KeyError,
+        SimulationUnstableError,  # an rk4 --step too large for the model
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

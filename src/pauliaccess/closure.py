@@ -29,7 +29,6 @@ from .pauli import (
     PauliTable,
     canonical_digamma,
     check_widths,
-    label_texts,
     parse_term,
     strings_from_keys,
 )
@@ -39,6 +38,7 @@ from .validation import (
     json_int,
     json_list,
     json_schema,
+    json_width,
     unique_rows,
 )
 
@@ -386,7 +386,11 @@ def chain_closed_form(n_qubits: int, m: int, axis: str) -> AccessibleSet:
 
 
 def accessible_set_to_json(g: AccessibleSet) -> dict:
-    edges = label_texts(p[1] for p in g.provenance if p is not None)
+    # the labels are a few digamma strings, each shared by the many members it
+    # produced: key them by object, as a frozen dataclass hashes in Python,
+    # and render each one once
+    edges = {id(p[1]): p[1] for p in g.provenance if p is not None}
+    edges = {key: s.to_text() for key, s in edges.items()}
     return {
         "schema": SET_SCHEMA_ID,
         "n_qubits": g.n_qubits,
@@ -394,7 +398,7 @@ def accessible_set_to_json(g: AccessibleSet) -> dict:
         "provenance": [
             {"parent": None, "edge": None}
             if p is None
-            else {"parent": p[0], "edge": edges[p[1]]}
+            else {"parent": p[0], "edge": edges[id(p[1])]}
             for p in g.provenance
         ],
         "partition": None
@@ -412,7 +416,7 @@ def accessible_set_from_json(data: dict) -> AccessibleSet:
     """
     json_schema(data, SET_SCHEMA_ID, "set")
     n_qubits, texts, entries = json_fields(data, ("n_qubits", "members", "provenance"), "set")
-    n = json_int(n_qubits, "n_qubits", lo=1)
+    n = json_width(n_qubits)
     table = PauliTable.from_texts(json_list(texts, "members"), n)
     unique_rows(table, "member")
     m = len(table)

@@ -71,14 +71,14 @@ class AccessGraph:
         texts = [s.to_text() for s in self.digamma]
         return [texts[j] for j in self.label_index.tolist()]
 
-    def neighbor_lists(self) -> list[list[int]]:
-        """Adjacency lists with neighbors in canonical string order."""
+    def neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency as CSR arrays: vertex u's neighbors, in canonical
+        string order, are ``indices[indptr[u]:indptr[u + 1]]``."""
         src = np.concatenate([self.ends[:, 0], self.ends[:, 1]])
         dst = np.concatenate([self.ends[:, 1], self.ends[:, 0]])
-        order = np.lexsort((self.table.canonical_ranks()[dst], src))
-        bounds = np.searchsorted(src[order], np.arange(len(self) + 1)).tolist()
-        dst = dst[order].tolist()
-        return [dst[a:b] for a, b in zip(bounds, bounds[1:])]
+        # one key per (source, neighbor rank) pair: sorted by source, then rank
+        order = np.argsort(src * len(self) + self.table.canonical_ranks()[dst])
+        return np.searchsorted(src[order], np.arange(len(self) + 1)), dst[order]
 
 
 @dataclass(frozen=True)
@@ -131,27 +131,29 @@ def adjacency_matrix(graph: AccessGraph) -> np.ndarray:
 
 def connected_components(graph: AccessGraph) -> list[list[int]]:
     """Vertex components, each ascending, ordered by smallest vertex."""
-    return _components(graph.neighbor_lists())
+    labels = _component_labels(graph)
+    by_label = np.argsort(labels, kind="stable").tolist()
+    bounds = np.cumsum(np.bincount(labels)).tolist()
+    return [by_label[a:b] for a, b in zip([0, *bounds], bounds)]
 
 
-def _components(adj: list[list[int]]) -> list[list[int]]:
-    seen = [False] * len(adj)
-    comps = []
-    for start in range(len(adj)):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
+def _component_labels(graph: AccessGraph) -> np.ndarray:
+    """Component number of each vertex, numbered by smallest vertex."""
+    # each vertex points at a smaller or equal one; a root points at itself.
+    # Each round hooks the larger root of every edge onto the smaller one,
+    # then follows pointers until each vertex points at its root, so every
+    # component ends as one tree rooted at its smallest vertex
+    root = np.arange(len(graph))
+    u, v = graph.ends.T
+    while True:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not split.any():
+            break
+        np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+        while (root[root] != root).any():
+            root = root[root]
+    return np.unique(root, return_inverse=True)[1]
 
 
 def is_connected(graph: AccessGraph) -> bool:
@@ -180,35 +182,6 @@ def partition_k_finite(g: AccessibleSet) -> KFinitePartition:
     return KFinitePartition(blocks, tuple(by_core[starts].tolist()))
 
 
-def _core_key(g: AccessibleSet):
-    """Sort key of the earliest-generated member: provenance depth, then
-    canonical string order."""
-    depth = g.depths()
-    rank = g.table().canonical_ranks().tolist()
-    return lambda i: (depth[i], rank[i])
-
-
-def _bfs_block(
-    core: int, block: Sequence[int], adj: list[list[int]]
-) -> Optional[list[int]]:
-    """BFS order of the block's induced subgraph from core, or None if it
-    does not reach the whole block."""
-    block_set = set(block)
-    order = [core]
-    seen = {core}
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v in adj[u]:
-            if v in block_set and v not in seen:
-                seen.add(v)
-                order.append(v)
-    if len(order) != len(block):
-        return None
-    return order
-
-
 def order_members(
     g: AccessibleSet, graph: AccessGraph, partition: KFinitePartition
 ) -> AccessibleSet:
@@ -219,49 +192,90 @@ def order_members(
     order with a warning; the ordering is otherwise independent of the input
     member permutation.
     """
-    adj = graph.neighbor_lists()
-    comps = _components(adj)
     rank = g.table().canonical_ranks()
-    comps.sort(key=lambda comp: rank[comp].min())
-    core_key = _core_key(g)
+    labels = _component_labels(graph)
+    first = np.full(labels.max(initial=-1) + 1, len(g))
+    np.minimum.at(first, labels, rank)
+    comp_pos = np.argsort(np.argsort(first))  # components by smallest rank
 
-    new_order: list[int] = []
-    new_partition: list[tuple[int, int, int]] = []
-    new_cores: list[int] = []
-    for comp in comps:
-        comp_set = set(comp)
-        for k, indices in partition.blocks:
-            block = [i for i in indices if i in comp_set]
-            if not block:
-                continue
-            core = min(block, key=core_key)
-            ordered = _bfs_block(core, block, adj)
-            if ordered is None:
-                warnings.warn(
-                    f"induced subgraph of block k={k} is disconnected; "
-                    "falling back to generation order",
-                    stacklevel=2,
-                )
-                ordered = list(block)
-            start = len(new_order)
-            new_partition.append((k, start, start + len(ordered)))
-            new_cores.append(start + ordered.index(core))
-            new_order.extend(ordered)
-
-    old_to_new = {old: new for new, old in enumerate(new_order)}
-    provenance = tuple(
-        None
-        if g.provenance[i] is None
-        else (old_to_new[g.provenance[i][0]], g.provenance[i][1])
-        for i in new_order
+    # a group is the part of one block inside one component; group ids run
+    # in output order, components first, then blocks ascending k.  `slot` is
+    # a member's place in the partition, which orders a fallback block.
+    blocks = partition.blocks
+    sizes = [len(idx) for _, idx in blocks]
+    members = np.fromiter((i for _, idx in blocks for i in idx), dtype=np.int64, count=sum(sizes))
+    n_groups = len(first) * len(blocks)
+    group = np.full(len(g), -1)
+    group[members] = comp_pos[labels[members]] * len(blocks) + np.repeat(
+        np.arange(len(blocks)), sizes
     )
+    slot = np.zeros(len(g), dtype=np.int64)
+    slot[members] = np.arange(members.size)
+    size = np.bincount(group[members], minlength=n_groups)
+
+    # each group's core: least provenance depth, then canonical order
+    depth = np.array(g.depths(), dtype=np.int64)
+    by_core = members[np.lexsort((rank[members], depth[members], group[members]))]
+    cores = by_core[np.flatnonzero(np.diff(group[by_core], prepend=-1))]
+
+    visit = _bfs_within_groups(graph, group, cores)
+    broken = np.bincount(group[visit >= 0], minlength=n_groups) != size
+    for gid in np.flatnonzero(broken).tolist():
+        warnings.warn(
+            f"induced subgraph of block k={blocks[gid % len(blocks)][0]} is "
+            "disconnected; falling back to generation order",
+            stacklevel=2,
+        )
+    within = np.where(broken[group], slot, visit)
+    new_order = members[np.lexsort((within[members], group[members]))]
+    new_index = np.empty(len(g), dtype=np.int64)
+    new_index[new_order] = np.arange(new_order.size)
+
+    gids = np.flatnonzero(size)
+    ends = np.cumsum(size[gids]).tolist()
+    new_partition = tuple(
+        (blocks[gid % len(blocks)][0], end - n, end)
+        for gid, n, end in zip(gids.tolist(), size[gids].tolist(), ends)
+    )
+    old_to_new = new_index.tolist()
+    old = [g.provenance[i] for i in new_order.tolist()]
+    provenance = tuple([None if p is None else (old_to_new[p[0]], p[1]) for p in old])
     return AccessibleSet(
         g.n_qubits,
-        g.table().take(new_order),
+        g.table().take(new_order.tolist()),
         provenance,
-        partition=tuple(new_partition),
-        cores=tuple(new_cores),
+        partition=new_partition,
+        cores=tuple(new_index[cores].tolist()),
     )
+
+
+def _bfs_within_groups(graph: AccessGraph, group: np.ndarray, cores: np.ndarray) -> np.ndarray:
+    """Breadth-first visit number of each vertex, walking from each core over
+    edges inside its group only; -1 where no walk arrives.
+
+    All groups advance one layer per step.  A layer lists the unvisited
+    neighbors of the previous layer in its order, each vertex's neighbors in
+    canonical order, and keeps each vertex where it first appears: the order
+    a queue gives.
+    """
+    indptr, indices = graph.neighbors()
+    src = np.repeat(np.arange(len(graph)), np.diff(indptr))
+    inside = (group[src] == group[indices]) & (group[src] >= 0)
+    indptr = np.r_[0, np.cumsum(np.bincount(src[inside], minlength=len(graph)))]
+    indices = indices[inside]
+
+    visit = np.full(len(graph), -1)
+    layer, count = cores, 0
+    while layer.size:
+        visit[layer] = np.arange(count, count + layer.size)
+        count += layer.size
+        starts, stops = indptr[layer], indptr[layer + 1]
+        offsets = np.repeat(starts - np.r_[0, np.cumsum(stops - starts)[:-1]], stops - starts)
+        nxt = indices[offsets + np.arange(offsets.size)]
+        nxt = nxt[visit[nxt] < 0]
+        _, first = np.unique(nxt, return_index=True)
+        layer = nxt[np.sort(first)]
+    return visit
 
 
 @dataclass(frozen=True)

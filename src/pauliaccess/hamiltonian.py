@@ -24,7 +24,7 @@ from .pauli import (
     parse_sum,
     parse_term,
 )
-from .validation import dump_json, json_float, json_int, json_list, json_schema
+from .validation import dump_json, json_float, json_list, json_schema, json_width
 
 __all__ = [
     "HamiltonianSpec",
@@ -161,7 +161,7 @@ def hamiltonian_from_json(data: dict) -> HamiltonianSpec:
     Malformed input (wrong types, bad operator text) raises ValueError.
     """
     json_schema(data, SCHEMA_ID, "spec")
-    n = json_int(data.get("n_qubits"), "n_qubits", lo=1)
+    n = json_width(data.get("n_qubits"))
     terms = json_list(data.get("terms"), "terms", dict)
     labels = json_list([e.get("label", "") for e in terms], "term labels")
     have_labels = any("label" in e for e in terms)
@@ -189,7 +189,7 @@ def measurement_from_json(data: dict) -> MeasurementSpec:
     Malformed input (wrong types, bad operator text) raises ValueError.
     """
     json_schema(data, SCHEMA_ID, "spec")
-    n = json_int(data.get("n_qubits"), "n_qubits", lo=1)
+    n = json_width(data.get("n_qubits"))
     ops = [
         WeightedPauliSum.merged(
             _weighted_strings(json_list(op, "operator terms", dict), n), n

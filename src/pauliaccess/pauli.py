@@ -346,14 +346,6 @@ def canonical_digamma(strings: Iterable[PauliString]) -> list[PauliString]:
     return sorted(out.values(), key=lambda s: s.sort_key())
 
 
-def label_texts(labels: Iterable[PauliString]) -> dict[PauliString, str]:
-    """:meth:`PauliString.to_text` of each distinct string, rendered once.
-
-    Edge and provenance labels repeat a few dozen strings thousands of times.
-    """
-    return {s: s.to_text() for s in set(labels)}
-
-
 def apply_sequence(
     start: PauliString, sequence: Sequence[PauliString]
 ) -> Optional[PauliString]:

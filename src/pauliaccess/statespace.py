@@ -27,6 +27,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from ._reprtext import CELLS, rows_text
 from .closure import AccessibleSet, ClosureError
 from .hamiltonian import HamiltonianSpec, MeasurementSpec
 from .oracle import validate_density_matrix
@@ -36,7 +37,7 @@ from .pauli import (
     PauliTable,
     decompose,
 )
-from .validation import json_fields, json_int, json_list, json_schema, unique_rows
+from .validation import json_fields, json_int, json_list, json_schema, json_width, unique_rows
 
 __all__ = [
     "StateSpaceModel",
@@ -414,7 +415,7 @@ def model_from_json(data: dict) -> StateSpaceModel:
     json_schema(data, MODEL_SCHEMA_ID, "model")
     fields = ("n_qubits", "ordering", "A", "B", "C", "n_outputs")
     n_qubits, ordering, a, b, c, n_outputs = json_fields(data, fields, "model")
-    n = json_int(n_qubits, "n_qubits", lo=1)
+    n = json_width(n_qubits)
     table = PauliTable.from_texts(json_list(ordering, "ordering"), n)
     unique_rows(table, "ordering string")
     dim = len(table)
@@ -489,7 +490,11 @@ def load_model(path: Union[str, Path]) -> StateSpaceModel:
 
 
 def trajectory_to_csv(result: SimulationResult) -> str:
-    """CSV text with header t, x_1..x_dim, y_1..y_r."""
+    """CSV text with header t, x_1..x_dim, y_1..y_r.
+
+    Each row is ``",".join(map(repr, row))``: numbers are Python's shortest
+    round-trip text, formatted for a block of rows at once.
+    """
     dim = result.states.shape[1]
     n_out = result.outputs.shape[1]
     header = (
@@ -498,8 +503,11 @@ def trajectory_to_csv(result: SimulationResult) -> str:
         + [f"y_{i}" for i in range(1, n_out + 1)]
     )
     lines = [",".join(header) + "\n"]
-    # one row at a time: a list of Python floats takes about 4x the array's
-    # memory; the rows and their one join are the only full-size copies
-    for ti, x, y in zip(result.times.tolist(), result.states, result.outputs):
-        lines.append(",".join(map(repr, [ti, *x.tolist(), *y.tolist()])) + "\n")
+    # blocks of whole rows, at least one, of about CELLS values: the blocks'
+    # text and its one join are the only full-size copies
+    step = max(1, CELLS // len(header))
+    for r in range(0, len(result.times), step):
+        rows = slice(r, r + step)
+        block = np.column_stack((result.times[rows], result.states[rows], result.outputs[rows]))
+        lines.append(rows_text(block))
     return "".join(lines)

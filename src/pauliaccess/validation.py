@@ -17,12 +17,22 @@ from .pauli import PauliTable
 
 _ITEM_NAMES = {str: "operator texts", dict: "objects", list: "lists"}
 
+#: widest register a spec, set or model file may declare.  A packed row
+#: takes 2 * ceil(n / 64) words whatever its text, so without a bound a file
+#: of a few bytes could ask for exabytes.
+MAX_QUBITS = 4096
+
 
 def json_schema(data, schema_id: str, kind: str) -> None:
     """Check that a file's top-level value is an object carrying schema_id."""
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema != schema_id:
         raise ValueError(f"unsupported {kind} schema {schema!r}, expected {schema_id!r}")
+
+
+def json_width(value) -> int:
+    """The ``n_qubits`` of a file: an integer in 1..MAX_QUBITS."""
+    return json_int(value, "n_qubits", lo=1, hi=MAX_QUBITS)
 
 
 def json_int(value, what: str, lo: int = 0, hi: Optional[int] = None) -> int:

@@ -1,9 +1,13 @@
 """Command-line interface: pipeline runs, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pauliaccess import cli, closure
 from pauliaccess.cli import main
@@ -276,6 +280,15 @@ MALFORMED = {
     "rho0 file not square": ("rho0", lambda d: d.__delitem__(-1)),
     "rho0 file booleans": ("rho0", lambda d: [[v == 1 for v in row] for row in d]),
     "rho0 file numeric strings": ("rho0", lambda d: [[str(v) for v in row] for row in d]),
+    # a few bytes that ask for 2 * 2^56 words per packed row
+    "set n_qubits huge": ("set", lambda d: d.update(n_qubits=2**62)),
+    "model n_qubits huge": ("model", lambda d: d.update(n_qubits=2**62)),
+    "spec n_qubits huge": ("spec", lambda d: d.update(n_qubits=2**62)),
+    # found by the fuzz tests below: rk4 diverges and its norm guard raised
+    "rk4 step too large": ("config", lambda d: d.update(integrator="rk4", step=2.0, times="0:4:2")),
+    # 10^9 rk4 steps: ran on without a budget
+    "rk4 step tiny": ("config", lambda d: d.update(integrator="rk4", step=1e-9, times="0:1:0.5")),
+    "rk4 empty time grid": ("config", lambda d: d.update(integrator="rk4", step=1.0, times="2:0:1")),
 }
 
 #: text the error message must hold, for the cases that name what is wrong
@@ -289,6 +302,10 @@ MALFORMED_MESSAGES = {
     "C index a boolean": "C entry [False, ",
     "C value a boolean": "must be [integer, integer, number]",
     **{case: "--rho0-file" for case in MALFORMED if case.startswith("rho0 file")},
+    **{case: "n_qubits must be an integer in 1..4096" for case in MALFORMED if "huge" in case},
+    "rk4 step too large": "the step 2 is too large",
+    "rk4 step tiny": "--step 1e-09 asks for more than 1000000 rk4 steps",
+    "rk4 empty time grid": "times must be a nonempty",
 }
 
 
@@ -320,6 +337,135 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert code == 2
     assert "Traceback" not in err
     assert MALFORMED_MESSAGES.get(case, "") in err
+
+
+# -- the exit contract under fuzzed input ------------------------------------
+
+#: texts near the grammar of operator strings, numbers and option values
+TOKENS = (
+    "", " ", "x", "0", "1", "-1", "0.5", "2", "1e400", "-0.0", "nan", "inf", "-inf",
+    "X1", "Y1 Z2", "Z1 Z1", "X4", "X0", "I", "x1", "1.5", "Y1,Z2", "\u00e9", "99999",
+)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**4) | st.floats() | st.text(max_size=8)
+    | st.sampled_from(TOKENS),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated(draw, base):
+    """``base`` with one to three values replaced, deleted or appended to."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while isinstance(node, (dict, list)) and node:
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            action = draw(st.sampled_from(("replace", "delete", "append", "tweak")))
+            if action == "delete":
+                del node[key]
+            elif action == "append" and isinstance(child, list):
+                child.append(draw(json_values))
+            elif action == "tweak" and isinstance(child, str):
+                node[key] = child + draw(st.sampled_from(TOKENS))
+            else:
+                node[key] = draw(json_values)
+            break
+    return doc
+
+
+option_values = {
+    # start and stop at most 2 apart, steps of 0.1 or more: grids stay small;
+    # free text has no colon, so it is never a grid
+    "--times": st.one_of(
+        st.text(st.characters(blacklist_characters=":"), max_size=10),
+        st.tuples(*[st.sampled_from(TOKENS + ("0.1", "0.25"))] * 3).map(":".join),
+    ),
+    "--step": st.one_of(st.text(max_size=6), st.sampled_from(TOKENS + ("0.01", "1e-3", "1e-9"))),
+    "--couplings": st.one_of(
+        st.text(max_size=10), st.lists(st.sampled_from(TOKENS), max_size=4).map(",".join)
+    ),
+}
+
+
+def run_quietly(argv) -> tuple[object, str]:
+    """cli.main's exit code (argparse exits by SystemExit) and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def payloads(tmp_path_factory):
+    """A case (d) set and model at N = 3, as paths and parsed JSON."""
+    out = tmp_path_factory.mktemp("payloads")
+    source = ["--chain", "3", "--measurement", "Y1 Z2"]
+    paths = {"set": out / "set.json", "model": out / "model.json"}
+    assert run_quietly(["gen", *source, "--out", str(paths["set"])])[0] == 0
+    assert run_quietly(["model", "--set", str(paths["set"]), *source, "--out", str(paths["model"])])[0] == 0
+    return out, {kind: json.loads(path.read_text()) for kind, path in paths.items()}
+
+
+def assert_exit_contract(argv) -> None:
+    code, err = run_quietly(argv)
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+
+
+FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_set_files_exit_0_or_2(payloads, data):
+    out, base = payloads
+    path = out / "fuzzed_set.json"
+    path.write_text(json.dumps(data.draw(mutated(base["set"]))))
+    command = data.draw(st.sampled_from((
+        ["graph", "--set", str(path), "--chain", "3"],
+        ["model", "--set", str(path), "--chain", "3", "--measurement", "Y1 Z2"],
+    )))
+    assert_exit_contract(command)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_model_files_exit_0_or_2(payloads, data):
+    out, base = payloads
+    path = out / "fuzzed_model.json"
+    path.write_text(json.dumps(data.draw(mutated(base["model"]))))
+    integrator = data.draw(st.sampled_from(("expm", "rk4")))
+    assert_exit_contract([
+        "simulate", "--model", str(path), "--rho0", "i+,0,+", "--times", "0:1:0.5",
+        "--integrator", integrator,
+    ])
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_option_values_exit_0_or_2(payloads, data):
+    out, _ = payloads
+    model = str(out / "model.json")
+    values = {opt: data.draw(strategy) for opt, strategy in option_values.items()}
+    simulate = [
+        "simulate", "--model", model, "--rho0", "i+,0,+", "--integrator", "rk4",
+        f"--times={values['--times']}", f"--step={values['--step']}",
+    ]
+    gen = [
+        "gen", "--chain", "3", "--measurement", "Y1 Z2", f"--couplings={values['--couplings']}",
+        "--out", str(out / "fuzzed_gen.json"),
+    ]
+    assert_exit_contract(data.draw(st.sampled_from((simulate, gen))))
 
 
 def test_rho0_file_density_matrix_matches_kets(tmp_path, capsys):

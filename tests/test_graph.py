@@ -1,5 +1,7 @@
 """Access graphs: edges, lemma checks, k-finite partition, ordering, DOT."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from pauliaccess import (
     verify_block_regeneration,
 )
 from pauliaccess.closure import ClosureError
-from pauliaccess.graph import export_dot, graph_to_json
+from pauliaccess.graph import KFinitePartition, export_dot, graph_to_json
 
 
 def case_b_pipeline(n):
@@ -364,3 +366,103 @@ def test_graph_json_shape():
     assert set(data) == {"schema", "n_qubits", "vertices", "edges", "blocks"}
     assert len(data["vertices"]) == 4
     assert all(set(e) == {"u", "v", "label"} for e in data["edges"])
+
+
+def reference_order(g, graph, partition):
+    """The per-block Python walk that order_members replaced: (order,
+    partition, cores, fallback warnings)."""
+    n = len(g)
+    adj = [[] for _ in range(n)]
+    for u, v in graph.ends.tolist():
+        adj[u].append(v)
+        adj[v].append(u)
+    rank = g.table().canonical_ranks()
+    for nbrs in adj:
+        nbrs.sort(key=lambda v: rank[v])
+    comps, seen = [], [False] * n
+    for start in range(n):
+        if not seen[start]:
+            seen[start], stack, comp = True, [start], []
+            while stack:
+                u = stack.pop()
+                comp.append(u)
+                for v in adj[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        stack.append(v)
+            comps.append(sorted(comp))
+    comps.sort(key=lambda comp: rank[comp].min())
+    depth = g.depths()
+    order, parts, cores, warned = [], [], [], []
+    for comp in comps:
+        comp_set = set(comp)
+        for k, indices in partition.blocks:
+            block = [i for i in indices if i in comp_set]
+            if not block:
+                continue
+            core = min(block, key=lambda i: (depth[i], rank[i]))
+            walk, reached = [core], {core}
+            for u in walk:
+                for v in adj[u]:
+                    if v in block and v not in reached:
+                        reached.add(v)
+                        walk.append(v)
+            if len(walk) != len(block):
+                warned.append(
+                    f"induced subgraph of block k={k} is disconnected; "
+                    "falling back to generation order"
+                )
+                walk = block
+            parts.append((k, len(order), len(order) + len(walk)))
+            cores.append(len(order) + walk.index(core))
+            order.extend(walk)
+    return order, tuple(parts), tuple(cores), warned
+
+
+def ordering_cases():
+    """Case (d) chains, a two-component set, and the same sets under random
+    partitions, whose blocks are often disconnected."""
+    rng = np.random.default_rng(12)
+    cases = []
+    for n in (3, 5, 7):
+        dig = exchange_digamma(n)
+        g = generate(dig, [parse_term("Y1 Z2", n)])
+        cases.append((g, build_graph(g, dig)))
+    n = 4
+    dig = [
+        PauliString.from_cells(n, {1: "X", 2: "X"}),
+        PauliString.from_cells(n, {1: "Y", 2: "Y"}),
+        PauliString.from_cells(n, {3: "X", 4: "X"}),
+        PauliString.from_cells(n, {3: "Y", 4: "Y"}),
+    ]
+    g = generate(dig, [parse_term("Z1", n), parse_term("Z3", n)])
+    cases.append((g, build_graph(g, dig)))
+    out = []
+    for g, gr in cases:
+        out.append((g, gr, partition_k_finite(g)))
+        for _ in range(3):
+            labels = rng.integers(0, 4, size=len(g))
+            blocks = tuple(
+                (k, tuple(np.flatnonzero(labels == k).tolist()))
+                for k in range(4)
+                if (labels == k).any()
+            )
+            out.append((g, gr, KFinitePartition(blocks, ())))
+    return out
+
+
+@pytest.mark.parametrize("case", range(16))
+def test_order_members_matches_the_per_block_walk(case):
+    g, gr, partition = ordering_cases()[case]
+    want_order, want_parts, want_cores, want_warned = reference_order(g, gr, partition)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ordered = order_members(g, gr, partition)
+    assert [str(w.message) for w in caught] == want_warned
+    assert ordered.members == tuple(g.members[i] for i in want_order)
+    assert ordered.partition == want_parts and ordered.cores == want_cores
+    new = {old: i for i, old in enumerate(want_order)}
+    assert ordered.provenance == tuple(
+        None if g.provenance[i] is None else (new[g.provenance[i][0]], g.provenance[i][1])
+        for i in want_order
+    )
