@@ -14,6 +14,11 @@ states A is a dense matrix (Pade scaling-and-squaring for ``expm`` on a
 uniform grid, dense products for ``rk4``), and above it, or on a non-uniform
 grid, a sparse one (``scipy.sparse.linalg.expm_multiply`` for ``expm``,
 sparse products for ``rk4``).  Neither integrator has a size cap.
+
+scipy is needed only to simulate, and each path imports what it calls: the
+sparse A (``rk4`` above :data:`DENSE_DIM`, and ``expm_multiply``) loads
+``scipy.sparse``, and the dense ``expm`` loads ``scipy.linalg``.  Building
+sets, graphs and models, and a dense ``rk4``, never load scipy.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from ._reprtext import CELLS, rows_text
 from .closure import AccessibleSet, ClosureError
@@ -37,7 +40,15 @@ from .pauli import (
     PauliTable,
     decompose,
 )
-from .validation import json_fields, json_int, json_list, json_schema, json_width, unique_rows
+from .validation import (
+    MAX_OUTPUTS,
+    json_fields,
+    json_int,
+    json_list,
+    json_schema,
+    json_width,
+    unique_rows,
+)
 
 __all__ = [
     "StateSpaceModel",
@@ -131,6 +142,8 @@ class StateSpaceModel:
         return a
 
     def a_sparse(self) -> scipy.sparse.csr_matrix:
+        import scipy.sparse
+
         rows, cols = self.a_index.T
         return scipy.sparse.csr_matrix(
             (self.a_values, (rows, cols)), shape=(self.dim, self.dim)
@@ -153,10 +166,13 @@ def build_model(
 
     Raises :class:`ClosureError` when a bracket or a measurement string falls
     outside the set (the set was not generated for this Hamiltonian or
-    measurement).
+    measurement), and ValueError for more than
+    :data:`~pauliaccess.validation.MAX_OUTPUTS` measurement operators, a
+    model no loader would read back.
     """
     if spec.n_qubits != g.n_qubits or meas.n_qubits != g.n_qubits:
         raise ValueError("qubit counts of set, Hamiltonian and measurement differ")
+    json_int(len(meas.operators), "n_outputs", hi=MAX_OUTPUTS)
     table = g.table()
     terms = spec.terms.terms
     br = table.brackets(PauliTable.from_strings([s for _, s in terms], g.n_qubits))
@@ -303,6 +319,8 @@ def _run_expm(model: StateSpaceModel, x0: np.ndarray, t: np.ndarray) -> np.ndarr
         # a non-uniform grid would take one dense expm per point, far more
         # than stepping with expm_multiply at any dimension
         return _run_expm_multiply(model.a_sparse(), x0, t, uniform)
+    import scipy.linalg
+
     a = model.a_dense()
     states = np.empty((len(t), model.dim))
     x = scipy.linalg.expm(a * t[0]) @ x0 if t[0] != 0.0 else x0.copy()
@@ -318,8 +336,8 @@ def _run_expm_multiply(
     a: scipy.sparse.csr_matrix, x0: np.ndarray, t: np.ndarray, uniform: bool
 ) -> np.ndarray:
     """exp(A t) x0 at each time, without forming exp(A t)."""
-    # imported here, not at the top: it adds about 13 ms to every process
-    # start, and only models above DENSE_DIM or non-uniform grids use it
+    # scipy is imported inside the one path that calls it, never at the top:
+    # importing it costs more than the rest of the package does
     from scipy.sparse.linalg import expm_multiply
 
     if uniform and t[-1] > t[0]:
@@ -419,7 +437,7 @@ def model_from_json(data: dict) -> StateSpaceModel:
     table = PauliTable.from_texts(json_list(ordering, "ordering"), n)
     unique_rows(table, "ordering string")
     dim = len(table)
-    n_outputs = json_int(n_outputs, "n_outputs")
+    n_outputs = json_int(n_outputs, "n_outputs", hi=MAX_OUTPUTS)
     a_index, a_values = _triplets(a, "A", dim, dim)
     _triplets(b, "B", dim, 0)  # no inputs: B must be empty
     c_index, c_values = _triplets(c, "C", n_outputs, dim)

@@ -22,6 +22,12 @@ _ITEM_NAMES = {str: "operator texts", dict: "objects", list: "lists"}
 #: of a few bytes could ask for exabytes.
 MAX_QUBITS = 4096
 
+#: most outputs (measurement operators) a model may have.  ``simulate``
+#: allocates a dense n_outputs x dim C and a times x n_outputs output array,
+#: and a zero measurement is an output row with no C entries, so a model
+#: file's size does not bound the count.
+MAX_OUTPUTS = 4096
+
 
 def json_schema(data, schema_id: str, kind: str) -> None:
     """Check that a file's top-level value is an object carrying schema_id."""

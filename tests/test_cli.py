@@ -4,12 +4,16 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pauliaccess import cli, closure
+from pauliaccess import cli, closure, validation
 from pauliaccess.cli import main
 
 
@@ -164,6 +168,66 @@ def test_verify_suites_pass(capsys):
     assert "PASS" in stdout and "FAIL" not in stdout
 
 
+#: run in a fresh interpreter, as each CLI process starts: each stage's
+#: commands, then the exit codes and the scipy modules loaded so far, written
+#: to report.json
+COLD_START = r"""
+import json, sys
+from pauliaccess import cli
+
+out = sys.argv[1]
+n4 = ["--chain", "4", "--measurement", "Y1 Z2"]
+n11 = ["--chain", "11", "--measurement", "Y1 Z2"]
+
+
+def simulate(model, kets, *options):
+    return ["simulate", "--model", out + model, "--rho0", kets, "--times", "0:1:0.5",
+            "--out", out + "/t.csv", *options]
+
+
+stages = {
+    "symbolic": [
+        ["chain", "--n", "4", "--out", out + "/spec.json"],
+        ["gen", *n4, "--out", out + "/set4.json"],
+        ["graph", "--set", out + "/set4.json", "--chain", "4", "--out", out + "/g.dot"],
+        ["model", "--set", out + "/set4.json", *n4, "--out", out + "/model4.json"],
+        ["verify", "--suite", "case-d-count"],
+        simulate("/model4.json", "0,1,+,i-", "--integrator", "rk4"),
+    ],
+    "dense expm": [simulate("/model4.json", "0,1,+,i-")],
+    "sparse rk4": [
+        ["gen", *n11, "--out", out + "/set11.json"],
+        ["model", "--set", out + "/set11.json", *n11, "--out", out + "/model11.json"],
+        simulate("/model11.json", ",".join("0" * 11), "--integrator", "rk4", "--step", "0.01"),
+    ],
+}
+report = {}
+for stage, commands in stages.items():
+    codes = [cli.main(argv) for argv in commands]
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    report[stage] = {"codes": codes, "scipy": loaded}
+with open(out + "/report.json", "w") as f:
+    json.dump(report, f)
+"""
+
+
+def test_only_simulate_loads_scipy(tmp_path):
+    # other test modules import scipy.linalg, so this needs its own process;
+    # case (d) has 24 states at N = 4, at most DENSE_DIM, and 605 at N = 11
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads((tmp_path / "report.json").read_text())
+    assert all(code == 0 for r in stages.values() for code in r["codes"]), stages
+    assert stages["symbolic"]["scipy"] == []
+    dense = stages["dense expm"]["scipy"]
+    assert "scipy.linalg" in dense and not any(m.startswith("scipy.sparse") for m in dense)
+    assert "scipy.sparse" in stages["sparse rk4"]["scipy"]
+
+
 def test_verify_unknown_suite(capsys):
     assert run(capsys, "verify", "--suite", "nope")[0] == 2
 
@@ -289,6 +353,11 @@ MALFORMED = {
     # 10^9 rk4 steps: ran on without a budget
     "rk4 step tiny": ("config", lambda d: d.update(integrator="rk4", step=1e-9, times="0:1:0.5")),
     "rk4 empty time grid": ("config", lambda d: d.update(integrator="rk4", step=1.0, times="2:0:1")),
+    # a dense 2^40 x dim C ran out of memory
+    "model n_outputs huge": ("model", lambda d: d.update(n_outputs=2**40)),
+    "model n_outputs over MAX_OUTPUTS": (
+        "model", lambda d: d.update(n_outputs=validation.MAX_OUTPUTS + 1)
+    ),
 }
 
 #: text the error message must hold, for the cases that name what is wrong
@@ -306,6 +375,7 @@ MALFORMED_MESSAGES = {
     "rk4 step too large": "the step 2 is too large",
     "rk4 step tiny": "--step 1e-09 asks for more than 1000000 rk4 steps",
     "rk4 empty time grid": "times must be a nonempty",
+    **{case: "n_outputs must be an integer in 0..4096" for case in MALFORMED if "n_outputs" in case},
 }
 
 
@@ -348,7 +418,7 @@ TOKENS = (
 )
 
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 10**4) | st.floats() | st.text(max_size=8)
+    st.none() | st.booleans() | st.integers(-3, 2**62) | st.floats() | st.text(max_size=8)
     | st.sampled_from(TOKENS),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=8,
@@ -407,10 +477,12 @@ def run_quietly(argv) -> tuple[object, str]:
 
 @pytest.fixture(scope="module")
 def payloads(tmp_path_factory):
-    """A case (d) set and model at N = 3, as paths and parsed JSON."""
+    """The N = 3 chain spec and a case (d) set and model on it, as paths and
+    parsed JSON."""
     out = tmp_path_factory.mktemp("payloads")
     source = ["--chain", "3", "--measurement", "Y1 Z2"]
-    paths = {"set": out / "set.json", "model": out / "model.json"}
+    paths = {"spec": out / "spec.json", "set": out / "set.json", "model": out / "model.json"}
+    assert run_quietly(["chain", "--n", "3", "--out", str(paths["spec"])])[0] == 0
     assert run_quietly(["gen", *source, "--out", str(paths["set"])])[0] == 0
     assert run_quietly(["model", "--set", str(paths["set"]), *source, "--out", str(paths["model"])])[0] == 0
     return out, {kind: json.loads(path.read_text()) for kind, path in paths.items()}
@@ -466,6 +538,42 @@ def test_fuzzed_option_values_exit_0_or_2(payloads, data):
         "--out", str(out / "fuzzed_gen.json"),
     ]
     assert_exit_contract(data.draw(st.sampled_from((simulate, gen))))
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_spec_files_exit_0_or_2(payloads, data):
+    out, base = payloads
+    path = out / "fuzzed_spec.json"
+    path.write_text(json.dumps(data.draw(mutated(base["spec"]))))
+    assert_exit_contract([
+        "gen", "--hamiltonian", str(path), "--measurement", "Y1 Z2",
+        "--out", str(out / "fuzzed_spec_set.json"),
+    ])
+
+
+#: a --config object that simulate accepts on the N = 3 model
+CONFIG = {"times": "0:1:0.5", "rho0": "i+,0,+", "integrator": "rk4", "step": 0.01}
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_config_files_exit_0_or_2(payloads, data):
+    out, _ = payloads
+    path = out / "fuzzed_config.json"
+    path.write_text(json.dumps(data.draw(mutated(CONFIG))))
+    assert_exit_contract(["--config", str(path), "simulate", "--model", str(out / "model.json")])
+
+
+def test_model_refuses_more_outputs_than_a_model_file_may_hold(payloads):
+    out, _ = payloads
+    measurements = ["--measurement", "Y1 Z2"] * (validation.MAX_OUTPUTS + 1)
+    code, err = run_quietly([
+        "model", "--set", str(out / "set.json"), "--chain", "3", *measurements,
+        "--out", str(out / "too_many_outputs.json"),
+    ])
+    assert code == 2
+    assert "n_outputs must be an integer in 0..4096, got 4097" in err
 
 
 def test_rho0_file_density_matrix_matches_kets(tmp_path, capsys):
