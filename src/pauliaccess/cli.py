@@ -53,7 +53,6 @@ from .pauli import (
     GrammarError,
     PauliString,
     apply_sequence,
-    bracket_normalized,
     check_bilinear_decomposition,
 )
 from .statespace import (
@@ -324,14 +323,21 @@ def _suite_lemmas(lo: int, hi: int):
             seed = PauliString.from_text(text, n)
             g = generate(digamma, [seed])
             gr = build_graph(g, digamma)
-            simple = all(u != v for u, v, _ in gr.edges)
+            # on packed keys x | z << n: the label nu maps t to t ^ nu exactly
+            # when t & dual(nu) has odd parity, with dual = z | x << n
+            labels = [(s.x_mask | s.z_mask << n, s.z_mask | s.x_mask << n) for s in gr.digamma]
+            us, vs = gr.ends.T.tolist()
+            packed = g.packed_keys()
+            simple = all(u != v for u, v in zip(us, vs))
             symmetric = all(
-                bracket_normalized(g.members[u], lab) == g.members[v]
-                and bracket_normalized(g.members[v], lab) == g.members[u]
-                for u, v, lab in gr.edges
+                (packed[u] & dual).bit_count() & 1 and packed[u] ^ nu == packed[v]
+                and (packed[v] & dual).bit_count() & 1 and packed[v] ^ nu == packed[u]
+                for u, v, (nu, dual) in zip(
+                    us, vs, (labels[j] for j in gr.label_index.tolist())
+                )
             )
             connected = is_connected(gr)
-            keys = set(g.packed_keys())
+            keys = set(packed)
             regen = all(
                 set(generate(digamma, [m]).packed_keys()) == keys for m in g.members
             )

@@ -18,6 +18,7 @@ ladder for the exchange chain with a single Z-prefixed seed.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -215,6 +216,32 @@ def _dedupe_seeds(seeds: Sequence[PauliString]) -> list[PauliString]:
     return list(out.values())
 
 
+@functools.lru_cache(maxsize=64)
+def _closure_steps(n: int, masks: tuple[tuple[int, int], ...]):
+    """Canonical digamma of width n, prepared for :func:`generate`.
+
+    ``masks`` lists the raw digamma as (x, z) pairs.  Returns the syndrome
+    terms ``(1 << j, dual of nu_j)``, used for the seeds, and two maps keyed
+    by the lowest syndrome bit ``1 << j``: to the key of nu_j, and to
+    (syndrome row S_j, nu_j).  Every call with the same arguments gets the
+    same maps, so callers only read them.
+    """
+    dig = canonical_digamma(PauliString(n, x, z) for x, z in masks)
+    # t anticommutes with nu exactly when key(t) & dual(nu) has odd popcount,
+    # where key = x | z << n and dual = z | x << n
+    terms = tuple((1 << j, s.z_mask | s.x_mask << n) for j, s in enumerate(dig))
+    step_keys, step_rows = {}, {}
+    for (bit, _), s in zip(terms, dig):
+        key = s.x_mask | s.z_mask << n
+        step_keys[bit] = key
+        step_rows[bit] = (_syndrome(key, terms), s)
+    return terms, step_keys, step_rows
+
+
+def _syndrome(key: int, terms) -> int:
+    return sum(bit for bit, dual in terms if (key & dual).bit_count() & 1)
+
+
 def generate(
     digamma: Sequence[PauliString], seeds: Sequence[PauliString]
 ) -> AccessibleSet:
@@ -225,6 +252,8 @@ def generate(
     syndrome over canonical digamma; its set bits, low to high, are exactly
     the strings nu_j it anticommutes with, and the child t ^ nu_j inherits
     syn(t) ^ S_j.  Work per member is thus O(degree), not O(|digamma|).
+    The steps are prepared once per distinct digamma (see
+    :func:`_closure_steps`), so many small calls share them.
 
     Raises ValueError when the set would grow past :data:`MAX_MEMBERS`.
     """
@@ -233,19 +262,9 @@ def generate(
     n = seeds[0].n_qubits
     check_widths(seeds, n)
     check_widths(digamma, n)
-    dig = canonical_digamma(digamma)
-    # t anticommutes with nu exactly when key(t) & dual(nu) has odd popcount,
-    # where key = x | z << n and dual = z | x << n
-    duals = [s.z_mask | s.x_mask << n for s in dig]
-
-    def syndrome(key: int) -> int:
-        return sum(1 << j for j, d in enumerate(duals) if (key & d).bit_count() & 1)
-
-    # lowest syndrome bit 1 << j -> (key of nu_j, its syndrome row S_j, nu_j)
-    steps = {}
-    for j, s in enumerate(dig):
-        key = s.x_mask | s.z_mask << n
-        steps[1 << j] = (key, syndrome(key), s)
+    terms, step_keys, step_rows = _closure_steps(
+        n, tuple((s.x_mask, s.z_mask) for s in digamma)
+    )
 
     budget = MAX_MEMBERS
     keys: list[int] = []
@@ -257,24 +276,28 @@ def generate(
             keys.append(key)
     if len(keys) > budget:
         raise ValueError(_over_budget(budget, len(keys)))
-    syns = [syndrome(key) for key in keys]
+    room = budget - len(keys)
+    syns = [_syndrome(key, terms) for key in keys]
     prov: list[Optional[tuple[int, PauliString]]] = [None] * len(keys)
 
-    # the loop also visits the members appended while it runs
+    add, add_key, add_syn, add_prov = seen.add, keys.append, syns.append, prov.append
+    # the loop also visits the members appended while it runs; most children
+    # are already members, so only a new one looks up its row and label
     for head, t in enumerate(keys):
         syn = rest = syns[head]
         while rest:
             low = rest & -rest
             rest ^= low
-            v, row, nu = steps[low]
-            child = t ^ v
+            child = t ^ step_keys[low]
             if child not in seen:
-                if len(keys) >= budget:
+                if not room:
                     raise ValueError(_over_budget(budget, len(keys)))
-                seen.add(child)
-                keys.append(child)
-                syns.append(syn ^ row)
-                prov.append((head, nu))
+                room -= 1
+                add(child)
+                add_key(child)
+                row, nu = step_rows[low]
+                add_syn(syn ^ row)
+                add_prov((head, nu))
 
     return AccessibleSet._from_keys(n, keys, seen, tuple(prov))
 
@@ -305,12 +328,17 @@ def generate_reference(
     check_widths(digamma, n)
     dig = canonical_digamma(digamma)
 
+    # candidate c's matrix has one nonzero per row r, at column cols[c, r];
+    # the trace test needs only those entries
     dim = 1 << n
-    omega = []
-    for x in range(dim):
-        for z in range(dim):
-            omega.append(PauliString(n, x, z))
-    omega_dense = [p.to_matrix() for p in omega]
+    omega = [PauliString(n, x, z) for x in range(dim) for z in range(dim)]
+    rows = np.arange(dim)
+    cols = np.empty((len(omega), dim), dtype=np.intp)
+    conj_vals = np.empty((len(omega), dim), dtype=complex)
+    for c, p in enumerate(omega):
+        dense = p.to_matrix()
+        cols[c] = np.nonzero(dense)[1]
+        conj_vals[c] = dense[rows, cols[c]].conj()
     dig_dense = [p.to_matrix() for p in dig]
 
     members = _dedupe_seeds(seeds)
@@ -325,15 +353,17 @@ def generate_reference(
             comm = tau @ nu - nu @ tau
             if not comm.any():
                 continue
-            for cand, cand_dense in zip(omega, omega_dense):
+            # Tr(O^dag comm) of every candidate O at once, walked in order
+            traces = (conj_vals * comm[rows, cols]).sum(axis=1)
+            for c in np.flatnonzero(np.abs(traces) > 1e-9).tolist():
+                cand = omega[c]
                 key = (cand.x_mask, cand.z_mask)
                 if key in seen:
                     continue
-                if abs(np.vdot(cand_dense, comm)) > 1e-9:
-                    seen.add(key)
-                    members.append(cand)
-                    member_dense.append(cand_dense)
-                    prov.append((head, dig[nu_idx]))
+                seen.add(key)
+                members.append(cand)
+                member_dense.append(cand.to_matrix())
+                prov.append((head, dig[nu_idx]))
         head += 1
 
     return AccessibleSet(n, tuple(members), tuple(prov))

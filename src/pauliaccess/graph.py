@@ -20,7 +20,7 @@ from .closure import AccessibleSet, ClosureError
 from .pauli import (
     PauliString,
     PauliTable,
-    bracket_normalized,
+    check_widths,
     phase_free_product,
 )
 
@@ -301,28 +301,33 @@ def verify_block_regeneration(
 
     Uses the prefix sets digamma_k (strings supported on sites <= k) and
     keeps the walk inside the block, per the block-regeneration assertion
-    for chain systems.
+    for chain systems.  The walk runs on packed keys ``x | z << n``: t
+    brackets to t ^ nu exactly when t & dual(nu) has odd parity, with
+    dual = z | x << n.
     """
+    n = g.n_qubits
+    check_widths(digamma, n)
+    steps = [
+        (nu.highest_site(), nu.x_mask | nu.z_mask << n, nu.z_mask | nu.x_mask << n)
+        for nu in digamma
+    ]
+    keys = g.packed_keys()
     checks = []
     for k, indices in partition.blocks:
-        block_keys = {
-            (g.members[i].x_mask, g.members[i].z_mask): i for i in indices
-        }
-        dig_k = [nu for nu in digamma if nu.highest_site() <= k]
+        block = {keys[i] for i in indices}
+        dig_k = [(v, dual) for site, v, dual in steps if site <= k]
         for i in indices:
-            reached = {(g.members[i].x_mask, g.members[i].z_mask)}
-            queue = [g.members[i]]
+            reached = {keys[i]}
+            queue = [keys[i]]
             while queue:
-                tau = queue.pop()
-                for nu in dig_k:
-                    r = bracket_normalized(tau, nu)
-                    if r is None:
-                        continue
-                    key = (r.x_mask, r.z_mask)
-                    if key in block_keys and key not in reached:
-                        reached.add(key)
-                        queue.append(r)
-            checks.append((k, i, len(reached) == len(block_keys)))
+                t = queue.pop()
+                for v, dual in dig_k:
+                    if (t & dual).bit_count() & 1:
+                        r = t ^ v
+                        if r in block and r not in reached:
+                            reached.add(r)
+                            queue.append(r)
+            checks.append((k, i, len(reached) == len(block)))
     return BlockRegenerationReport(tuple(checks))
 
 

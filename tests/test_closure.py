@@ -113,6 +113,57 @@ def test_reference_equivalence_all_cases_small_n():
             assert fast.member_keys() == ref.member_keys(), (n, name)
 
 
+def per_candidate_reference(
+    digamma: Sequence[PauliString], seeds: Sequence[PauliString]
+) -> AccessibleSet:
+    """The trace-test rule one candidate at a time, as the reference rule
+    first stated it: each candidate O of the 4^N basis joins when
+    |Tr(O^dag [tau, nu])| > 1e-9, tested in basis order."""
+    n = seeds[0].n_qubits
+    dig = canonical_digamma(digamma)
+    dim = 1 << n
+    omega = [PauliString(n, x, z) for x in range(dim) for z in range(dim)]
+    omega_dense = [p.to_matrix() for p in omega]
+    dig_dense = [p.to_matrix() for p in dig]
+
+    members = _dedupe_seeds(seeds)
+    member_dense = [p.to_matrix() for p in members]
+    seen = {(s.x_mask, s.z_mask) for s in members}
+    prov: list[Optional[tuple[int, PauliString]]] = [None] * len(members)
+    head = 0
+    while head < len(members):
+        tau = member_dense[head]
+        for nu_idx, nu in enumerate(dig_dense):
+            comm = tau @ nu - nu @ tau
+            if not comm.any():
+                continue
+            for cand, cand_dense in zip(omega, omega_dense):
+                key = (cand.x_mask, cand.z_mask)
+                if key in seen:
+                    continue
+                if abs(np.vdot(cand_dense, comm)) > 1e-9:
+                    seen.add(key)
+                    members.append(cand)
+                    member_dense.append(cand_dense)
+                    prov.append((head, dig[nu_idx]))
+        head += 1
+    return AccessibleSet(n, tuple(members), tuple(prov))
+
+
+def test_reference_matches_per_candidate_loop():
+    for n in (1, 2, 3):
+        dig = exchange_digamma(n) if n >= 2 else []
+        cases = cases_fitting(n)
+        seed_lists = [[seed] for seed in cases.values()]
+        # several seeds, a repeated one and the identity
+        seed_lists.append([*cases.values(), PauliString.identity(n), cases["a"]])
+        for seeds in seed_lists:
+            ref = generate_reference(dig, seeds)
+            loop = per_candidate_reference(dig, seeds)
+            assert ref.members == loop.members, (n, seeds)
+            assert ref.provenance == loop.provenance, (n, seeds)
+
+
 # ---------------------------------------------------------------------------
 # chain closed forms
 
@@ -351,3 +402,53 @@ def test_member_budget_counts_seeds(monkeypatch):
     seeds = [parse_term("X1", 2), parse_term("Z2", 2)]
     with pytest.raises(ValueError, match="MAX_MEMBERS = 1"):
         generate([], seeds)
+
+
+# ---------------------------------------------------------------------------
+# steps prepared once per digamma
+
+
+def variants_of_case_d_n5():
+    dig = list(exchange_digamma(5))
+    return {
+        "reordered": dig[::-1],
+        "duplicates": dig + dig[:3],
+        "identity": [PauliString.identity(5), *dig, PauliString.identity(5)],
+    }
+
+
+def test_cached_steps_match_a_cold_cache():
+    seed = [parse_term("Y1 Z2", 5)]
+    closure._closure_steps.cache_clear()
+    base = generate(exchange_digamma(5), seed)
+    for name, digamma in variants_of_case_d_n5().items():
+        closure._closure_steps.cache_clear()
+        cold = generate(digamma, seed)
+        warm = generate(digamma, seed)
+        assert closure._closure_steps.cache_info().hits >= 1
+        for g in (cold, warm):
+            assert g.packed_keys() == base.packed_keys(), name
+            assert g.provenance == base.provenance, name
+        assert cold == warm == all_pairs_generate(digamma, seed), name
+
+
+def test_cached_steps_keep_widths_apart():
+    # the same masks at another width are another digamma
+    closure._closure_steps.cache_clear()
+    small = generate([parse_term("X1 X2", 2)], [parse_term("Z1", 2)])
+    wide = generate([parse_term("X1 X2", 3)], [parse_term("Z1", 3)])
+    assert small.n_qubits == 2 and wide.n_qubits == 3
+    assert {s.n_qubits for _, s in filter(None, wide.provenance)} == {3}
+    with pytest.raises(ValueError):
+        generate([parse_term("X1 X2", 3)], [parse_term("Z1", 2)])
+
+
+def test_warm_cache_reads_the_member_budget_at_call_time(monkeypatch):
+    # case (d) at N = 5 closes to exactly 50 members
+    args = (exchange_digamma(5), [parse_term("Y1 Z2", 5)])
+    assert len(generate(*args)) == 50
+    monkeypatch.setattr(closure, "MAX_MEMBERS", 49)
+    with pytest.raises(ValueError, match=r"MAX_MEMBERS = 49 \(49 members reached"):
+        generate(*args)
+    monkeypatch.setattr(closure, "MAX_MEMBERS", 50)
+    assert len(generate(*args)) == 50

@@ -1,12 +1,15 @@
 """Golden CLI payloads: N = 5, case (d), fixed non-uniform couplings.
 
 The files under ``tests/golden/`` pin member order, edge order, signs of A
-and trajectory digits byte for byte.  Regenerate them only for an intended
-format change, from the repository root:
+and trajectory digits byte for byte; ``verify.txt`` pins the output of
+all six ``verify`` suites.  Regenerate them only for an intended format
+change, from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
@@ -43,6 +46,24 @@ def write_payloads(out: Path) -> None:
             raise RuntimeError(f"{argv[0]} exited {code}")
 
 
+#: every verify suite at its default range, in the order CI runs them
+VERIFY_RUNS = (
+    ["prop2"], ["prop3"], ["case-d-count"], ["oracle"], ["lemmas"],
+    ["identities", "--seed", "1", "--trials", "500"],
+)
+
+
+def verify_output() -> str:
+    """Standard output of ``verify`` over :data:`VERIFY_RUNS`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for args in VERIFY_RUNS:
+            code = main(["verify", "--suite", *args])
+            if code != 0:
+                raise RuntimeError(f"verify --suite {args[0]} exited {code}")
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("name", PAYLOADS)
 def test_payload_matches_golden(tmp_path, capsys, name):
     write_payloads(tmp_path)
@@ -50,6 +71,11 @@ def test_payload_matches_golden(tmp_path, capsys, name):
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def test_verify_output_matches_golden():
+    assert verify_output().encode() == (GOLDEN / "verify.txt").read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     write_payloads(GOLDEN)
+    (GOLDEN / "verify.txt").write_text(verify_output())

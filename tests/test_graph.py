@@ -23,7 +23,13 @@ from pauliaccess import (
     verify_block_regeneration,
 )
 from pauliaccess.closure import ClosureError
-from pauliaccess.graph import KFinitePartition, export_dot, graph_to_json
+from pauliaccess.graph import (
+    BlockRegenerationReport,
+    KFinitePartition,
+    export_dot,
+    graph_to_json,
+)
+from pauliaccess.pauli import DimensionMismatchError
 
 
 def case_b_pipeline(n):
@@ -310,6 +316,64 @@ def test_paper_cores_regenerate_case_d_n4():
     for k, idx in part.blocks:
         block_texts = {g.members[i].to_text() for i in idx}
         assert paper_cores[k] in block_texts
+
+
+def pauli_walk_block_regeneration(g, partition, digamma):
+    """Block regeneration walked on PauliString objects, one bracket at a time."""
+    checks = []
+    for k, indices in partition.blocks:
+        block_keys = {
+            (g.members[i].x_mask, g.members[i].z_mask): i for i in indices
+        }
+        dig_k = [nu for nu in digamma if nu.highest_site() <= k]
+        for i in indices:
+            reached = {(g.members[i].x_mask, g.members[i].z_mask)}
+            queue = [g.members[i]]
+            while queue:
+                tau = queue.pop()
+                for nu in dig_k:
+                    r = bracket_normalized(tau, nu)
+                    if r is None:
+                        continue
+                    key = (r.x_mask, r.z_mask)
+                    if key in block_keys and key not in reached:
+                        reached.add(key)
+                        queue.append(r)
+            checks.append((k, i, len(reached) == len(block_keys)))
+    return BlockRegenerationReport(tuple(checks))
+
+
+def test_block_regeneration_matches_the_pauli_walk():
+    for n in (2, 3, 4, 5):
+        dig = exchange_digamma(n)
+        for name, seed in cases_fitting(n).items():
+            g = generate(dig, [seed])
+            part = partition_k_finite(g)
+            report = verify_block_regeneration(g, part, dig)
+            assert report == pauli_walk_block_regeneration(g, part, dig), (n, name)
+            assert report.all_passed, (n, name)
+
+
+@pytest.mark.parametrize("drop", range(8))
+def test_block_regeneration_failures_match_the_pauli_walk(drop):
+    # case (d) N = 5, checked against digamma with one string removed
+    dig = exchange_digamma(5)
+    g = generate(dig, [parse_term("Y1 Z2", 5)])
+    part = partition_k_finite(g)
+    fewer = [nu for j, nu in enumerate(dig) if j != drop]
+    report = verify_block_regeneration(g, part, fewer)
+    assert report == pauli_walk_block_regeneration(g, part, fewer)
+    assert [(k, i) for k, i, _ in report.checks] == [
+        (k, i) for k, idx in part.blocks for i in idx
+    ]
+    assert report.failures() and not report.all_passed
+
+
+def test_block_regeneration_checks_digamma_width():
+    dig = exchange_digamma(4)
+    g = generate(dig, [parse_term("Y1 Z2", 4)])
+    with pytest.raises(DimensionMismatchError):
+        verify_block_regeneration(g, partition_k_finite(g), [*dig, parse_term("X5", 5)])
 
 
 # ---------------------------------------------------------------------------
