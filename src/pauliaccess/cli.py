@@ -65,7 +65,7 @@ from .statespace import (
     simulate_reduced,
     trajectory_to_csv,
 )
-from .validation import dump_json
+from .validation import MAX_QUBITS, dump_json, json_width
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -114,14 +114,20 @@ def _parse_couplings(text: Optional[str], n_qubits: int) -> list[float]:
     return vals
 
 
+def _chain(n_qubits: int, couplings: Optional[str]) -> HamiltonianSpec:
+    """The exchange chain of ``--chain N`` or ``chain --n N``."""
+    # refused before its couplings are built, as wide as every loader refuses
+    if n_qubits > MAX_QUBITS:
+        json_width(n_qubits)
+    return build_exchange_chain(n_qubits, _parse_couplings(couplings, n_qubits))
+
+
 def _load_hamiltonian(args) -> HamiltonianSpec:
     if getattr(args, "hamiltonian", None):
         data = json.loads(Path(args.hamiltonian).read_text())
         return hamiltonian_from_json(data)
     if getattr(args, "chain", None):
-        return build_exchange_chain(
-            args.chain, _parse_couplings(getattr(args, "couplings", None), args.chain)
-        )
+        return _chain(args.chain, getattr(args, "couplings", None))
     raise ValueError("provide --hamiltonian FILE or --chain N")
 
 
@@ -181,7 +187,7 @@ def _parse_times(text: str) -> np.ndarray:
 
 
 def cmd_chain(args) -> int:
-    spec = build_exchange_chain(args.n, _parse_couplings(args.couplings, args.n))
+    spec = _chain(args.n, args.couplings)
     _write_output(dump_json(hamiltonian_to_json(spec)), args.out)
     return EXIT_OK
 
@@ -199,7 +205,7 @@ def cmd_gen(args) -> int:
     if args.format == "text":
         payload = ordered.to_text()
     else:
-        payload = dump_json(accessible_set_to_json(ordered))
+        payload = accessible_set_to_json(ordered)
     _write_output(payload, args.out)
     summary = [f"members: {len(ordered)}"]
     blocks = " ".join(f"k={k}:{b - a}" for k, a, b in ordered.partition)
@@ -218,7 +224,7 @@ def cmd_graph(args) -> int:
     if args.format == "dot":
         payload = export_dot(gr, g.partition)
     else:
-        payload = dump_json(graph_to_json(gr, g.partition))
+        payload = graph_to_json(gr, g.partition)
     _write_output(payload, args.out)
     return EXIT_OK
 
@@ -228,7 +234,7 @@ def cmd_model(args) -> int:
     spec = _load_hamiltonian(args)
     meas = _load_measurement(args, g.n_qubits)
     model = build_model(g, spec, meas)
-    _write_output(dump_json(model_to_json(model)), args.out)
+    _write_output(model_to_json(model), args.out)
     return EXIT_OK
 
 
@@ -337,10 +343,8 @@ def _suite_lemmas(lo: int, hi: int):
                 )
             )
             connected = is_connected(gr)
-            keys = set(packed)
-            regen = all(
-                set(generate(digamma, [m]).packed_keys()) == keys for m in g.members
-            )
+            keys = g.key_set()
+            regen = all(generate(digamma, [m]).key_set() == keys for m in g.members)
             ok = simple and symmetric and connected and regen
             detail = "" if ok else (
                 f" (simple={simple}, symmetric={symmetric},"
@@ -615,7 +619,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_INPUT
         try:
             config = json.loads(Path(argv[i + 1]).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_INPUT
         del argv[i : i + 2]

@@ -21,10 +21,11 @@ from __future__ import annotations
 import functools
 import json
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import AbstractSet, Optional, Sequence, Union
 
 import numpy as np
 
+from ._fixedwidth import index_table, json_rows, string_table
 from .pauli import (
     PauliString,
     PauliTable,
@@ -34,6 +35,7 @@ from .pauli import (
     strings_from_keys,
 )
 from .validation import (
+    dump_json,
     json_column,
     json_fields,
     json_int,
@@ -169,13 +171,18 @@ class AccessibleSet:
                 self._table = PauliTable.from_strings(self._members, self.n_qubits)
         return self._table
 
+    def key_set(self) -> AbstractSet[int]:
+        """The set of :meth:`packed_keys`, built once on demand (a set made
+        by :func:`generate` already holds it).  Callers only read it."""
+        if self._key_set is None:
+            self._key_set = set(self.packed_keys())
+        return self._key_set
+
     def __contains__(self, s: PauliString) -> bool:
         n = self.n_qubits
         if (s.x_mask | s.z_mask) >> n:
             return False
-        if self._key_set is None:
-            self._key_set = set(self.packed_keys())
-        return s.x_mask | s.z_mask << n in self._key_set
+        return s.x_mask | s.z_mask << n in self.key_set()
 
     def member_keys(self) -> frozenset[tuple[int, int]]:
         return frozenset(self._masks())
@@ -415,27 +422,38 @@ def chain_closed_form(n_qubits: int, m: int, axis: str) -> AccessibleSet:
 # serialization
 
 
-def accessible_set_to_json(g: AccessibleSet) -> dict:
+def accessible_set_to_json(g: AccessibleSet) -> str:
+    """The set file's text: ``json.dumps(<the set as a dict>, indent=2)``
+    plus a newline, the provenance entries rendered from a parent and a
+    label index per member (:func:`~pauliaccess._fixedwidth.json_rows`)."""
+    m = len(g)
+    # a seed's parent and edge are null: parent row m, and the None label
+    pairs = [(m, None) if p is None else p for p in g.provenance]
+    parents, labels = zip(*pairs) if pairs else ((), ())
     # the labels are a few digamma strings, each shared by the many members it
     # produced: key them by object, as a frozen dataclass hashes in Python,
     # and render each one once
-    edges = {id(p[1]): p[1] for p in g.provenance if p is not None}
-    edges = {key: s.to_text() for key, s in edges.items()}
-    return {
+    distinct = dict(zip(map(id, labels), labels))
+    row = dict(zip(distinct, range(len(distinct))))
+    edges = string_table(None if s is None else s.to_text() for s in distinct.values())
+    provenance = json_rows(
+        [
+            (np.append(index_table(m), b"null"), np.fromiter(parents, np.int64, m)),
+            (edges, np.fromiter(map(row.__getitem__, map(id, labels)), np.int64, m)),
+        ],
+        m,
+        keys=("parent", "edge"),
+    )
+    return dump_json({
         "schema": SET_SCHEMA_ID,
         "n_qubits": g.n_qubits,
         "members": g.table().texts(),
-        "provenance": [
-            {"parent": None, "edge": None}
-            if p is None
-            else {"parent": p[0], "edge": edges[id(p[1])]}
-            for p in g.provenance
-        ],
+        "provenance": provenance,
         "partition": None
         if g.partition is None
         else [{"k": k, "start": a, "end": b} for k, a, b in g.partition],
         "cores": None if g.cores is None else list(g.cores),
-    }
+    })
 
 
 def accessible_set_from_json(data: dict) -> AccessibleSet:

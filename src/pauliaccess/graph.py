@@ -16,6 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._fixedwidth import index_table, join_rows, json_rows, string_table, text_table
 from .closure import AccessibleSet, ClosureError
 from .pauli import (
     PauliString,
@@ -23,6 +24,7 @@ from .pauli import (
     check_widths,
     phase_free_product,
 )
+from .validation import dump_json
 
 __all__ = [
     "AccessGraph",
@@ -65,11 +67,6 @@ class AccessGraph:
         """(u, v, label) per edge, sorted by (u, v)."""
         labels = [self.digamma[j] for j in self.label_index.tolist()]
         return tuple(zip(*self.ends.T.tolist(), labels))
-
-    def edge_label_texts(self) -> list[str]:
-        """The ``to_text`` of each edge's label, each distinct string rendered once."""
-        texts = [s.to_text() for s in self.digamma]
-        return [texts[j] for j in self.label_index.tolist()]
 
     def neighbors(self) -> tuple[np.ndarray, np.ndarray]:
         """Adjacency as CSR arrays: vertex u's neighbors, in canonical
@@ -335,58 +332,72 @@ def verify_block_regeneration(
 # exports
 
 
-def _blocks_as_ranges(
+def _blocks_as_arrays(
     partition: Union[KFinitePartition, Sequence[tuple[int, int, int]], None],
-) -> Optional[list[tuple[int, list[int]]]]:
+) -> Optional[list[tuple[int, np.ndarray]]]:
+    """(k, member indices) per block, or None without a partition."""
     if partition is None:
         return None
     if isinstance(partition, KFinitePartition):
-        return [(k, list(idx)) for k, idx in partition.blocks]
-    return [(k, list(range(a, b))) for k, a, b in partition]
+        return [(k, np.array(idx, dtype=np.int64)) for k, idx in partition.blocks]
+    return [(k, np.arange(a, b)) for k, a, b in partition]
 
 
 def export_dot(
     graph: AccessGraph,
     partition: Union[KFinitePartition, Sequence[tuple[int, int, int]], None] = None,
 ) -> str:
-    """Deterministic Graphviz text; blocks become clusters when given."""
-    lines = ["graph access_set {"]
+    """Deterministic Graphviz text; blocks become clusters when given.
+
+    Node and edge lines are rendered from the member texts and the edge
+    arrays (:func:`~pauliaccess._fixedwidth.join_rows`).
+    """
+    ids = index_table(len(graph))
+    texts = text_table(graph.table.texts())
+
+    def nodes(indent: bytes, members: np.ndarray) -> bytearray:
+        fields = [indent + b"n", (ids, members), b' [label="', (texts, members), b'"];\n']
+        return join_rows(fields, len(members))
+
+    text = bytearray(b"graph access_set {\n")
     if len(graph):
-        lines.append("  node [shape=box];")
-    texts = graph.table.texts()
-    blocks = _blocks_as_ranges(partition)
+        text += b"  node [shape=box];\n"
+    blocks = _blocks_as_arrays(partition)
     if blocks is None:
-        for i, text in enumerate(texts):
-            lines.append(f'  n{i} [label="{text}"];')
+        text += nodes(b"  ", np.arange(len(graph)))
     else:
-        for pos, (k, indices) in enumerate(blocks):
-            lines.append(f"  subgraph cluster_{pos} {{")
-            lines.append(f'    label="k={k}";')
-            for i in indices:
-                lines.append(f'    n{i} [label="{texts[i]}"];')
-            lines.append("  }")
-    u, v = graph.ends.T.tolist()
-    for a, b, label in zip(u, v, graph.edge_label_texts()):
-        lines.append(f'  n{a} -- n{b} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        for pos, (k, members) in enumerate(blocks):
+            text += f'  subgraph cluster_{pos} {{\n    label="k={k}";\n'.encode()
+            text += nodes(b"    ", members) + b"  }\n"
+    labels = text_table(s.to_text() for s in graph.digamma)
+    u, v = graph.ends.T
+    fields = [
+        b"  n", (ids, u), b" -- n", (ids, v), b' [label="', (labels, graph.label_index), b'"];\n'
+    ]
+    text += join_rows(fields, len(u)) + b"}\n"
+    return text.decode("ascii")
 
 
 def graph_to_json(
     graph: AccessGraph,
     partition: Union[KFinitePartition, Sequence[tuple[int, int, int]], None] = None,
-) -> dict:
-    blocks = _blocks_as_ranges(partition)
-    u, v = graph.ends.T.tolist()
-    return {
+) -> str:
+    """The graph file's text: ``json.dumps(<the graph as a dict>, indent=2)``
+    plus a newline, the edges rendered from the edge arrays
+    (:func:`~pauliaccess._fixedwidth.json_rows`)."""
+    blocks = _blocks_as_arrays(partition)
+    ids = index_table(len(graph))
+    u, v = graph.ends.T
+    labels = string_table(s.to_text() for s in graph.digamma)
+    edges = json_rows(
+        [(ids, u), (ids, v), (labels, graph.label_index)], len(u), keys=("u", "v", "label")
+    )
+    return dump_json({
         "schema": "pauli-access-graph/1",
         "n_qubits": graph.n_qubits,
         "vertices": graph.table.texts(),
-        "edges": [
-            {"u": a, "v": b, "label": label}
-            for a, b, label in zip(u, v, graph.edge_label_texts())
-        ],
+        "edges": edges,
         "blocks": None
         if blocks is None
-        else [{"k": k, "members": idx} for k, idx in blocks],
-    }
+        else [{"k": k, "members": members.tolist()} for k, members in blocks],
+    })

@@ -30,6 +30,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._fixedwidth import float_column, index_table, json_rows
 from ._reprtext import CELLS, rows_text
 from .closure import AccessibleSet, ClosureError
 from .hamiltonian import HamiltonianSpec, MeasurementSpec
@@ -42,6 +43,8 @@ from .pauli import (
 )
 from .validation import (
     MAX_OUTPUTS,
+    JSONText,
+    dump_json,
     json_fields,
     json_int,
     json_list,
@@ -407,20 +410,26 @@ def _run_rk4(
 # exports
 
 
-def model_to_json(model: StateSpaceModel) -> dict:
-    return {
+def model_to_json(model: StateSpaceModel) -> str:
+    """The model file's text: ``json.dumps(<the model as a dict>, indent=2)``
+    plus a newline, the A and C triplets rendered from the index and value
+    arrays (:func:`~pauliaccess._fixedwidth.json_rows`)."""
+    indices = index_table(max(model.dim, model.n_outputs))
+    return dump_json({
         "schema": MODEL_SCHEMA_ID,
         "n_qubits": model.n_qubits,
         "ordering": model.table.texts(),
-        "A": _triplet_lists(model.a_index, model.a_values),
+        "A": _triplets_text(indices, model.a_index, model.a_values),
         "B": [],
-        "C": _triplet_lists(model.c_index, model.c_values),
+        "C": _triplets_text(indices, model.c_index, model.c_values),
         "n_outputs": model.n_outputs,
-    }
+    })
 
 
-def _triplet_lists(index: np.ndarray, values: np.ndarray) -> list[list]:
-    return list(map(list, zip(*index.T.tolist(), values.tolist())))
+def _triplets_text(indices: np.ndarray, index: np.ndarray, values: np.ndarray) -> JSONText:
+    """The ``[row, col, value]`` list, with ``indices`` the text of each index."""
+    columns = [(indices, index[:, 0]), (indices, index[:, 1]), float_column(values)]
+    return json_rows(columns, len(values))
 
 
 def model_from_json(data: dict) -> StateSpaceModel:

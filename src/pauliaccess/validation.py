@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -97,23 +96,29 @@ def unique_rows(table: PauliTable, what: str) -> None:
         raise ValueError(f"{what} {text} is listed twice (entries {first} and {i})")
 
 
+class JSONText(str):
+    """A value already rendered as JSON text, which :func:`dump_json` copies
+    as is.  Its lines must carry the indent of the place it goes; the payload
+    writers render whole values of top-level fields (``_fixedwidth.json_rows``).
+    """
+
+
 def dump_json(data) -> str:
-    """Exactly ``json.dumps(data, indent=2) + "\\n"``, mostly through the C encoder.
+    """Exactly ``json.dumps(data, indent=2) + "\\n"``, mostly through the C
+    encoder, with any :class:`JSONText` value copied as is.
 
     With ``indent`` the standard library encodes in pure Python, one chunk
     string per bracket, separator and scalar.  Without it, the C encoder
     takes any item separator, so a container of scalars (the member texts,
-    one provenance entry) is one C call whose separator carries the newline
-    and indent.  A list of such rows (the model's [row, col, value]
-    triplets, all provenance entries) is one C call too, with the
-    separator used inside a row; a closing bracket followed by that
-    separator then marks a row boundary, which one ``str.replace``
-    re-indents.  Other containers recurse.
+    one partition entry) is one C call whose separator carries the newline
+    and indent.  Other containers recurse.  The bulk rows of the payloads
+    arrive as :class:`JSONText`.
     """
     return _indented(data, "\n") + "\n"
 
 
-_CONTAINERS = (list, tuple, dict)
+#: a JSONText counts as one, so that the C encoder never quotes it
+_CONTAINERS = (list, tuple, dict, JSONText)
 
 
 def _scalars(items) -> bool:
@@ -123,6 +128,8 @@ def _scalars(items) -> bool:
 
 def _indented(value, newline: str) -> str:
     """``value`` indented by 2, where ``newline`` is "\\n" plus its line's indent."""
+    if isinstance(value, JSONText):
+        return value
     if not isinstance(value, _CONTAINERS):
         return json.dumps(value)
     start, end = "{}" if isinstance(value, dict) else "[]"
@@ -135,17 +142,6 @@ def _indented(value, newline: str) -> str:
         text = json.dumps(value, separators=("," + inner, ": "))
         return start + inner + text[1:-1] + newline + end
     if start == "[":
-        kind = dict if isinstance(value[0], dict) else (list, tuple)
-        if all(isinstance(v, kind) and v for v in value) and _scalars(
-            chain.from_iterable(map(dict.values, value) if kind is dict else value)
-        ):
-            # no scalar's text ends in a bracket, so "],<row>[" or
-            # "},<row>{" is a row boundary
-            row = inner + "  "
-            a, b = "{}" if kind is dict else "[]"
-            text = json.dumps(value, separators=("," + row, ": "))[2:-2]
-            text = text.replace(f"{b},{row}{a}", f"{inner}{b},{inner}{a}{row}")
-            return f"[{inner}{a}{row}{text}{inner}{b}{newline}]"
         items = (_indented(v, inner) for v in value)
     elif all(isinstance(k, str) for k in value):
         items = (

@@ -358,6 +358,13 @@ MALFORMED = {
     "model n_outputs over MAX_OUTPUTS": (
         "model", lambda d: d.update(n_outputs=validation.MAX_OUTPUTS + 1)
     ),
+    # wrote a spec and a set that their own loaders refuse
+    "chain --n over MAX_QUBITS": ("argv", ("chain", "--n", str(validation.MAX_QUBITS + 1))),
+    "gen --chain over MAX_QUBITS": (
+        "argv", ("gen", "--chain", str(validation.MAX_QUBITS + 1), "--measurement", "X1")
+    ),
+    # ended in a UnicodeDecodeError traceback
+    "config not UTF-8": ("config", b"\xff\xfe{"),
 }
 
 #: text the error message must hold, for the cases that name what is wrong
@@ -376,7 +383,20 @@ MALFORMED_MESSAGES = {
     "rk4 step tiny": "--step 1e-09 asks for more than 1000000 rk4 steps",
     "rk4 empty time grid": "times must be a nonempty",
     **{case: "n_outputs must be an integer in 0..4096" for case in MALFORMED if "n_outputs" in case},
+    **{
+        case: "n_qubits must be an integer in 1..4096, got 4097"
+        for case in MALFORMED if "MAX_QUBITS" in case
+    },
+    "config not UTF-8": "cannot read config",
 }
+
+
+def test_chain_over_max_qubits_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    wide = str(validation.MAX_QUBITS + 1)
+    for argv in (("chain", "--n", wide), ("gen", "--chain", wide, "--measurement", "X1")):
+        assert run(capsys, *argv, "--out", str(out))[0] == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -392,11 +412,14 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     paths["config"].write_text("{}")
     # |000><000|
     paths["rho0"].write_text(json.dumps([[int(r == c == 0) for c in range(8)] for r in range(8)]))
-    data = json.loads(paths[kind].read_text())
-    edited = edit(data)
-    paths[kind].write_text(json.dumps(data if edited is None else edited))
+    if isinstance(edit, bytes):
+        paths[kind].write_bytes(edit)
+    elif kind != "argv":
+        data = json.loads(paths[kind].read_text())
+        edited = edit(data)
+        paths[kind].write_text(json.dumps(data if edited is None else edited))
     simulate = ("simulate", *model_arg, "--rho0", "i+,0,0")
-    argv = {
+    argv = edit if kind == "argv" else {
         "set": ("graph", *set_arg, "--chain", "3"),
         "model": (*simulate, "--times", "0:1:0.5"),
         "spec": ("gen", "--hamiltonian", str(paths["spec"]), "--measurement", "Y1 Z2"),

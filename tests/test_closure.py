@@ -1,5 +1,6 @@
 """Accessible-set generation: fast rule, reference rule, closed forms."""
 
+import json
 from typing import Optional, Sequence
 
 import numpy as np
@@ -253,7 +254,7 @@ def test_case_b_counts_are_squares():
 
 def test_set_json_round_trip():
     g = generate(exchange_digamma(3), [parse_term("Z1", 3)])
-    back = accessible_set_from_json(accessible_set_to_json(g))
+    back = accessible_set_from_json(json.loads(accessible_set_to_json(g)))
     assert texts(back) == texts(g)
     assert back.provenance == g.provenance
 
@@ -370,6 +371,19 @@ def test_lazy_set_answers_from_keys(string_count):
     assert g.index_map()[(member.x_mask, member.z_mask)] == 0
     assert member in g and outside not in g and wider not in g
     assert string_count[0] == 0
+
+
+def test_key_set_is_the_set_of_packed_keys():
+    lazy = generate(*CASE_D_N6)
+    want = set(lazy.packed_keys())
+    assert lazy.key_set() == want
+    assert lazy.key_set() is lazy.key_set()  # generate's own set, not a copy per call
+    for eager in (
+        AccessibleSet(6, lazy.members, lazy.provenance),
+        AccessibleSet(6, lazy.table(), lazy.provenance),
+    ):
+        assert eager.key_set() == want
+        assert eager.key_set() is eager.key_set()
 
 
 def test_lazy_members_decode_keys():

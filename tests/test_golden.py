@@ -9,6 +9,7 @@ change, from the repository root:
 """
 
 import contextlib
+import hashlib
 import io
 from pathlib import Path
 
@@ -69,6 +70,51 @@ def test_payload_matches_golden(tmp_path, capsys, name):
     write_payloads(tmp_path)
     capsys.readouterr()
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+#: the inputs of the ``chain-d-cli`` benchmark workload for seed 1: case (d)
+#: at N = 30, with its couplings and product state
+WIDE_SOURCE = [
+    "--chain", "30", "--couplings",
+    "0.634364,1.347434,1.263775,0.755069,0.995435,0.949491,1.151593,1.288723,"
+    "0.593860,0.528347,1.335765,0.932767,1.262280,0.502106,0.945387,1.221540,"
+    "0.728762,1.445271,1.401427,0.530590,0.525446,1.041412,1.439149,0.881204,"
+    "0.716599,0.922117,0.529041,0.721692,0.937888",
+]
+WIDE_SIMULATE = [
+    "--rho0", "i-,0,+,1,i-,1,-,+,0,-,i+,i-,0,1,i-,i-,+,0,i-,+,i-,i-,i+,-,i+,i-,1,+,+,i+",
+    "--integrator", "rk4", "--times", "0:1:0.01", "--step", "0.01",
+]
+
+#: sha256 of each payload of :data:`WIDE_SOURCE`: far larger than the N = 5
+#: goldens (1.6 MB set, 4.7 MB model, 28.7 MB trajectory), so they pin the
+#: writers' chunking and indices past 9 999
+WIDE_SHA256 = {
+    "set.json": "5d82e138f15ad54b607e3a367c5c82d11a30d63e440510a5b48de31cb48e54e1",
+    "graph.dot": "fed5912f878144b6442aa03d7ca12e2c0edf54887f7a641381ac43eccf7d26a6",
+    "graph.json": "e959c1bc2b1dfb870b94bd3aeb59a52791a9ed670ff124a51b41d80603e285ef",
+    "model.json": "90aa5cfd12575223e521649ad71ef5535f29c265e3cdd08acb54c6e7ce3bed73",
+    "traj.csv": "1f5b8ebb5fb9891ff8a9a3e478c86c3faa1a43716a6f4e4ed8ddc93ecd90e1b2",
+}
+
+
+def test_case_d_n30_payload_digests(tmp_path, capsys):
+    s, m = str(tmp_path / "set.json"), str(tmp_path / "model.json")
+    steps = [
+        ["gen", *WIDE_SOURCE, *MEASUREMENT, "--out", s],
+        ["graph", "--set", s, *WIDE_SOURCE, "--out", str(tmp_path / "graph.dot")],
+        ["graph", "--set", s, *WIDE_SOURCE, "--format", "json",
+         "--out", str(tmp_path / "graph.json")],
+        ["model", "--set", s, *WIDE_SOURCE, *MEASUREMENT, "--out", m],
+        ["simulate", "--model", m, *WIDE_SIMULATE, "--out", str(tmp_path / "traj.csv")],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv[0]
+    capsys.readouterr()
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in WIDE_SHA256
+    }
+    assert digests == WIDE_SHA256
 
 
 def test_verify_output_matches_golden():

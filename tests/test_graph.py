@@ -1,5 +1,6 @@
 """Access graphs: edges, lemma checks, k-finite partition, ordering, DOT."""
 
+import json
 import warnings
 
 import numpy as np
@@ -426,7 +427,7 @@ def test_export_dot_case_d_n3_clusters():
 
 def test_graph_json_shape():
     dig, g, gr = case_b_pipeline(2)
-    data = graph_to_json(gr)
+    data = json.loads(graph_to_json(gr))
     assert set(data) == {"schema", "n_qubits", "vertices", "edges", "blocks"}
     assert len(data["vertices"]) == 4
     assert all(set(e) == {"u", "v", "label"} for e in data["edges"])

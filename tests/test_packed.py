@@ -30,7 +30,8 @@ from pauliaccess.closure import accessible_set_from_json, accessible_set_to_json
 from pauliaccess.graph import graph_to_json
 from pauliaccess.pauli import DENSE_CAP, PauliTable, pauli_trace
 from pauliaccess.statespace import BLOCH_KETS, model_from_json, model_to_json
-from pauliaccess.validation import dump_json
+
+import payload_ref
 
 #: widths on both sides of one and two 64-bit words
 WIDTHS = (1, 2, 63, 64, 65, 130)
@@ -329,28 +330,12 @@ def test_payloads_match_member_texts_at_n70():
     g = generate(digamma, [parse_term("X1", n)])  # case (a)
     g = order_members(g, build_graph(g, digamma), partition_k_finite(g))
     graph = build_graph(g, digamma)
-    texts = [s.to_text() for s in g.members]
-
-    lines = ["graph access_set {", "  node [shape=box];"]
-    for pos, (k, a, b) in enumerate(g.partition):
-        lines += [f"  subgraph cluster_{pos} {{", f'    label="k={k}";']
-        lines += [f'    n{i} [label="{texts[i]}"];' for i in range(a, b)]
-        lines.append("  }")
-    lines += [f'  n{u} -- n{v} [label="{lab.to_text()}"];' for u, v, lab in graph.edges]
-    assert export_dot(graph, g.partition) == "\n".join(lines + ["}"]) + "\n"
-
-    data = graph_to_json(graph, g.partition)
-    assert data["vertices"] == texts
-    assert [e["label"] for e in data["edges"]] == [lab.to_text() for _, _, lab in graph.edges]
-
-    data = accessible_set_to_json(g)
-    assert data["members"] == texts
-    assert [p["edge"] for p in data["provenance"]] == [
-        None if p is None else p[1].to_text() for p in g.provenance
-    ]
-
+    assert export_dot(graph, g.partition) == payload_ref.dot_text(graph, g.partition)
+    want = payload_ref.graph_dict(graph, g.partition)
+    assert graph_to_json(graph, g.partition) == payload_ref.dumps(want)
+    assert accessible_set_to_json(g) == payload_ref.dumps(payload_ref.set_dict(g))
     model = build_model(g, spec, MeasurementSpec.from_texts(["X1"], n))
-    assert model_to_json(model)["ordering"] == texts
+    assert model_to_json(model) == payload_ref.dumps(payload_ref.model_dict(model))
 
 
 def test_set_and_model_json_round_trip_at_n70():
@@ -360,9 +345,9 @@ def test_set_and_model_json_round_trip_at_n70():
     g = generate(digamma, [parse_term("X1", n)])  # case (a)
     g = order_members(g, build_graph(g, digamma), partition_k_finite(g))
     model = build_model(g, spec, MeasurementSpec.from_texts(["X1", "0.5 * Z1 Y2 + X1"], n))
-    set_text = dump_json(accessible_set_to_json(g))
-    model_text = dump_json(model_to_json(model))
+    set_text = accessible_set_to_json(g)
+    model_text = model_to_json(model)
     loaded = accessible_set_from_json(json.loads(set_text))
-    assert dump_json(accessible_set_to_json(loaded)) == set_text
-    assert dump_json(model_to_json(model_from_json(json.loads(model_text)))) == model_text
+    assert accessible_set_to_json(loaded) == set_text
+    assert model_to_json(model_from_json(json.loads(model_text))) == model_text
     assert loaded == g

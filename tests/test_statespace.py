@@ -1,5 +1,6 @@
 """State-space extraction and reduced integration."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -350,7 +351,7 @@ def test_simulate_flags_unstable_step():
 
 def test_model_json_round_trip():
     model, _ = model_case_b2(h=0.75)
-    back = model_from_json(model_to_json(model))
+    back = model_from_json(json.loads(model_to_json(model)))
     assert back.a_entries == model.a_entries
     assert back.c_entries == model.c_entries
     assert [s.to_text() for s in back.ordering] == [
@@ -360,7 +361,7 @@ def test_model_json_round_trip():
 
 def test_model_json_validates_antisymmetry():
     model, _ = model_case_b2()
-    data = model_to_json(model)
+    data = json.loads(model_to_json(model))
     data["A"][0][2] = 99.0
     with pytest.raises(ValueError):
         model_from_json(data)
@@ -368,7 +369,7 @@ def test_model_json_validates_antisymmetry():
 
 def test_model_json_rejects_repeated_entries():
     model, _ = model_case_b2()
-    data = model_to_json(model)
+    data = json.loads(model_to_json(model))
     # the dense A kept the last value and the sparse A summed them
     data["A"] = [[0, 1, 1.0], [0, 1, 2.0], [1, 0, -2.0]]
     with pytest.raises(ValueError, match=r"A entry \[0, 1, 2.0\] repeats .* \(0, 1\)"):
@@ -403,7 +404,7 @@ def test_antisymmetry_check_names_the_first_failing_entry(a, mirror, rnd):
     if mirror:  # antisymmetric except where both (r, c) and (c, r) were drawn
         entries += [[c, r, -v] for (r, c), v in a.items() if (c, r) not in a]
     rnd.shuffle(entries)
-    data = model_to_json(model_case_b2()[0])
+    data = json.loads(model_to_json(model_case_b2()[0]))
     data["ordering"] += ["X1"]  # dim 5
     data["A"] = entries
     want = reference_antisymmetry_error(entries)

@@ -5,7 +5,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from pauliaccess.validation import dump_json
+from pauliaccess.validation import JSONText, dump_json
 
 #: strings that would split a row if the writer's replaces reached them
 TRICKY_TEXT = st.lists(
@@ -18,7 +18,7 @@ NUMBERS = st.one_of(
     st.sampled_from([-0.0, 1e-7, 1e16, math.nan, math.inf, -math.inf]),
 )
 SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, TRICKY_TEXT)
-#: flat rows as the model's triplets are written, with bools and strings mixed in
+#: flat rows, the shape of the model's triplets, with bools and strings mixed in
 ROWS = st.lists(
     st.one_of(
         st.lists(NUMBERS, max_size=4),
@@ -45,3 +45,9 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_dump_json_equals_indented_json_dumps(value):
     assert dump_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_dump_json_copies_json_text_as_is():
+    # beside scalars only, the object would otherwise be one C-encoder call
+    data = {"a": 1, "rows": JSONText('[\n    "x"\n  ]'), "b": None}
+    assert dump_json(data) == json.dumps({"a": 1, "rows": ["x"], "b": None}, indent=2) + "\n"
