@@ -51,10 +51,6 @@ from .statespace import (
     initial_state_vector,
     simulate_reduced,
 )
-from .oracle import (
-    evolve_expectation,
-    bch_partial_sum,
-    derivative_operators,
-)
+from .oracle import evolve_expectation
 
 __version__ = "0.1.0"

@@ -116,7 +116,10 @@ def _parse_couplings(text: Optional[str], n_qubits: int) -> list[float]:
 
 def _chain(n_qubits: int, couplings: Optional[str]) -> HamiltonianSpec:
     """The exchange chain of ``--chain N`` or ``chain --n N``."""
-    # refused before its couplings are built, as wide as every loader refuses
+    # both refused before the couplings are parsed, whose count depends on N;
+    # the upper bound is the width every loader accepts
+    if n_qubits < 2:
+        raise ValueError("a chain needs at least 2 qubits")
     if n_qubits > MAX_QUBITS:
         json_width(n_qubits)
     return build_exchange_chain(n_qubits, _parse_couplings(couplings, n_qubits))
@@ -126,7 +129,7 @@ def _load_hamiltonian(args) -> HamiltonianSpec:
     if getattr(args, "hamiltonian", None):
         data = json.loads(Path(args.hamiltonian).read_text())
         return hamiltonian_from_json(data)
-    if getattr(args, "chain", None):
+    if getattr(args, "chain", None) is not None:
         return _chain(args.chain, getattr(args, "couplings", None))
     raise ValueError("provide --hamiltonian FILE or --chain N")
 
@@ -270,11 +273,11 @@ def cmd_simulate(args) -> int:
 def _parse_range(text: str, lo_default: int, hi_default: int) -> tuple[int, int]:
     if text is None:
         return lo_default, hi_default
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    lo, dots, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise ValueError(f"--n takes a size or a range like 2..10, got {text!r}") from None
 
 
 def _cases_for(n: int) -> dict[str, str]:
@@ -460,10 +463,16 @@ def cmd_verify(args) -> int:
         raise ValueError(
             f"unknown suite {args.suite!r}; choose from {sorted(suites)}"
         )
+    if args.suite == "identities" and args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    checked = 0
     all_ok = True
     for name, ok, detail in suites[args.suite]():
         print(f"{'PASS' if ok else 'FAIL'} {name}{detail}")
+        checked += 1
         all_ok = all_ok and ok
+    if not checked:
+        raise ValueError(f"--n {args.n} selects no size the {args.suite} suite runs")
     return EXIT_OK if all_ok else EXIT_INTERNAL
 
 

@@ -104,7 +104,6 @@ class AccessibleSet:
         self.provenance = provenance
         self.partition = partition
         self.cores = cores
-        self._index: Optional[dict] = None
         self._keys: Optional[list[int]] = None
         self._key_set: Optional[set[int]] = None
         self._depths: Optional[list[int]] = None
@@ -155,12 +154,6 @@ class AccessibleSet:
         n = self.n_qubits
         full = (1 << n) - 1
         return ((k & full, k >> n) for k in self.packed_keys())
-
-    def index_map(self) -> dict[tuple[int, int], int]:
-        """Mask-keyed member index, built once on demand."""
-        if self._index is None:
-            self._index = {m: i for i, m in enumerate(self._masks())}
-        return self._index
 
     def table(self) -> PauliTable:
         """The members packed as x/z words, built once on demand."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -333,21 +333,21 @@ def verify_block_regeneration(
 
 
 def _blocks_as_arrays(
-    partition: Union[KFinitePartition, Sequence[tuple[int, int, int]], None],
+    partition: Optional[Sequence[tuple[int, int, int]]],
 ) -> Optional[list[tuple[int, np.ndarray]]]:
-    """(k, member indices) per block, or None without a partition."""
+    """(k, member indices) per ``(k, start, end)`` block, or None without a
+    partition."""
     if partition is None:
         return None
-    if isinstance(partition, KFinitePartition):
-        return [(k, np.array(idx, dtype=np.int64)) for k, idx in partition.blocks]
     return [(k, np.arange(a, b)) for k, a, b in partition]
 
 
 def export_dot(
     graph: AccessGraph,
-    partition: Union[KFinitePartition, Sequence[tuple[int, int, int]], None] = None,
+    partition: Optional[Sequence[tuple[int, int, int]]] = None,
 ) -> str:
-    """Deterministic Graphviz text; blocks become clusters when given.
+    """Deterministic Graphviz text; the ``(k, start, end)`` blocks of an
+    ordered set's partition become clusters when given.
 
     Node and edge lines are rendered from the member texts and the edge
     arrays (:func:`~pauliaccess._fixedwidth.join_rows`).
@@ -380,7 +380,7 @@ def export_dot(
 
 def graph_to_json(
     graph: AccessGraph,
-    partition: Union[KFinitePartition, Sequence[tuple[int, int, int]], None] = None,
+    partition: Optional[Sequence[tuple[int, int, int]]] = None,
 ) -> str:
     """The graph file's text: ``json.dumps(<the graph as a dict>, indent=2)``
     plus a newline, the edges rendered from the edge arrays

@@ -10,10 +10,8 @@ JSON with schema id ``pauli-access-spec/1`` mirroring the text grammar.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .pauli import (
     PauliString,
@@ -24,7 +22,7 @@ from .pauli import (
     parse_sum,
     parse_term,
 )
-from .validation import dump_json, json_float, json_list, json_schema, json_width
+from .validation import json_float, json_list, json_schema, json_width
 
 __all__ = [
     "HamiltonianSpec",
@@ -38,8 +36,6 @@ __all__ = [
     "hamiltonian_from_json",
     "measurement_to_json",
     "measurement_from_json",
-    "load_spec_file",
-    "save_spec_file",
 ]
 
 SCHEMA_ID = "pauli-access-spec/1"
@@ -81,18 +77,17 @@ class MeasurementSpec:
 
     @classmethod
     def from_operators(
-        cls, operators: Sequence[WeightedPauliSum], n_qubits: Optional[int] = None
+        cls, operators: Sequence[WeightedPauliSum], n_qubits: int
     ) -> "MeasurementSpec":
         if not operators:
             raise ValueError("at least one measurement operator is required")
-        n = n_qubits if n_qubits is not None else operators[0].n_qubits
         seen = {}
         for op in operators:
-            if op.n_qubits != n:
+            if op.n_qubits != n_qubits:
                 raise ValueError("measurement operators disagree on qubit count")
             for _, s in decompose(op).terms:
                 seen.setdefault((s.x_mask, s.z_mask), s)
-        return cls(n, tuple(operators), tuple(seen.values()))
+        return cls(n_qubits, tuple(operators), tuple(seen.values()))
 
     @classmethod
     def from_texts(cls, texts: Sequence[str], n_qubits: int) -> "MeasurementSpec":
@@ -206,25 +201,3 @@ def _weighted_strings(terms: list[dict], n: int) -> list[tuple[float, PauliStrin
         (json_float(e.get("coeff"), "term coeff"), parse_term(t, n))
         for e, t in zip(terms, texts)
     ]
-
-
-def load_spec_file(path: Union[str, Path]) -> Union[HamiltonianSpec, MeasurementSpec]:
-    """Load a spec JSON file; the payload key decides the kind."""
-    data = json.loads(Path(path).read_text())
-    json_schema(data, SCHEMA_ID, "spec")
-    if "terms" in data:
-        return hamiltonian_from_json(data)
-    if "operators" in data:
-        return measurement_from_json(data)
-    raise ValueError(f"{path}: neither a Hamiltonian nor a measurement spec")
-
-
-def save_spec_file(
-    obj: Union[HamiltonianSpec, MeasurementSpec], path: Union[str, Path]
-) -> None:
-    data = (
-        hamiltonian_to_json(obj)
-        if isinstance(obj, HamiltonianSpec)
-        else measurement_to_json(obj)
-    )
-    Path(path).write_text(dump_json(data))

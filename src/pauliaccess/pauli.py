@@ -759,10 +759,7 @@ def pauli_trace(s: PauliString, mat: np.ndarray) -> complex:
     return (1j ** ((x & z).bit_count() % 4)) * np.dot(signs, mat[cols, cols ^ x])
 
 
-def decompose(
-    operator: Union[np.ndarray, WeightedPauliSum],
-    n_qubits: Optional[int] = None,
-) -> WeightedPauliSum:
+def decompose(operator: Union[np.ndarray, WeightedPauliSum]) -> WeightedPauliSum:
     """Minimal Pauli-basis expansion of a Hermitian operator.
 
     Accepts either a dense Hermitian matrix (dimension 2^n, n <= 8) or an
@@ -780,8 +777,6 @@ def decompose(
     n = dim.bit_length() - 1
     if dim != 1 << n or dim < 2:
         raise ValueError(f"dimension {dim} is not a power of two >= 2")
-    if n_qubits is not None and n_qubits != n:
-        raise DimensionMismatchError(f"matrix is {n} qubits, expected {n_qubits}")
     if n > DECOMPOSE_CAP:
         raise ValueError(f"decompose cap is {DECOMPOSE_CAP} qubits, got {n}")
     if not np.allclose(mat, mat.conj().T, atol=1e-10):

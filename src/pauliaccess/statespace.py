@@ -35,12 +35,7 @@ from ._reprtext import CELLS, rows_text
 from .closure import AccessibleSet, ClosureError
 from .hamiltonian import HamiltonianSpec, MeasurementSpec
 from .oracle import validate_density_matrix
-from .pauli import (
-    DENSE_CAP,
-    PauliString,
-    PauliTable,
-    decompose,
-)
+from .pauli import DENSE_CAP, PauliTable, decompose
 from .validation import (
     MAX_OUTPUTS,
     JSONText,
@@ -118,26 +113,9 @@ class StateSpaceModel:
         return len(self.table)
 
     @property
-    def ordering(self) -> tuple[PauliString, ...]:
-        """The ordered members as strings, decoded on each access."""
-        return self.table.strings()
-
-    @property
     def a_entries(self) -> tuple[tuple[int, int, float], ...]:
         """A's nonzeros as (row, col, value) triplets."""
-        return _entries(self.a_index, self.a_values)
-
-    @property
-    def c_entries(self) -> tuple[tuple[int, int, float], ...]:
-        """C's nonzeros as (row, col, value) triplets."""
-        return _entries(self.c_index, self.c_values)
-
-    @property
-    def coupling_provenance(self) -> Optional[dict[tuple[int, int], tuple[int, ...]]]:
-        """The Hamiltonian term indices behind each nonzero A entry."""
-        if self.a_terms is None:
-            return None
-        return {(r, c): (m,) for r, c, m in zip(*self.a_index.T.tolist(), self.a_terms.tolist())}
+        return tuple(zip(*self.a_index.T.tolist(), self.a_values.tolist()))
 
     def a_dense(self) -> np.ndarray:
         a = np.zeros((self.dim, self.dim))
@@ -156,10 +134,6 @@ class StateSpaceModel:
         c = np.zeros((self.n_outputs, self.dim))
         c[self.c_index[:, 0], self.c_index[:, 1]] = self.c_values
         return c
-
-
-def _entries(index: np.ndarray, values: np.ndarray) -> tuple[tuple[int, int, float], ...]:
-    return tuple(zip(*index.T.tolist(), values.tolist()))
 
 
 def build_model(

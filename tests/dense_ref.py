@@ -6,6 +6,8 @@ stay independent.
 """
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,3 +75,77 @@ def product_phase(a: str, b: str):
 def string_label(ps) -> str:
     """Label of a package PauliString, for crossing between the two routes."""
     return "".join(ps.cell(site) for site in range(1, ps.n_qubits + 1))
+
+
+# ---------------------------------------------------------------------------
+# dense operators of a Hamiltonian spec, from the kron route
+
+
+@dataclass(frozen=True)
+class DenseOperator:
+    """A dense operator with structure checks."""
+
+    matrix: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def n_qubits(self) -> int:
+        return self.dim.bit_length() - 1
+
+    def is_hermitian(self, tol: float = 1e-10) -> bool:
+        return bool(np.allclose(self.matrix, self.matrix.conj().T, atol=tol))
+
+    def is_unitary(self, tol: float = 1e-10) -> bool:
+        eye = np.eye(self.dim)
+        return bool(np.max(np.abs(self.matrix.conj().T @ self.matrix - eye)) <= tol)
+
+
+def hamiltonian(spec) -> np.ndarray:
+    """Dense matrix of a package HamiltonianSpec, summed term by term."""
+    h = np.zeros((1 << spec.n_qubits,) * 2, dtype=complex)
+    for c, s in spec.terms.terms:
+        h += c * dense(string_label(s))
+    return h
+
+
+def propagator(spec, t: float) -> DenseOperator:
+    """U(t) = exp(-i H t) via eigendecomposition; checked unitary."""
+    w, v = np.linalg.eigh(hamiltonian(spec))
+    op = DenseOperator((v * np.exp(-1j * w * t)) @ v.conj().T)
+    if not op.is_unitary(1e-10):
+        raise RuntimeError("propagator failed the unitarity check")
+    return op
+
+
+def bch_partial_sum(spec, meas, order: int, t: float) -> DenseOperator:
+    """Truncated commutator series of M(t) = M + [H,M] it + [H,[H,M]] (it)^2/2! + ...
+
+    ``order`` is the highest power of t retained (at most 20).
+    """
+    if not 0 <= order <= 20:
+        raise ValueError(f"order must lie in 0..20, got {order}")
+    h = hamiltonian(spec)
+    nested = dense(string_label(meas))
+    total = nested.copy()
+    for k in range(1, order + 1):
+        nested = h @ nested - nested @ h
+        total += nested * (1j * t) ** k / math.factorial(k)
+    return DenseOperator(total)
+
+
+def derivative_operators(spec, meas, count: int) -> list:
+    """Time derivatives of M(t) at t = 0 up to order ``count``.
+
+    The k-th derivative is i^k [H, [H, ... [H, M]]] with k nested
+    commutators, which is Hermitian and so admits a real basis expansion.
+    """
+    h = hamiltonian(spec)
+    out = []
+    cur = dense(string_label(meas))
+    for k in range(1, count + 1):
+        cur = h @ cur - cur @ h
+        out.append((1j**k) * cur)
+    return out

@@ -7,8 +7,6 @@ layouts they must reproduce byte for byte.
 
 import json
 
-from pauliaccess.graph import KFinitePartition
-
 
 def dumps(data) -> str:
     return json.dumps(data, indent=2) + "\n"
@@ -38,11 +36,9 @@ def set_dict(g) -> dict:
 
 
 def blocks(partition):
-    """(k, member indices) per block, or None."""
+    """(k, member indices) per (k, start, end) block, or None."""
     if partition is None:
         return None
-    if isinstance(partition, KFinitePartition):
-        return [(k, list(idx)) for k, idx in partition.blocks]
     return [(k, list(range(a, b))) for k, a, b in partition]
 
 

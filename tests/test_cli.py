@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pauliaccess import cli, closure, validation
+from pauliaccess import MeasurementSpec, cli, closure, validation
 from pauliaccess.cli import main
+from pauliaccess.hamiltonian import measurement_to_json
+from pauliaccess.validation import dump_json
 
 
 def run(capsys, *argv):
@@ -232,6 +234,52 @@ def test_verify_unknown_suite(capsys):
     assert run(capsys, "verify", "--suite", "nope")[0] == 2
 
 
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(("--suite", "oracle", "--n", "6"), "--n 6", id="oracle n 6"),  # stops at 4
+    pytest.param(("--suite", "prop2", "--n", "5..2"), "--n 5..2", id="empty range"),
+    pytest.param(("--suite", "prop2", "--n", "two"), "--n", id="n not an integer"),
+    pytest.param(("--suite", "identities", "--trials", "-3"), "--trials", id="negative trials"),
+])
+def test_verify_that_checks_nothing_exits_2(capsys, argv, named):
+    code, stdout, err = run(capsys, "verify", *argv)
+    assert code == 2 and stdout == ""
+    assert f"error: {named}" in err
+
+
+def write_measurement_file(path, texts, n):
+    path.write_text(dump_json(measurement_to_json(MeasurementSpec.from_texts(texts, n))))
+
+
+def test_measurement_file_matches_measurement_flags(tmp_path, capsys):
+    texts = ["Y1 Z2", "0.5 * Z1 + 0.5 * Z3"]
+    meas_path = tmp_path / "meas.json"
+    write_measurement_file(meas_path, texts, 4)
+    sources = {
+        "flags": [arg for text in texts for arg in ("--measurement", text)],
+        "file": ["--measurement-file", str(meas_path)],
+    }
+    payloads = {}
+    for name, source in sources.items():
+        set_path, model_path = tmp_path / f"{name}_set.json", tmp_path / f"{name}_model.json"
+        assert run(capsys, "gen", "--chain", "4", *source, "--out", str(set_path))[0] == 0
+        code, _, _ = run(
+            capsys, "model", "--set", str(set_path), "--chain", "4", *source,
+            "--out", str(model_path),
+        )
+        assert code == 0
+        payloads[name] = set_path.read_bytes(), model_path.read_bytes()
+    assert payloads["file"] == payloads["flags"]
+    assert json.loads(payloads["file"][1])["n_outputs"] == 2
+
+
+def test_measurement_file_of_another_width_exits_2(tmp_path, capsys):
+    meas_path = tmp_path / "meas.json"
+    write_measurement_file(meas_path, ["Y1 Z2"], 4)
+    code, _, err = run(capsys, "gen", "--chain", "5", "--measurement-file", str(meas_path))
+    assert code == 2
+    assert "measurement file is 4-qubit, expected 5" in err
+
+
 def test_pipeline_outputs_are_byte_identical(tmp_path, capsys):
     payloads = []
     for run_dir in ("one", "two"):
@@ -365,6 +413,9 @@ MALFORMED = {
     ),
     # ended in a UnicodeDecodeError traceback
     "config not UTF-8": ("config", b"\xff\xfe{"),
+    # read as no --chain at all, and as -1 couplings for 0 qubits
+    "gen --chain 0": ("argv", ("gen", "--chain", "0", "--measurement", "X1")),
+    "chain --n 0": ("argv", ("chain", "--n", "0", "--couplings", "1")),
 }
 
 #: text the error message must hold, for the cases that name what is wrong
@@ -388,6 +439,8 @@ MALFORMED_MESSAGES = {
         for case in MALFORMED if "MAX_QUBITS" in case
     },
     "config not UTF-8": "cannot read config",
+    "gen --chain 0": "a chain needs at least 2 qubits",
+    "chain --n 0": "a chain needs at least 2 qubits",
 }
 
 

@@ -15,10 +15,8 @@ from pauliaccess import (
 from pauliaccess.hamiltonian import (
     hamiltonian_from_json,
     hamiltonian_to_json,
-    load_spec_file,
     measurement_from_json,
     measurement_to_json,
-    save_spec_file,
 )
 
 
@@ -105,27 +103,20 @@ def test_measurement_spec_decomposes_and_dedups():
     assert len(meas.operators) == 2
 
 
-def test_hamiltonian_json_round_trip(tmp_path):
+def test_hamiltonian_json_round_trip():
     spec = build_exchange_chain(4, [1.0, 0.5, 0.25])
     data = hamiltonian_to_json(spec)
     assert data["schema"] == "pauli-access-spec/1"
     back = hamiltonian_from_json(data)
     assert back.terms.terms == spec.terms.terms
-    path = tmp_path / "chain.json"
-    save_spec_file(spec, path)
-    assert load_spec_file(path).terms.terms == spec.terms.terms
 
 
-def test_measurement_json_round_trip(tmp_path):
+def test_measurement_json_round_trip():
     meas = MeasurementSpec.from_texts(["Y1 Z2", "0.5 * Z1 + 0.5 * Z2"], 3)
     back = measurement_from_json(measurement_to_json(meas))
     assert [s.to_text() for s in back.decomposed] == [
         s.to_text() for s in meas.decomposed
     ]
-    path = tmp_path / "meas.json"
-    save_spec_file(meas, path)
-    loaded = load_spec_file(path)
-    assert isinstance(loaded, MeasurementSpec)
 
 
 def test_json_rejects_wrong_schema():

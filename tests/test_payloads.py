@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from pauliaccess import AccessibleSet, PauliString
 from pauliaccess._fixedwidth import index_table, join_rows
 from pauliaccess.closure import accessible_set_to_json
-from pauliaccess.graph import AccessGraph, KFinitePartition, export_dot, graph_to_json
+from pauliaccess.graph import AccessGraph, export_dot, graph_to_json
 from pauliaccess.pauli import PauliTable
 from pauliaccess.statespace import StateSpaceModel, model_to_json
 
@@ -88,17 +88,13 @@ LABELS = (
 
 @st.composite
 def partitions(draw, size: int):
-    """None, (k, start, end) ranges, or a :class:`KFinitePartition`."""
-    kind = draw(st.sampled_from(["none", "ranges", "blocks"]))
-    if kind == "none":
+    """None, or (k, start, end) ranges."""
+    if draw(st.booleans()):
         return None
     cuts = sorted(draw(st.lists(st.integers(0, size), max_size=3)))
     bounds = list(zip([0] + cuts, cuts + [size]))
     ks = draw(st.lists(st.integers(1, 12), min_size=len(bounds), max_size=len(bounds)))
-    if kind == "ranges":
-        return tuple((k, a, b) for k, (a, b) in zip(ks, bounds))
-    order = draw(st.permutations(range(size)))
-    return KFinitePartition(tuple((k, tuple(order[a:b])) for k, (a, b) in zip(ks, bounds)), ())
+    return tuple((k, a, b) for k, (a, b) in zip(ks, bounds))
 
 
 @st.composite
@@ -111,7 +107,6 @@ def sets(draw):
         for i in range(size)
     )
     partition = draw(partitions(size))
-    partition = None if isinstance(partition, KFinitePartition) else partition
     cores = draw(st.none() | st.lists(st.integers(0, max(size - 1, 0)), max_size=3).map(tuple))
     return AccessibleSet(N, table_of(size), provenance, partition, cores)
 

@@ -51,6 +51,11 @@ def model_case_b2(h=1.0):
     return build_model(g, spec, meas), g
 
 
+def entries(index, values):
+    """(row, col, value) per nonzero of a model's index and value arrays."""
+    return tuple(zip(*index.T.tolist(), values.tolist()))
+
+
 def ordered_pipeline(n, seed_text, couplings=None, meas_texts=None):
     spec = build_exchange_chain(
         n, [1.0] * (n - 1) if couplings is None else couplings
@@ -98,7 +103,7 @@ def test_model_a_matches_dense_commutators():
 def test_model_zero_couplings_give_zero_a():
     model, _ = model_case_b2(h=0.0)
     assert model.a_entries == ()
-    assert model.c_entries == ((0, 0, 1.0),)
+    assert entries(model.c_index, model.c_values) == ((0, 0, 1.0),)
 
 
 def test_model_c_places_decomposition_coefficients():
@@ -169,10 +174,9 @@ def test_scaling_linearity_and_permutation_similarity():
 def test_coupling_provenance_tracks_terms():
     model, g = model_case_b2()
     spec = build_exchange_chain(2, [1.0])
-    for (j, l), terms in model.coupling_provenance.items():
+    for (j, l), m in zip(model.a_index.tolist(), model.a_terms.tolist()):
         assert model.a_dense()[j, l] != 0.0
-        for m in terms:
-            assert not spec.terms.terms[m][1].commutes_with(g.members[j])
+        assert not spec.terms.terms[m][1].commutes_with(g.members[j])
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +357,8 @@ def test_model_json_round_trip():
     model, _ = model_case_b2(h=0.75)
     back = model_from_json(json.loads(model_to_json(model)))
     assert back.a_entries == model.a_entries
-    assert back.c_entries == model.c_entries
-    assert [s.to_text() for s in back.ordering] == [
-        s.to_text() for s in model.ordering
-    ]
+    assert entries(back.c_index, back.c_values) == entries(model.c_index, model.c_values)
+    assert back.table.texts() == model.table.texts()
 
 
 def test_model_json_validates_antisymmetry():
