@@ -400,7 +400,7 @@ def _random_string(rng: np.random.Generator, n: int) -> PauliString:
 def _suite_identities(trials: int, seed: int):
     rng = np.random.default_rng(seed)
 
-    ok = True
+    bilinear_ok = True
     for _ in range(trials):
         # two disjoint single-site blocks inside a 2-qubit system
         letters = "IXYZ"
@@ -411,9 +411,8 @@ def _suite_identities(trials: int, seed: int):
             PauliString.from_cells(2, {2: letters[rng.integers(4)]}) for _ in range(2)
         )
         if not check_bilinear_decomposition(a, d, b, e):
-            ok = False
+            bilinear_ok = False
             break
-    yield f"identities bilinear ({trials} trials)", ok, ""
 
     n = 4
     digamma = exchange_digamma(n)
@@ -446,6 +445,13 @@ def _suite_identities(trials: int, seed: int):
                 checked_even += 1
                 if red_end != end:
                     even_ok = False
+    if not checked_perm or not checked_even:
+        # the two lines count only sequences whose brackets stay nonzero
+        raise ValueError(
+            f"--trials {trials} checks {checked_perm} nonzero pairs and "
+            f"{checked_even} reductions; raise --trials"
+        )
+    yield f"identities bilinear ({trials} trials)", bilinear_ok, ""
     yield f"identities permutation ({checked_perm} nonzero pairs)", perm_ok, ""
     yield f"identities even-removal ({checked_even} reductions)", even_ok, ""
 

@@ -3,12 +3,14 @@
 Evolution uses one eigendecomposition of the dense Hamiltonian, so the only
 error source is double-precision linear algebra; the oracle must be strictly
 more accurate than the reduced models it checks.  An expectation trajectory
-costs one ``eigh`` and two basis rotations, O(d^3) with d = 2^N, and then
-O(d^2) per time point.  Widths are capped at
-:data:`pauliaccess.pauli.DENSE_CAP` qubits, where dense matrices are built.
-The propagator, the truncated commutator series and the dense time
-derivatives that only the tests use are built from Kronecker products in
-``tests/dense_ref.py``.
+costs one ``eigh`` and two basis rotations, O(d^3) with d = 2^N, and then one
+(T x d) by (d x d) product for all T time points, taken in chunks of time
+points so the temporaries stay at a few MB.  A real H (every chain and
+Heisenberg spec: their Y letters come in pairs) is diagonalised in real
+arithmetic.  Widths are capped at :data:`pauliaccess.pauli.DENSE_CAP` qubits,
+where dense matrices are built.  The propagator, the truncated commutator
+series and the dense time derivatives that only the tests use are built from
+Kronecker products in ``tests/dense_ref.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .hamiltonian import HamiltonianSpec
-from .pauli import PauliString, WeightedPauliSum
+from .pauli import _CHUNK_CELLS, DimensionMismatchError, PauliString, WeightedPauliSum
 
 __all__ = [
     "evolve_expectation",
@@ -40,6 +42,24 @@ def validate_density_matrix(rho: np.ndarray, n_qubits: int) -> np.ndarray:
     return rho
 
 
+def _time_points(times: Sequence[float]) -> np.ndarray:
+    try:
+        t = np.asarray(times, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("times must be a 1-D sequence of finite numbers") from None
+    if t.ndim != 1 or not np.isfinite(t).all():
+        raise ValueError("times must be a 1-D sequence of finite numbers")
+    return t
+
+
+def _rotate_real(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """v^T a v for a real v, rotating a's real and imaginary parts apart."""
+    out = v.T @ a.real @ v
+    if a.imag.any():
+        out = out + 1j * (v.T @ a.imag @ v)
+    return out
+
+
 def evolve_expectation(
     spec: HamiltonianSpec,
     meas: Union[WeightedPauliSum, PauliString],
@@ -49,17 +69,33 @@ def evolve_expectation(
     """Tr(M(t) rho0) = Tr(M U rho0 U^dag) on the full Hilbert space.
 
     In the eigenbasis U = diag(p) with p_j = exp(-i w_j t), so the trace is
-    the bilinear form p . K . conj(p) with K = rho_eig * m_eig^T elementwise.
+    the bilinear form p . K . conj(p) with K = rho_eig * m_eig^T elementwise;
+    the rows of P = exp(-i t w^T) give every time point in one product.
+    Raises DimensionMismatchError when M and H act on different widths, and
+    ValueError for times that are not a 1-D sequence of finite numbers.
     """
+    if meas.n_qubits != spec.n_qubits:
+        raise DimensionMismatchError(
+            f"measurement acts on {meas.n_qubits} qubits, Hamiltonian on {spec.n_qubits}"
+        )
+    t = _time_points(times)
     h = spec.terms.to_matrix()
     m = meas.to_matrix()
     rho0 = validate_density_matrix(rho0, spec.n_qubits)
-    w, v = np.linalg.eigh(h)
-    rho_eig = v.conj().T @ rho0 @ v
-    m_eig = v.conj().T @ m @ v
+    if h.imag.any():
+        w, v = np.linalg.eigh(h)
+        rho_eig = v.conj().T @ rho0 @ v
+        m_eig = v.conj().T @ m @ v
+    else:
+        # a real symmetric H has real eigenvectors
+        w, v = np.linalg.eigh(h.real)
+        rho_eig = _rotate_real(v, rho0)
+        m_eig = _rotate_real(v, m)
     k = rho_eig * m_eig.T
-    out = np.empty(len(times))
-    for i, t in enumerate(times):
-        phase = np.exp(-1j * w * t)
-        out[i] = (phase @ (k @ phase.conj())).real
+    out = np.empty(len(t))
+    step = _CHUNK_CELLS // len(w)
+    for lo in range(0, len(t), step):
+        p = np.exp(-1j * np.outer(t[lo : lo + step], w))
+        # vecdot conjugates its first operand: sum_j conj(p_j) (p K)_j
+        out[lo : lo + step] = np.vecdot(p, p @ k).real
     return out

@@ -433,6 +433,7 @@ class PauliTable:
         self.z = z
         self._keys: Optional[np.ndarray] = None
         self._sorted: Optional[np.ndarray] = None
+        self._texts: Optional[list[str]] = None
 
     @classmethod
     def from_strings(cls, strings: Sequence[PauliString], n_qubits: int) -> "PauliTable":
@@ -471,6 +472,8 @@ class PauliTable:
         Those rows are parsed together with numpy on the joined ASCII bytes;
         every other row (all of them, when the text is not ASCII) goes
         through :func:`parse_term`, in row order, so its errors are the same.
+        When every row is canonical, the table keeps a copy of ``texts`` and
+        :meth:`texts` returns it.
         """
         m = len(texts)
         words = (n_qubits + 63) // 64
@@ -485,7 +488,11 @@ class PauliTable:
             for w in range(words):
                 x[i, w] = (s.x_mask >> 64 * w) & _WORD
                 z[i, w] = (s.z_mask >> 64 * w) & _WORD
-        return cls(n_qubits, x, z)
+        table = cls(n_qubits, x, z)
+        if ok.all():
+            # canonical text is to_text output
+            table._texts = list(texts)
+        return table
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -528,7 +535,10 @@ class PauliTable:
         return (z << 1) | (x ^ z)
 
     def texts(self) -> list[str]:
-        """:meth:`PauliString.to_text` of every row, rendered in one pass."""
+        """:meth:`PauliString.to_text` of every row, rendered in one pass, or
+        the texts the table was parsed from when they were all canonical."""
+        if self._texts is not None:
+            return self._texts
         codes = self.cell_codes()
         rows, sites = np.nonzero(codes)
         cells = _cell_tokens(self.n_qubits)[4 * sites + codes[rows, sites]].tolist()

@@ -103,12 +103,37 @@ class DenseOperator:
         return bool(np.max(np.abs(self.matrix.conj().T @ self.matrix - eye)) <= tol)
 
 
+def operator(op) -> np.ndarray:
+    """Dense matrix of a package PauliString or WeightedPauliSum, summed term
+    by term."""
+    terms = op.terms if hasattr(op, "terms") else ((1.0, op),)
+    m = np.zeros((1 << op.n_qubits,) * 2, dtype=complex)
+    for c, s in terms:
+        m += c * dense(string_label(s))
+    return m
+
+
 def hamiltonian(spec) -> np.ndarray:
     """Dense matrix of a package HamiltonianSpec, summed term by term."""
-    h = np.zeros((1 << spec.n_qubits,) * 2, dtype=complex)
-    for c, s in spec.terms.terms:
-        h += c * dense(string_label(s))
-    return h
+    return operator(spec.terms)
+
+
+def evolve_per_point(spec, meas, rho0, times) -> np.ndarray:
+    """Tr(M(t) rho0) from a complex ``eigh``, one time point at a time.
+
+    The per-point form of ``pauliaccess.oracle.evolve_expectation``, on the
+    kron matrices: p . K . conj(p) with p_j = exp(-i w_j t) and
+    K = rho_eig * m_eig^T elementwise.
+    """
+    w, v = np.linalg.eigh(hamiltonian(spec))
+    rho_eig = v.conj().T @ rho0 @ v
+    m_eig = v.conj().T @ operator(meas) @ v
+    k = rho_eig * m_eig.T
+    out = np.empty(len(times))
+    for i, t in enumerate(times):
+        phase = np.exp(-1j * w * t)
+        out[i] = (phase @ (k @ phase.conj())).real
+    return out
 
 
 def propagator(spec, t: float) -> DenseOperator:

@@ -121,6 +121,28 @@ def test_graph_dot_and_model_and_simulate(tmp_path, capsys):
     assert len(lines) == 6
 
 
+def test_graph_and_model_render_a_member_written_non_canonically(tmp_path, capsys):
+    # one member written "y1  z2" is parsed by parse_term, so the whole
+    # ordering is rendered again instead of echoed from the file
+    chain, meas = ("--chain", "4"), ("--measurement", "Y1 Z2")
+    canonical, edited = tmp_path / "set.json", tmp_path / "edited.json"
+    assert run(capsys, "gen", *chain, *meas, "--out", str(canonical))[0] == 0
+    data = json.loads(canonical.read_text())
+    assert data["members"][0] == "Y1 Z2"
+    data["members"][0] = "y1  z2"
+    edited.write_text(json.dumps(data))
+    payloads = {}
+    for name, path in (("canonical", canonical), ("edited", edited)):
+        for command, extra in (("graph", ("--format", "dot")), ("graph", ("--format", "json")),
+                               ("model", meas)):
+            out = tmp_path / f"{name}-{command}{''.join(extra)}"
+            assert run(capsys, command, "--set", str(path), *chain, *extra,
+                       "--out", str(out))[0] == 0
+            payloads.setdefault(name, []).append(out.read_bytes())
+    assert payloads["edited"] == payloads["canonical"]
+    assert b'"y1  z2"' not in b"".join(payloads["edited"])
+
+
 def test_simulate_default_integrator_above_old_dense_cap(tmp_path, capsys):
     # case (d) at N = 20 has 3 800 states, above the 2 000 the dense expm took
     chain = ("--chain", "20", "--measurement", "Y1 Z2")
@@ -239,6 +261,10 @@ def test_verify_unknown_suite(capsys):
     pytest.param(("--suite", "prop2", "--n", "5..2"), "--n 5..2", id="empty range"),
     pytest.param(("--suite", "prop2", "--n", "two"), "--n", id="n not an integer"),
     pytest.param(("--suite", "identities", "--trials", "-3"), "--trials", id="negative trials"),
+    # trials that draw no sequence whose brackets stay nonzero
+    pytest.param(("--suite", "identities", "--trials", "1"), "--trials 1", id="one trial"),
+    pytest.param(("--suite", "identities", "--trials", "2", "--seed", "3"), "--trials 2",
+                 id="two trials seed 3"),
 ])
 def test_verify_that_checks_nothing_exits_2(capsys, argv, named):
     code, stdout, err = run(capsys, "verify", *argv)

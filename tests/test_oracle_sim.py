@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import dense_ref
 from conftest import cases_fitting
 from pauliaccess import (
+    DimensionMismatchError,
     HamiltonianSpec,
     MeasurementSpec,
     PauliString,
@@ -21,12 +22,15 @@ from pauliaccess import (
     evolve_expectation,
     generate,
     initial_state_vector,
+    parse_hamiltonian,
     parse_sum,
     parse_term,
 )
+from pauliaccess import oracle
 from pauliaccess.closure import AccessibleSet
 from pauliaccess.oracle import validate_density_matrix
 from pauliaccess.pauli import DENSE_CAP
+from pauliaccess.statespace import BLOCH_KETS
 
 
 def string_of(label):
@@ -102,6 +106,159 @@ def test_evolve_expectation_matches_expm_route():
         expected.append(np.trace(m @ u @ rho @ u.conj().T).real)
     series = evolve_expectation(spec, meas, rho, times)
     assert np.max(np.abs(series - expected)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the batched oracle against the per-point kron route
+
+SIGMAS = (dense_ref.SX, dense_ref.SY, dense_ref.SZ)
+
+
+def product_rho(kets):
+    """Dense product state of Bloch kets, site 1 leftmost."""
+    rho = np.ones((1, 1), dtype=complex)
+    for ket in kets:
+        site = dense_ref.I2 + sum(b * p for b, p in zip(BLOCH_KETS[ket], SIGMAS))
+        rho = np.kron(rho, site / 2)
+    return rho
+
+
+def mixed_rho(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def odd_y(s):
+    return (s.x_mask & s.z_mask).bit_count() % 2 == 1
+
+
+@st.composite
+def oracle_cases(draw):
+    """(spec, meas, rho, times) at N <= 4; H real (even Y count in every
+    term) or complex (one odd-Y term with a nonzero weight)."""
+    n = draw(st.integers(1, 4))
+    real = draw(st.booleans())
+    strings = st.lists(
+        strings_at(n).filter(lambda s: not odd_y(s)) if real else strings_at(n),
+        min_size=1,
+        max_size=8,
+        unique_by=lambda s: (s.x_mask, s.z_mask),
+    )
+    if not real:
+        strings = strings.filter(lambda ss: any(map(odd_y, ss)))
+    hs = draw(strings)
+    weights = st.floats(-2, 2).filter(lambda c: abs(c) > 1e-3)
+    spec = HamiltonianSpec(n, WeightedPauliSum(n, tuple((draw(weights), s) for s in hs)))
+    assert spec.terms.to_matrix().imag.any() != real
+    ms = draw(st.lists(strings_at(n), min_size=1, max_size=4,
+                       unique_by=lambda s: (s.x_mask, s.z_mask)))
+    meas = ms[0] if len(ms) == 1 else WeightedPauliSum(
+        n, tuple((draw(st.floats(-2, 2)), s) for s in ms)
+    )
+    if draw(st.booleans()):
+        rho = product_rho(draw(st.lists(st.sampled_from(sorted(BLOCH_KETS)),
+                                        min_size=n, max_size=n)))
+    else:
+        rho = mixed_rho(n, draw(st.integers(0, 2**32 - 1)))
+    times = draw(st.lists(st.floats(0, 5), max_size=12))
+    return spec, meas, rho, times
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(oracle_cases())
+def test_evolve_expectation_matches_per_point_kron_route(case):
+    spec, meas, rho, times = case
+    with pytest.MonkeyPatch.context() as mp:
+        # chunks of 3 time points, so a grid of 4 or more crosses a boundary
+        mp.setattr(oracle, "_CHUNK_CELLS", 3 << spec.n_qubits)
+        got = evolve_expectation(spec, meas, rho, times)
+    expected = dense_ref.evolve_per_point(spec, meas, rho, times)
+    assert got.shape == (len(times),)
+    assert np.max(np.abs(got - expected), initial=0.0) < 1e-12
+
+
+def test_evolve_expectation_grid_across_the_default_chunk():
+    n = 4
+    spec = build_exchange_chain(n, [0.9, 1.2, 0.7])
+    meas = parse_sum("0.5 * Y1 Z2 + 0.5 * X3", n)
+    rho = product_rho(["i+", "0", "+", "1"])
+    step = oracle._CHUNK_CELLS >> n
+    times = np.linspace(0.0, 10.0, step + 5)
+    got = evolve_expectation(spec, meas, rho, times)
+    expected = dense_ref.evolve_per_point(spec, meas, rho, times)
+    assert np.max(np.abs(got - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("times", [[], [0.7]], ids=["none", "one"])
+def test_evolve_expectation_no_or_one_time_point(times):
+    spec = build_exchange_chain(3, [1.0, 0.5])
+    meas = parse_sum("Y1 Z2", 3)
+    rho = product_rho(["i+", "0", "+"])
+    got = evolve_expectation(spec, meas, rho, times)
+    assert got.shape == (len(times),)
+    assert np.allclose(got, dense_ref.evolve_per_point(spec, meas, rho, times), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "terms, dtype",
+    [("X1 X2 + Y1 Y2 + 0.3 * Z1", np.float64), ("X1 X2 + 0.4 * Y1 + Y1 Z2", np.complex128)],
+    ids=["real", "complex"],
+)
+def test_evolve_expectation_diagonalises_in_the_dtype_of_h(terms, dtype):
+    spec = parse_hamiltonian(terms, 2)
+    meas = parse_sum("Z1", 2)
+    rho = product_rho(["+", "i-"])
+    seen = []
+    eigh = np.linalg.eigh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", lambda a: seen.append(a.dtype) or eigh(a))
+        got = evolve_expectation(spec, meas, rho, [0.0, 0.4, 1.3])
+    assert seen == [dtype]
+    expected = dense_ref.evolve_per_point(spec, meas, rho, [0.0, 0.4, 1.3])
+    assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def chain_and_heisenberg_instances():
+    rng = np.random.default_rng(5)
+    for n in range(2, 7):
+        spec = build_exchange_chain(n, list(rng.uniform(0.5, 1.5, size=n - 1)))
+        for name, seed in cases_fitting(n).items():
+            yield f"chain n={n} case {name}", spec, seed
+    for n in range(3, 6):
+        js = rng.uniform(0.5, 1.5, size=n - 1)
+        text = " + ".join(f"{j}*{a}{k} {a}{k + 1}" for k, j in enumerate(js, 1) for a in "XYZ")
+        yield f"heisenberg n={n}", parse_hamiltonian(text, n), parse_term("Z1", n)
+
+
+def test_evolve_expectation_matches_per_point_on_chain_and_heisenberg():
+    rng = np.random.default_rng(8)
+    times = np.linspace(0.0, 10.0, 101)
+    for label, spec, meas in chain_and_heisenberg_instances():
+        kets = [str(k) for k in rng.choice(sorted(BLOCH_KETS), size=spec.n_qubits)]
+        rho = product_rho(kets)
+        got = evolve_expectation(spec, meas, rho, times)
+        expected = dense_ref.evolve_per_point(spec, meas, rho, times)
+        assert np.max(np.abs(got - expected)) < 1e-12, label
+
+
+def test_evolve_expectation_refuses_a_measurement_of_another_width():
+    spec = build_exchange_chain(3, [1.0, 0.5])
+    rho = basis_ket_rho(3, "010")
+    with pytest.raises(DimensionMismatchError, match="2 qubits.*3"):
+        evolve_expectation(spec, parse_sum("Z1", 2), rho, [0.0])
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[0.0, float("nan")], [float("inf")], [[0.0, 1.0], [2.0, 3.0]], 1.0, ["a"], [1j]],
+    ids=["nan", "inf", "2-d", "scalar", "text", "complex"],
+)
+def test_evolve_expectation_refuses_bad_times(times):
+    spec = build_exchange_chain(2, [1.0])
+    with pytest.raises(ValueError, match="1-D sequence of finite numbers"):
+        evolve_expectation(spec, parse_sum("Z1", 2), basis_ket_rho(2, "01"), times)
 
 
 def test_density_matrix_validation():

@@ -214,6 +214,8 @@ def assert_same_as_parse_term(texts, n):
         ref = PauliTable.from_strings(want, n)
         np.testing.assert_array_equal(got.x, ref.x)
         np.testing.assert_array_equal(got.z, ref.z)
+        # the input texts when all are canonical, else rendered
+        assert got.texts() == [s.to_text() for s in want]
 
 
 @st.composite

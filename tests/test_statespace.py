@@ -26,6 +26,7 @@ from pauliaccess import (
     partition_k_finite,
     simulate_reduced,
 )
+from pauliaccess import statespace
 from pauliaccess.closure import ClosureError
 from pauliaccess.statespace import (
     DENSE_DIM,
@@ -111,7 +112,8 @@ def test_model_c_places_decomposition_coefficients():
     spec = build_exchange_chain(2, [1.0])
     meas = MeasurementSpec.from_texts(["0.5 * Z1 + 0.5 * Z2"], 2)
     model = build_model(g, spec, meas)
-    c = model.c_dense()
+    c = np.zeros((model.n_outputs, model.dim))
+    c[model.c_index[:, 0], model.c_index[:, 1]] = model.c_values
     assert np.array_equal(c, np.array([[0.5, 0.0, 0.0, 0.5]]))
 
 
@@ -262,6 +264,28 @@ def test_simulate_norm_preserved():
     res = simulate_reduced(model, x0, times)
     norms = np.linalg.norm(res.states, axis=1)
     assert np.allclose(norms, np.linalg.norm(x0), atol=1e-10)
+
+
+@pytest.mark.parametrize("chunk_cells", [None, 7], ids=["one-chunk", "chunks-of-one-term"])
+def test_simulate_outputs_sum_c_terms_in_index_order(chunk_cells):
+    meas_texts = ["0.3 * Z1 + -1.7 * Z2 + 0.9 * Z3", "Z1", "0.25 * Y1 Z2 + 2.5 * X1 Y2"]
+    ordered, spec, meas, _ = ordered_pipeline(3, "Z1", [1.3, 0.8], meas_texts)
+    model = build_model(ordered, spec, meas)
+    # a loaded model keeps C in file order: reverse it
+    model.c_index, model.c_values = model.c_index[::-1], model.c_values[::-1]
+    x0 = initial_state_vector("0,i+,+", ordered)
+    times = np.linspace(0.0, 3.0, 7)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_cells is not None:
+            mp.setattr(statespace, "_CHUNK_CELLS", chunk_cells)
+        res = simulate_reduced(model, x0, times)
+    expected = np.zeros((len(times), 3))
+    for (r, col), v in zip(model.c_index.tolist(), model.c_values.tolist()):
+        expected[:, r] += v * res.states[:, col]
+    assert np.array_equal(res.outputs, expected)
+    c = np.zeros((3, model.dim))
+    c[model.c_index[:, 0], model.c_index[:, 1]] = model.c_values
+    assert np.allclose(res.outputs, res.states @ c.T, rtol=0, atol=1e-14)
 
 
 def test_simulate_integrators_agree():
