@@ -168,7 +168,13 @@ def _read_rho0(path: str) -> np.ndarray:
     # bool is an int subclass, so the types are matched exactly
     if not square or not set(map(type, chain.from_iterable(rows))) <= {int, float}:
         raise ValueError(f"--rho0-file {path} must hold a square matrix of numbers")
-    return np.array(rows, dtype=complex)
+    try:
+        rho = np.array(rows, dtype=complex)
+    except OverflowError:  # an integer past the float range
+        rho = None
+    if rho is None or not np.isfinite(rho).all():
+        raise ValueError(f"--rho0-file {path} must hold finite numbers")
+    return rho
 
 
 def _parse_times(text: str) -> np.ndarray:
@@ -623,6 +629,18 @@ def _config_value(action: argparse.Action, value):
     return checked if repeatable else checked[0]
 
 
+def _stage(exc: BaseException) -> str:
+    """The innermost function of this package that ``exc`` passed through."""
+    package = str(Path(__file__).parent)
+    stage, tb = "main", exc.__traceback__
+    while tb is not None:
+        code = tb.tb_frame.f_code
+        if code.co_filename.startswith(package):
+            stage = code.co_name
+        tb = tb.tb_next
+    return stage
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
 
@@ -658,6 +676,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except ClosureError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError as exc:
+        stage = _stage(exc)
+        print(f"internal failure: {args.command} ran out of memory in {stage}", file=sys.stderr)
         return EXIT_INTERNAL
     except (
         GrammarError, ValueError, OSError, json.JSONDecodeError, KeyError,

@@ -7,10 +7,14 @@ costs one ``eigh`` and two basis rotations, O(d^3) with d = 2^N, and then one
 (T x d) by (d x d) product for all T time points, taken in chunks of time
 points so the temporaries stay at a few MB.  A real H (every chain and
 Heisenberg spec: their Y letters come in pairs) is diagonalised in real
-arithmetic.  Widths are capped at :data:`pauliaccess.pauli.DENSE_CAP` qubits,
-where dense matrices are built.  The propagator, the truncated commutator
-series and the dense time derivatives that only the tests use are built from
-Kronecker products in ``tests/dense_ref.py``.
+arithmetic, and the rotations skip a part of rho or M that is all zero (a
+string with an odd number of Y letters is purely imaginary).  The density
+matrix is checked by one Cholesky factorisation of rho + 1e-10 I, in real
+arithmetic when rho has no imaginary part.  Widths are capped at
+:data:`pauliaccess.pauli.DENSE_CAP` qubits, where dense matrices are built.
+The propagator, the truncated commutator series and the dense time
+derivatives that only the tests use are built from Kronecker products in
+``tests/dense_ref.py``.
 """
 
 from __future__ import annotations
@@ -29,16 +33,32 @@ __all__ = [
 
 
 def validate_density_matrix(rho: np.ndarray, n_qubits: int) -> np.ndarray:
+    """rho as a complex array, checked to be a finite, Hermitian, unit-trace
+    and positive semidefinite 2^n x 2^n matrix.
+
+    Positive semidefinite means lambda_min >= -1e-10, tested by a Cholesky
+    factorisation of rho + 1e-10 I: it succeeds exactly when the shifted
+    matrix is positive definite, up to rounding of order d * eps * |rho|.
+    A rho with no imaginary part is checked in real arithmetic.
+    """
     rho = np.asarray(rho, dtype=complex)
     dim = 1 << n_qubits
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix shape {rho.shape}, expected {(dim, dim)}")
-    if not np.allclose(rho, rho.conj().T, atol=1e-10):
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise ValueError("density matrix trace is not 1")
-    if np.linalg.eigvalsh(rho).min() < -1e-10:
-        raise ValueError("density matrix is not positive semidefinite")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has an entry that is not a finite number")
+    a = rho if rho.imag.any() else rho.real
+    # a sum of entries near the float limit overflows to inf, which fails the
+    # same test the exact value would
+    with np.errstate(over="ignore"):
+        if not np.allclose(a, a.conj().T, atol=1e-10):
+            raise ValueError("density matrix is not Hermitian")
+        if abs(np.trace(a).real - 1.0) > 1e-10:
+            raise ValueError("density matrix trace is not 1")
+    try:
+        np.linalg.cholesky(a + 1e-10 * np.eye(dim))
+    except np.linalg.LinAlgError:
+        raise ValueError("density matrix is not positive semidefinite") from None
     return rho
 
 
@@ -53,10 +73,14 @@ def _time_points(times: Sequence[float]) -> np.ndarray:
 
 
 def _rotate_real(v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """v^T a v for a real v, rotating a's real and imaginary parts apart."""
-    out = v.T @ a.real @ v
-    if a.imag.any():
-        out = out + 1j * (v.T @ a.imag @ v)
+    """v^T a v for a real v, rotating a's real and imaginary parts apart and
+    skipping a part that is all zero (a Y-odd measurement is purely imaginary)."""
+    imag = a.imag.any()
+    out = np.zeros(a.shape, dtype=complex if imag else float)
+    if a.real.any():
+        out.real = v.T @ a.real @ v
+    if imag:
+        out.imag = v.T @ a.imag @ v
     return out
 
 

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -252,6 +253,36 @@ def test_only_simulate_loads_scipy(tmp_path):
     assert "scipy.sparse" in stages["sparse rk4"]["scipy"]
 
 
+def limit_address_space():
+    """Run in the child only: cap its address space at 1 GiB."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys):
+    # case (f) at N = 6 has 225 states: 10^6 rk4 output rows take 1.8 GB
+    source = ("--chain", "6", "--measurement", cli.CHAIN_CASES["f"])
+    set_path, model_path = tmp_path / "set.json", tmp_path / "model.json"
+    assert run(capsys, "gen", *source, "--out", str(set_path))[0] == 0
+    assert run(capsys, "model", "--set", str(set_path), *source, "--out", str(model_path))[0] == 0
+    env = {
+        **os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+        "OPENBLAS_NUM_THREADS": "1",
+    }
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pauliaccess.cli", "simulate", "--model", str(model_path),
+            "--rho0", "0,0,0,0,0,0", "--integrator", "rk4", "--times", "0:99999:0.1",
+            "--step", "0.1",
+        ],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "internal failure: simulate ran out of memory in _run_rk4\n"
+    assert proc.stdout == ""
+
+
 def test_verify_unknown_suite(capsys):
     assert run(capsys, "verify", "--suite", "nope")[0] == 2
 
@@ -418,6 +449,12 @@ MALFORMED = {
     "rho0 file not square": ("rho0", lambda d: d.__delitem__(-1)),
     "rho0 file booleans": ("rho0", lambda d: [[v == 1 for v in row] for row in d]),
     "rho0 file numeric strings": ("rho0", lambda d: [[str(v) for v in row] for row in d]),
+    # JSON Infinity passed validation off the diagonal; on it, the trace warned
+    "rho0 file Infinity": ("rho0", lambda d: d[0].__setitem__(1, math.inf)),
+    "rho0 file NaN": ("rho0", lambda d: d[1].__setitem__(1, math.nan)),
+    "rho0 file integer past the float range": ("rho0", lambda d: d[0].__setitem__(0, 10**400)),
+    # finite, but the trace overflows
+    "rho0 entries 1e308": ("rho0", lambda d: [[1e308] * len(d)] * len(d)),
     # a few bytes that ask for 2 * 2^56 words per packed row
     "set n_qubits huge": ("set", lambda d: d.update(n_qubits=2**62)),
     "model n_qubits huge": ("model", lambda d: d.update(n_qubits=2**62)),
@@ -455,6 +492,10 @@ MALFORMED_MESSAGES = {
     "C index a boolean": "C entry [False, ",
     "C value a boolean": "must be [integer, integer, number]",
     **{case: "--rho0-file" for case in MALFORMED if case.startswith("rho0 file")},
+    "rho0 file Infinity": "must hold finite numbers",
+    "rho0 file NaN": "must hold finite numbers",
+    "rho0 file integer past the float range": "must hold finite numbers",
+    "rho0 entries 1e308": "density matrix trace is not 1",
     **{case: "n_qubits must be an integer in 1..4096" for case in MALFORMED if "huge" in case},
     "rk4 step too large": "the step 2 is too large",
     "rk4 step tiny": "--step 1e-09 asks for more than 1000000 rk4 steps",
@@ -651,6 +692,22 @@ def test_fuzzed_spec_files_exit_0_or_2(payloads, data):
     assert_exit_contract([
         "gen", "--hamiltonian", str(path), "--measurement", "Y1 Z2",
         "--out", str(out / "fuzzed_spec_set.json"),
+    ])
+
+
+#: |000><000| as a --rho0-file for the N = 3 model
+RHO0 = [[int(r == c == 0) for c in range(8)] for r in range(8)]
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_rho0_files_exit_0_or_2(payloads, data):
+    out, _ = payloads
+    path = out / "fuzzed_rho0.json"
+    path.write_text(json.dumps(data.draw(mutated(RHO0))))
+    assert_exit_contract([
+        "simulate", "--model", str(out / "model.json"), "--rho0-file", str(path),
+        "--times", "0:1:0.5",
     ])
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import dense_ref
 from conftest import cases_fitting
@@ -262,10 +262,143 @@ def test_evolve_expectation_refuses_bad_times(times):
 
 
 def test_density_matrix_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trace is not 1"):
         validate_density_matrix(np.eye(4), 2)  # trace 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not positive semidefinite"):
         validate_density_matrix(np.diag([1.5, -0.5, 0.0, 0.0]), 2)
+    with pytest.raises(ValueError, match=r"shape \(2, 2\), expected \(4, 4\)"):
+        validate_density_matrix(np.eye(2) / 2, 2)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        validate_density_matrix([[0.5, 0.5j], [0.5j, 0.5]], 1)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        validate_density_matrix([[0.5, 0.1], [0.2, 0.5]], 1)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        [[0.5, np.inf], [np.inf, 0.5]],
+        [[np.inf, 0.0], [0.0, -np.inf]],
+        [[0.5, 0.5], [0.5, np.nan]],
+        [[0.5, complex(0.0, np.inf)], [complex(0.0, -np.inf), 0.5]],
+    ],
+    ids=["inf off the diagonal", "inf on the diagonal", "nan", "imaginary inf"],
+)
+def test_density_matrix_with_a_non_finite_entry_refused(rho):
+    with pytest.raises(ValueError, match="not a finite number"):
+        validate_density_matrix(np.array(rho), 1)
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (np.full((2, 2), 1e308), "trace is not 1"),  # the trace overflows
+        ([[0.5, 1e308], [-1e308, 0.5]], "not Hermitian"),  # rho - rho^T overflows
+        ([[0.5, 1e308j], [-1e308j, 0.5]], "not positive semidefinite"),
+    ],
+    ids=["trace", "hermitian", "psd"],
+)
+def test_density_matrix_near_the_float_limit_refused_without_warning(rho, message):
+    # RuntimeWarning is an error in this suite, so an overflow would fail here
+    with pytest.raises(ValueError, match=message):
+        validate_density_matrix(np.array(rho), 1)
+
+
+def random_unitary(rng, dim, real):
+    """A random orthogonal (real) or unitary matrix, by QR of a Gaussian one."""
+    g = rng.normal(size=(dim, dim))
+    if not real:
+        g = g + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * np.sign(np.diag(r))
+
+
+def density_with_spectrum(rng, eigenvalues, real):
+    u = random_unitary(rng, len(eigenvalues), real)
+    rho = (u * np.asarray(eigenvalues)) @ u.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+def pure_rho(psi):
+    psi = np.asarray(psi, dtype=complex)
+    psi = psi / np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        pure_rho([1, 0, 0, 0]),
+        pure_rho([1, 1, 1, -1]),
+        pure_rho([1, 1j, -1j, 2]),
+        product_rho(["i+", "1"]),
+        np.eye(4) / 4,
+        np.diag([0.7, 0.3, 0.0, 0.0]),
+        density_with_spectrum(np.random.default_rng(3), [0.5, 0.3, 0.2, 0.0], real=True),
+        density_with_spectrum(np.random.default_rng(4), [0.4, 0.3, 0.2, 0.1], real=False),
+        density_with_spectrum(np.random.default_rng(5), [1.0, 0.0, 0.0, 0.0], real=False),
+    ],
+    ids=[
+        "pure basis", "pure real", "pure complex", "pure product", "maximally mixed",
+        "mixed diagonal", "mixed real rank 3", "mixed complex", "pure rotated complex",
+    ],
+)
+def test_density_matrix_states_accepted(rho):
+    got = validate_density_matrix(rho, 2)
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, np.asarray(rho, dtype=complex))
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("dim", [2, 16, 256])
+def test_density_matrix_psd_threshold(real, dim):
+    rng = np.random.default_rng(dim)
+    for lam_min, accepted in ((-2e-10, False), (-5e-11, True)):
+        rest = rng.dirichlet(np.ones(dim - 1)) * (1.0 - lam_min)
+        rho = density_with_spectrum(rng, [lam_min, *rest], real)
+        assert np.linalg.eigvalsh(rho).min() == pytest.approx(lam_min, abs=1e-13)
+        if accepted:
+            validate_density_matrix(rho, dim.bit_length() - 1)
+        else:
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                validate_density_matrix(rho, dim.bit_length() - 1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
+    offset=st.one_of(st.floats(-1e-9, 1e-9), st.floats(-1.0, 1.0)),
+)
+def test_density_matrix_psd_rule_agrees_with_eigenvalues(n, seed, real, offset):
+    # the rule before the Cholesky test: lambda_min >= -1e-10 by eigvalsh;
+    # the two may differ only at rounding distance from the threshold
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    lam_min = min(-1e-10 + offset, 1.0 / dim)
+    rest = rng.dirichlet(np.ones(dim - 1)) * (1.0 - lam_min)
+    rho = density_with_spectrum(rng, [lam_min, *rest], real)
+    lam = np.linalg.eigvalsh(rho).min()
+    assume(abs(lam + 1e-10) > 1e-12)
+    try:
+        validate_density_matrix(rho, n)
+        accepted = True
+    except ValueError as exc:
+        assert "not positive semidefinite" in str(exc)
+        accepted = False
+    assert accepted == (lam >= -1e-10)
+
+
+@pytest.mark.parametrize("part", ["real", "imaginary", "complex", "zero"])
+def test_rotate_real_matches_the_full_product(part):
+    rng = np.random.default_rng(11)
+    v = random_unitary(rng, 8, real=True)
+    re, im = rng.normal(size=(2, 8, 8))
+    a = {"real": re + 0j, "imaginary": 1j * im, "complex": re + 1j * im, "zero": 0j * re}[part]
+    got = oracle._rotate_real(v, a)
+    assert np.allclose(got, v.T @ a @ v, rtol=0, atol=1e-12)
+    assert got.dtype == (np.float64 if part in ("real", "zero") else np.complex128)
 
 
 def test_propagator_unitary():
