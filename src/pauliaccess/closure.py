@@ -81,36 +81,39 @@ class AccessibleSet:
     ``cores`` stay None until the graph stage orders the set; partition
     entries are ``(k, start, end)`` with end exclusive.
 
-    ``members`` is given as a tuple of strings or as a :class:`PauliTable`
-    of them.  A set made by :func:`generate` holds its members as packed
-    keys ``x | z << n`` instead.  Whatever a set holds, it builds the other
-    forms on first access: the ``members`` tuple, :meth:`packed_keys` and
-    :meth:`table`.
+    A set holds its members in one of two forms: a :class:`PauliTable`, or
+    packed keys ``x | z << n`` (one int per member).  Members given as
+    strings are packed into keys at once, and a set made by :func:`generate`
+    holds keys too.  The other form, :meth:`table` or :meth:`packed_keys`,
+    and the ``members`` tuple of strings are built on first access.
     """
 
     def __init__(
         self,
         n_qubits: int,
-        members: Union[tuple[PauliString, ...], PauliTable],
+        members: Union[Sequence[PauliString], PauliTable],
         provenance: tuple[Optional[tuple[int, PauliString]], ...],
         partition: Optional[tuple[tuple[int, int, int], ...]] = None,
         cores: Optional[tuple[int, ...]] = None,
     ):
         self.n_qubits = n_qubits
         self._table: Optional[PauliTable] = None
+        self._keys: Optional[list[int]] = None
         if isinstance(members, PauliTable):
-            self._table, members = members, None
-        self._members = members
+            self._table = members
+        else:
+            check_widths(members, n_qubits)
+            self._keys = [s.x_mask | s.z_mask << n_qubits for s in members]
+        self._members: Optional[tuple[PauliString, ...]] = None
         self.provenance = provenance
         self.partition = partition
         self.cores = cores
-        self._keys: Optional[list[int]] = None
         self._key_set: Optional[set[int]] = None
         self._depths: Optional[list[int]] = None
 
     @classmethod
     def _from_keys(cls, n_qubits, keys, key_set, provenance) -> "AccessibleSet":
-        g = cls(n_qubits, None, provenance)
+        g = cls(n_qubits, (), provenance)
         g._keys, g._key_set = keys, key_set
         return g
 
@@ -124,17 +127,11 @@ class AccessibleSet:
     def packed_keys(self) -> list[int]:
         """One int ``x | z << n_qubits`` per member, in member order."""
         if self._keys is None:
-            if self._members is None:
-                self._keys = self._table.keys()
-            else:
-                n = self.n_qubits
-                self._keys = [s.x_mask | s.z_mask << n for s in self._members]
+            self._keys = self._table.keys()
         return self._keys
 
     def __len__(self) -> int:
-        if self._table is not None:
-            return len(self._table)
-        return len(self._keys if self._members is None else self._members)
+        return len(self._table if self._keys is None else self._keys)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AccessibleSet):
@@ -150,18 +147,10 @@ class AccessibleSet:
     def __repr__(self) -> str:
         return f"AccessibleSet(n_qubits={self.n_qubits}, {len(self)} members)"
 
-    def _masks(self):
-        n = self.n_qubits
-        full = (1 << n) - 1
-        return ((k & full, k >> n) for k in self.packed_keys())
-
     def table(self) -> PauliTable:
         """The members packed as x/z words, built once on demand."""
         if self._table is None:
-            if self._members is None:
-                self._table = PauliTable.from_keys(self._keys, self.n_qubits)
-            else:
-                self._table = PauliTable.from_strings(self._members, self.n_qubits)
+            self._table = PauliTable.from_keys(self._keys, self.n_qubits)
         return self._table
 
     def key_set(self) -> AbstractSet[int]:
@@ -178,7 +167,10 @@ class AccessibleSet:
         return s.x_mask | s.z_mask << n in self.key_set()
 
     def member_keys(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self._masks())
+        """The set of (x_mask, z_mask) pairs of the members."""
+        n = self.n_qubits
+        full = (1 << n) - 1
+        return frozenset((k & full, k >> n) for k in self.packed_keys())
 
     def depths(self) -> list[int]:
         """Provenance chain length of every member, computed once.

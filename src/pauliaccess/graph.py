@@ -82,13 +82,11 @@ class AccessGraph:
 class KFinitePartition:
     """Accessible-set members grouped by highest non-identity site.
 
-    ``blocks`` holds (k, member_indices) in ascending k; ``cores`` the
-    per-block core member, chosen as the earliest-generated member
-    (minimal provenance depth, canonical tie-break).
+    ``blocks`` holds (k, member_indices) in ascending k.  Each block's core
+    is chosen when the members are ordered (:func:`order_members`).
     """
 
     blocks: tuple[tuple[int, tuple[int, ...]], ...]
-    cores: tuple[int, ...]
 
 
 def build_graph(g: AccessibleSet, digamma: Sequence[PauliString]) -> AccessGraph:
@@ -170,13 +168,9 @@ def partition_k_finite(g: AccessibleSet) -> KFinitePartition:
     ks, starts = np.unique(sites[by_site], return_index=True)
     bounds = [*starts.tolist(), len(sites)]
     indices = by_site.tolist()
-    blocks = tuple(
+    return KFinitePartition(tuple(
         (k, tuple(indices[a:b])) for k, a, b in zip(ks.tolist(), bounds, bounds[1:])
-    )
-    # sorted by site, then as _core_key: each block's first member is its core
-    depth = np.array(g.depths(), dtype=np.int64)
-    by_core = np.lexsort((g.table().canonical_ranks(), depth, sites))
-    return KFinitePartition(blocks, tuple(by_core[starts].tolist()))
+    ))
 
 
 def order_members(

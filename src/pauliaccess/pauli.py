@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -185,17 +185,6 @@ class PauliString:
     def highest_site(self) -> int:
         """Highest non-identity site; 0 for the identity string."""
         return (self.x_mask | self.z_mask).bit_length()
-
-    @property
-    def weight(self) -> int:
-        return (self.x_mask | self.z_mask).bit_count()
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        _require_same_width(self, other)
-        return not (
-            ((self.x_mask & other.z_mask).bit_count()
-             ^ (self.z_mask & other.x_mask).bit_count()) & 1
-        )
 
     def sort_key(self) -> bytes:
         """Canonical total order: per-site codes, site 1 first, I<X<Y<Z."""
@@ -438,15 +427,7 @@ class PauliTable:
     @classmethod
     def from_strings(cls, strings: Sequence[PauliString], n_qubits: int) -> "PauliTable":
         check_widths(strings, n_qubits)
-        m = len(strings)
-        words = (n_qubits + 63) // 64
-        x = np.empty((m, words), dtype=np.uint64)
-        z = np.empty((m, words), dtype=np.uint64)
-        for w in range(words):
-            shift = 64 * w
-            x[:, w] = np.fromiter(((s.x_mask >> shift) & _WORD for s in strings), np.uint64, m)
-            z[:, w] = np.fromiter(((s.z_mask >> shift) & _WORD for s in strings), np.uint64, m)
-        return cls(n_qubits, x, z)
+        return cls.from_keys([s.x_mask | s.z_mask << n_qubits for s in strings], n_qubits)
 
     @classmethod
     def from_keys(cls, keys: Sequence[int], n_qubits: int) -> "PauliTable":
@@ -483,11 +464,11 @@ class PauliTable:
             ok = _parse_canonical_rows(texts, n_qubits, x, z)
         except UnicodeEncodeError:
             ok = np.zeros(m, dtype=bool)
-        for i in np.flatnonzero(~ok).tolist():
-            s = parse_term(texts[i], n_qubits)
-            for w in range(words):
-                x[i, w] = (s.x_mask >> 64 * w) & _WORD
-                z[i, w] = (s.z_mask >> 64 * w) & _WORD
+        rest = np.flatnonzero(~ok)
+        if rest.size:
+            strings = [parse_term(texts[i], n_qubits) for i in rest.tolist()]
+            parsed = cls.from_strings(strings, n_qubits)
+            x[rest], z[rest] = parsed.x, parsed.z
         table = cls(n_qubits, x, z)
         if ok.all():
             # canonical text is to_text output
@@ -552,8 +533,10 @@ class PauliTable:
     def traces(self, mat: np.ndarray) -> np.ndarray:
         """Tr(P M) of every row P for a dense 2^n x 2^n matrix M.
 
-        The formula of :func:`pauli_trace`, evaluated in row chunks so the
-        temporaries stay at a few MB.
+        P has one nonzero per row c, at column c ^ x, so
+        Tr(P M) = i^pc(x&z) * sum_c (-1)^pc(z&c) * M[c, c^x], with the masks
+        x, z in dense-index bit order (site 1 at the high bit).  The sum runs
+        in row chunks so the temporaries stay at a few MB.
         """
         dim = 1 << self.n_qubits
         if mat.shape != (dim, dim):
@@ -753,56 +736,12 @@ def _parse_canonical_rows(
 # ---------------------------------------------------------------------------
 # basis decomposition
 
-#: widths above this are refused by matrix-input decompose
-DECOMPOSE_CAP = 8
 
-
-def pauli_trace(s: PauliString, mat: np.ndarray) -> complex:
-    """Tr(s M) for a dense 2^n x 2^n matrix M.
-
-    Tr(P M) = sum_c i^pc(x&z) * (-1)^pc(z&c) * M[c, c^x], with the masks x, z
-    in dense-index bit order.
-    """
-    x, z = (_reverse_bits(mask, s.n_qubits) for mask in (s.x_mask, s.z_mask))
-    cols = np.arange(mat.shape[0])
-    signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
-    return (1j ** ((x & z).bit_count() % 4)) * np.dot(signs, mat[cols, cols ^ x])
-
-
-def decompose(operator: Union[np.ndarray, WeightedPauliSum]) -> WeightedPauliSum:
-    """Minimal Pauli-basis expansion of a Hermitian operator.
-
-    Accepts either a dense Hermitian matrix (dimension 2^n, n <= 8) or an
-    existing sum, which is merged, pruned of |coeff| < DECOMPOSE_TOL and
-    canonically ordered.  Matrix coefficients come from the normalized trace
-    inner product Tr(P M) / 2^n.
-    """
-    if isinstance(operator, WeightedPauliSum):
-        return WeightedPauliSum.merged(operator.terms, operator.n_qubits).normalized()
-
-    mat = np.asarray(operator, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    dim = mat.shape[0]
-    n = dim.bit_length() - 1
-    if dim != 1 << n or dim < 2:
-        raise ValueError(f"dimension {dim} is not a power of two >= 2")
-    if n > DECOMPOSE_CAP:
-        raise ValueError(f"decompose cap is {DECOMPOSE_CAP} qubits, got {n}")
-    if not np.allclose(mat, mat.conj().T, atol=1e-10):
-        raise ValueError("operator is not Hermitian")
-
-    terms = []
-    for x in range(dim):
-        for z in range(dim):
-            s = PauliString(n, x, z)
-            c = pauli_trace(s, mat) / dim
-            if abs(c) < DECOMPOSE_TOL:
-                continue
-            assert abs(c.imag) < 1e-9, "Hermitian input must give real coefficients"
-            terms.append((float(c.real), s))
-    terms.sort(key=lambda t: t[1].sort_key())
-    return WeightedPauliSum(n, tuple(terms))
+def decompose(operator: WeightedPauliSum) -> WeightedPauliSum:
+    """Minimal Pauli-basis expansion of a sum: its terms with
+    |coeff| >= DECOMPOSE_TOL, in canonical order.  A sum holds each string
+    once, so there is nothing to merge."""
+    return operator.normalized()
 
 
 def check_bilinear_decomposition(

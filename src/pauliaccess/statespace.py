@@ -443,6 +443,8 @@ def _triplets(raw, name: str, rows: int, cols: int) -> tuple[np.ndarray, np.ndar
     array and a float value array in file order."""
     try:
         arr = np.array(raw, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer past the float range") from None
     except (TypeError, ValueError):
         arr = None
     if not isinstance(raw, list) or arr is None or arr.shape not in ((0,), (len(raw), 3)):

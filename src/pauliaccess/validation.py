@@ -55,13 +55,14 @@ def json_int(value, what: str, lo: int = 0, hi: Optional[int] = None) -> int:
 
 def json_float(value, what: str) -> float:
     """A finite real number read from JSON."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-    ):
+    # bool is an int subclass, so the types are matched exactly
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def json_list(value, what: str, item: type = str) -> list:

@@ -27,6 +27,11 @@ def cases_fitting(n: int):
     }
 
 
+def string_of(label):
+    """Package string of a dense_ref label like 'ZYI'."""
+    return PauliString.from_cells(len(label), {i + 1: c for i, c in enumerate(label) if c != "I"})
+
+
 @pytest.fixture
 def chain_cases():
     return CHAIN_CASES

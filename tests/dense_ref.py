@@ -5,6 +5,7 @@ deliberately avoiding the package's bit-mask code paths so the two routes
 stay independent.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,14 +32,17 @@ def all_labels(n: int):
     return ["".join(t) for t in itertools.product(LETTERS, repeat=n)]
 
 
+@functools.lru_cache(maxsize=None)
+def _conj_basis(n: int) -> np.ndarray:
+    """Row k is conj(dense(all_labels(n)[k])) flattened, so that its product
+    with a flattened M is Tr(P_k^dag M)."""
+    return np.array([dense(lab).conj().reshape(-1) for lab in all_labels(n)])
+
+
 def project(mat: np.ndarray, n: int) -> dict:
-    """Pauli-basis coefficients with |c| > 1e-10, keyed by label."""
-    out = {}
-    for lab in all_labels(n):
-        c = np.trace(dense(lab).conj().T @ mat) / 2**n
-        if abs(c) > 1e-10:
-            out[lab] = complex(c)
-    return out
+    """Pauli-basis coefficients Tr(P^dag M) / 2^n with |c| > 1e-10, keyed by label."""
+    coeffs = _conj_basis(n) @ np.asarray(mat, dtype=complex).reshape(-1) / 2**n
+    return {lab: complex(c) for lab, c in zip(all_labels(n), coeffs) if abs(c) > 1e-10}
 
 
 def unique_proportional(mat: np.ndarray, n: int):

@@ -431,6 +431,13 @@ MALFORMED = {
     "spec top-level list": ("spec", lambda d: [d]),
     "spec coeff not a number": ("spec", lambda d: d["terms"][0].update(coeff="x")),
     "spec coeff null": ("spec", lambda d: d["terms"][0].update(coeff=None)),
+    # integers past the float range ended in an OverflowError traceback
+    "spec coeff past the float range": ("spec", lambda d: d["terms"][0].update(coeff=10**400)),
+    "measurement coeff past the float range": (
+        "measurement", lambda d: d["operators"][0][0].update(coeff=-(10**400))
+    ),
+    "A value past the float range": ("model", lambda d: d["A"][0].__setitem__(2, 10**400)),
+    "C value past the float range": ("model", lambda d: d["C"][0].__setitem__(2, 10**400)),
     "config key func": ("config", lambda d: d.update(func=1)),
     "config times not a string": ("config", lambda d: d.update(times=5)),
     "config unknown key": ("config", lambda d: d.update(nope=1)),
@@ -496,6 +503,10 @@ MALFORMED_MESSAGES = {
     "rho0 file NaN": "must hold finite numbers",
     "rho0 file integer past the float range": "must hold finite numbers",
     "rho0 entries 1e308": "density matrix trace is not 1",
+    "spec coeff past the float range": "term coeff must be a finite number",
+    "measurement coeff past the float range": "term coeff must be a finite number",
+    "A value past the float range": "A holds an integer past the float range",
+    "C value past the float range": "C holds an integer past the float range",
     **{case: "n_qubits must be an integer in 1..4096" for case in MALFORMED if "huge" in case},
     "rk4 step too large": "the step 2 is too large",
     "rk4 step tiny": "--step 1e-09 asks for more than 1000000 rk4 steps",
@@ -522,13 +533,15 @@ def test_chain_over_max_qubits_writes_nothing(tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     kind, edit = MALFORMED[case]
-    kinds = ("set", "model", "spec", "config", "rho0")
+    kinds = ("set", "model", "spec", "measurement", "config", "rho0")
     paths = {name: tmp_path / f"{name}.json" for name in kinds}
     source = ("--chain", "3", "--measurement", "Y1 Z2")
     set_arg, model_arg = ("--set", str(paths["set"])), ("--model", str(paths["model"]))
     assert run(capsys, "chain", "--n", "3", "--out", str(paths["spec"]))[0] == 0
     assert run(capsys, "gen", *source, "--out", str(paths["set"]))[0] == 0
     assert run(capsys, "model", *set_arg, *source, "--out", str(paths["model"]))[0] == 0
+    meas = MeasurementSpec.from_texts(["Y1 Z2"], 3)
+    paths["measurement"].write_text(dump_json(measurement_to_json(meas)))
     paths["config"].write_text("{}")
     # |000><000|
     paths["rho0"].write_text(json.dumps([[int(r == c == 0) for c in range(8)] for r in range(8)]))
@@ -543,6 +556,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
         "set": ("graph", *set_arg, "--chain", "3"),
         "model": (*simulate, "--times", "0:1:0.5"),
         "spec": ("gen", "--hamiltonian", str(paths["spec"]), "--measurement", "Y1 Z2"),
+        "measurement": ("gen", "--chain", "3", "--measurement-file", str(paths["measurement"])),
         "config": ("--config", str(paths["config"]), *simulate),
         "rho0": (*simulate, "--rho0-file", str(paths["rho0"]), "--times", "0:1:0.5"),
     }[kind]
@@ -560,36 +574,51 @@ TOKENS = (
     "X1", "Y1 Z2", "Z1 Z1", "X4", "X0", "I", "x1", "1.5", "Y1,Z2", "\u00e9", "99999",
 )
 
+#: JSON integers that no float holds
+HUGE = (10**400, -(10**400))
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 2**62) | st.floats() | st.text(max_size=8)
-    | st.sampled_from(TOKENS),
+    | st.sampled_from(TOKENS) | st.sampled_from(HUGE),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=8,
 )
 
 
+def slots(node):
+    """(container, key) of every value inside a JSON value, depth first."""
+    keys = sorted(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        yield node, key
+        yield from slots(node[key])
+
+
 @st.composite
 def mutated(draw, base):
-    """``base`` with one to three values replaced, deleted or appended to."""
+    """``base`` with one to three values replaced, deleted or appended to.
+
+    Each value is picked from all of the document's values alike, at any
+    depth, so a field deep in a file is fuzzed as often as a top-level one."""
     doc = copy.deepcopy(base)
     for _ in range(draw(st.integers(1, 3))):
-        node = doc
-        while isinstance(node, (dict, list)) and node:
-            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
-            child = node[key]
-            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
-                node = child
-                continue
-            action = draw(st.sampled_from(("replace", "delete", "append", "tweak")))
-            if action == "delete":
-                del node[key]
-            elif action == "append" and isinstance(child, list):
-                child.append(draw(json_values))
-            elif action == "tweak" and isinstance(child, str):
-                node[key] = child + draw(st.sampled_from(TOKENS))
-            else:
-                node[key] = draw(json_values)
+        places = list(slots(doc))
+        if not places:
             break
+        node, key = draw(st.sampled_from(places))
+        child = node[key]
+        # a list can grow, a string take a token, a number leave the float range
+        grow = "append" if isinstance(child, list) else "tweak"
+        action = draw(st.sampled_from(("replace", "delete", grow)))
+        if action == "delete":
+            del node[key]
+        elif action == "append":
+            child.append(draw(json_values))
+        elif action == "tweak" and isinstance(child, str):
+            node[key] = child + draw(st.sampled_from(TOKENS))
+        elif action == "tweak" and type(child) in (int, float):
+            node[key] = draw(st.sampled_from(HUGE))
+        else:
+            node[key] = draw(json_values)
     return doc
 
 

@@ -512,7 +512,7 @@ def ordering_cases():
                 for k in range(4)
                 if (labels == k).any()
             )
-            out.append((g, gr, KFinitePartition(blocks, ())))
+            out.append((g, gr, KFinitePartition(blocks)))
     return out
 
 

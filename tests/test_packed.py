@@ -28,9 +28,10 @@ from pauliaccess import (
 )
 from pauliaccess.closure import accessible_set_from_json, accessible_set_to_json
 from pauliaccess.graph import graph_to_json
-from pauliaccess.pauli import DENSE_CAP, PauliTable, pauli_trace
+from pauliaccess.pauli import DENSE_CAP, PauliTable
 from pauliaccess.statespace import BLOCH_KETS, model_from_json, model_to_json
 
+import dense_ref
 import payload_ref
 
 #: widths on both sides of one and two 64-bit words
@@ -132,6 +133,11 @@ def random_density(rng, n):
     return rho / np.trace(rho).real
 
 
+def dense_trace(s, rho):
+    """Tr(P rho) for P = s built by Kronecker products."""
+    return np.einsum("ij,ji->", dense_ref.dense(dense_ref.string_label(s)), rho)
+
+
 @st.composite
 def densities_and_sets(draw):
     n = draw(st.integers(1, 5))
@@ -144,7 +150,7 @@ def densities_and_sets(draw):
 @given(densities_and_sets())
 def test_density_x0_matches_member_loop(case):
     rho, g = case
-    want = np.array([pauli_trace(s, rho).real for s in g.members])
+    want = np.array([dense_trace(s, rho).real for s in g.members])
     assert np.max(np.abs(initial_state_vector(rho, g) - want), initial=0.0) <= 1e-14
 
 
@@ -164,7 +170,7 @@ def test_traces_work_in_chunks_at_the_dense_cap():
     assert peak < 32 << 20
     for i in rng.choice(rows, 50, replace=False).tolist():
         s = PauliString(n, int(x[i, 0]), int(z[i, 0]))
-        assert abs(got[i] - pauli_trace(s, rho)) <= 1e-14
+        assert abs(got[i] - dense_trace(s, rho)) <= 1e-14
 
 
 @given(st.sampled_from(WIDTHS).flatmap(strings))

