@@ -9,7 +9,8 @@ bilinear over GF(2), so the child t ^ nu_j has syndrome syn(t) ^ S_j, where
 row S_j is nu_j's own syndrome against digamma.  A member therefore costs
 one step per string it anticommutes with (its degree), not one per string of
 digamma.  The resulting set holds the keys and builds its ``PauliString``
-members only when asked.
+members only when asked.  The private ``_reach`` takes the same steps from
+many starts at once, for the checks that every member regenerates its set.
 
 ``generate_reference`` re-implements the original trace-test rule densely as
 a small-width oracle, and ``chain_closed_form`` emits the known alternating
@@ -56,6 +57,7 @@ __all__ = [
     "load_accessible_set",
     "REFERENCE_CAP",
     "MAX_MEMBERS",
+    "MAX_REGEN_PAIRS",
 ]
 
 #: widest system the dense reference rule will enumerate (4^N candidates)
@@ -65,6 +67,15 @@ REFERENCE_CAP = 4
 #: with seed Z1 closes to 4^N / 4 members: N = 11 (about 1.05 M) fits, while
 #: N = 12 (about 4.2 M) would need several GB of Python objects.
 MAX_MEMBERS = 2**21
+
+#: most (start, member) pairs a regeneration check walks: it checks that each
+#: member of a set regenerates the whole set, members^2 pairs.  Case (f) of
+#: the exchange chain fits up to N = 16.
+MAX_REGEN_PAIRS = 2**28
+
+#: most starts one batch of a regeneration walk carries, so each reached key
+#: holds a mask of at most 4 096 bits (512 B)
+REACH_BATCH = 4096
 
 SET_SCHEMA_ID = "pauli-access-set/1"
 
@@ -292,6 +303,72 @@ def generate(
                 add_prov((head, nu))
 
     return AccessibleSet._from_keys(n, keys, seen, tuple(prov))
+
+
+def _reach(
+    n: int,
+    digamma: Sequence[PauliString],
+    starts: Sequence[int],
+    within: Optional[AbstractSet[int]] = None,
+):
+    """Walk the bracket rule from every packed start key at once.
+
+    Yields ``(span, reached)`` per batch of at most :data:`REACH_BATCH`
+    starts: ``span`` is the range of the batch's positions in ``starts``, and
+    ``reached`` maps each key some start of the batch reaches to a mask whose
+    bit s is set when ``starts[span[s]]`` reaches it.  Every start reaches
+    itself.  The walk is semi-naive (Warshall's bit-matrix closure with the
+    delta rule of Bancilhon and Ramakrishnan): a key passes on only the bits
+    it gained since its last visit, to the children ``t ^ nu_j`` its syndrome
+    selects, with the steps :func:`generate` uses.  A child no start has
+    reached yet becomes a new key, as in :func:`generate`.  When ``within``
+    is given, a child outside it is dropped, even one that is a start.  One
+    batch holds one mask of at most REACH_BATCH bits (512 B) per reached key.
+
+    Raises ValueError when len(starts)^2 exceeds :data:`MAX_REGEN_PAIRS`, or
+    when one batch reaches more than :data:`MAX_MEMBERS` keys.
+    """
+    if len(starts) ** 2 > MAX_REGEN_PAIRS:
+        raise ValueError(
+            f"regenerating from each of {len(starts)} members exceeds the work "
+            f"budget MAX_REGEN_PAIRS = {MAX_REGEN_PAIRS} (members^2)"
+        )
+    terms, step_keys, step_rows = _closure_steps(
+        n, tuple((s.x_mask, s.z_mask) for s in digamma)
+    )
+    width = REACH_BATCH
+    for first in range(0, len(starts), width):
+        span = range(first, min(first + width, len(starts)))
+        reached: dict[int, int] = {}
+        syns: dict[int, int] = {}
+        for s, key in enumerate(starts[first : span.stop]):
+            reached[key] = reached.get(key, 0) | 1 << s
+            syns[key] = _syndrome(key, terms)
+        room = MAX_MEMBERS - len(reached)
+        gained = dict(reached)
+        while gained:
+            frontier, gained = gained, {}
+            for t, bits in frontier.items():
+                syn = rest = syns[t]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    child = t ^ step_keys[low]
+                    if within is not None and child not in within:
+                        continue
+                    had = reached.get(child)
+                    if had is None:
+                        if room <= 0:
+                            raise ValueError(_over_budget(MAX_MEMBERS, len(reached)))
+                        room -= 1
+                        syns[child] = syn ^ step_rows[low][0]
+                        reached[child] = gained[child] = bits
+                    else:
+                        merged = had | bits
+                        if merged != had:
+                            reached[child] = merged
+                            gained[child] = gained.get(child, 0) | (merged ^ had)
+        yield span, reached
 
 
 def _over_budget(budget: int, reached: int) -> str:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._fixedwidth import index_table, join_rows, json_rows, string_table, text_table
-from .closure import AccessibleSet, ClosureError
+from .closure import AccessibleSet, ClosureError, _reach
 from .pauli import (
     PauliString,
     PauliTable,
@@ -292,33 +292,28 @@ def verify_block_regeneration(
 
     Uses the prefix sets digamma_k (strings supported on sites <= k) and
     keeps the walk inside the block, per the block-regeneration assertion
-    for chain systems.  The walk runs on packed keys ``x | z << n``: t
-    brackets to t ^ nu exactly when t & dual(nu) has odd parity, with
-    dual = z | x << n.
+    for chain systems.  Each block is one walk from all its members at once
+    (:func:`~pauliaccess.closure._reach`): member i regenerates the block
+    when every block key's reach mask holds i's bit.  The checks are listed
+    per block, in member order.
+
+    Raises ValueError when a block's members^2 exceeds
+    :data:`~pauliaccess.closure.MAX_REGEN_PAIRS`.
     """
     n = g.n_qubits
     check_widths(digamma, n)
-    steps = [
-        (nu.highest_site(), nu.x_mask | nu.z_mask << n, nu.z_mask | nu.x_mask << n)
-        for nu in digamma
-    ]
     keys = g.packed_keys()
     checks = []
     for k, indices in partition.blocks:
-        block = {keys[i] for i in indices}
-        dig_k = [(v, dual) for site, v, dual in steps if site <= k]
-        for i in indices:
-            reached = {keys[i]}
-            queue = [keys[i]]
-            while queue:
-                t = queue.pop()
-                for v, dual in dig_k:
-                    if (t & dual).bit_count() & 1:
-                        r = t ^ v
-                        if r in block and r not in reached:
-                            reached.add(r)
-                            queue.append(r)
-            checks.append((k, i, len(reached) == len(block)))
+        starts = [keys[i] for i in indices]
+        block = set(starts)
+        dig_k = [nu for nu in digamma if nu.highest_site() <= k]
+        for span, reached in _reach(n, dig_k, starts, within=block):
+            # bit s survives only if start span[s] reached every block key
+            common = -1
+            for key in block:
+                common &= reached.get(key, 0)
+            checks.extend((k, indices[p], bool(common >> s & 1)) for s, p in enumerate(span))
     return BlockRegenerationReport(tuple(checks))
 
 

@@ -14,8 +14,19 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pauliaccess import MeasurementSpec, cli, closure, validation
+from pauliaccess import (
+    AccessibleSet,
+    MeasurementSpec,
+    build_graph,
+    cli,
+    closure,
+    exchange_digamma,
+    generate,
+    parse_term,
+    validation,
+)
 from pauliaccess.cli import main
+from pauliaccess.graph import AccessGraph
 from pauliaccess.hamiltonian import measurement_to_json
 from pauliaccess.validation import dump_json
 
@@ -301,6 +312,60 @@ def test_verify_that_checks_nothing_exits_2(capsys, argv, named):
     code, stdout, err = run(capsys, "verify", *argv)
     assert code == 2 and stdout == ""
     assert f"error: {named}" in err
+
+
+def test_verify_regeneration_budget(monkeypatch, capsys):
+    # at N = 4, case (f) has the most members, 36, and the largest block, 27
+    monkeypatch.setattr(closure, "MAX_REGEN_PAIRS", 36**2)
+    assert run(capsys, "verify", "--suite", "lemmas", "--n", "4")[0] == 0
+    monkeypatch.setattr(closure, "MAX_REGEN_PAIRS", 36**2 - 1)
+    code, _, err = run(capsys, "verify", "--suite", "lemmas", "--n", "4")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "MAX_REGEN_PAIRS = 1295" in err
+    monkeypatch.setattr(closure, "MAX_REGEN_PAIRS", 27**2)
+    assert run(capsys, "verify", "--suite", "prop3", "--n", "4")[0] == 0
+    monkeypatch.setattr(closure, "MAX_REGEN_PAIRS", 27**2 - 1)
+    code, _, err = run(capsys, "verify", "--suite", "prop3", "--n", "4")
+    assert code == 2
+    assert err.count("\n") == 1 and "MAX_REGEN_PAIRS = 728" in err
+
+
+def test_lemma_simplicity_rejects_loops_and_repeated_pairs():
+    dig = exchange_digamma(4)
+    g = generate(dig, [parse_term("Y1 Z2", 4)])
+    gr = build_graph(g, dig)
+    assert cli._is_simple(gr)
+
+    def with_edge(u, v):
+        return AccessGraph(
+            gr.n_qubits, gr.table, np.vstack([gr.ends, [[u, v]]]),
+            np.append(gr.label_index, gr.label_index[0]), gr.digamma,
+        )
+
+    u, v = gr.ends[0].tolist()
+    assert not cli._is_simple(with_edge(u, v))
+    assert not cli._is_simple(with_edge(v, u))
+    assert not cli._is_simple(with_edge(u, u))
+    no_edges = AccessGraph(gr.n_qubits, gr.table, gr.ends[:0], gr.label_index[:0], gr.digamma)
+    assert cli._is_simple(no_edges)
+
+
+def regenerates_member_by_member(g, dig):
+    keys = g.key_set()
+    return all(generate(dig, [m]).key_set() == keys for m in g.members)
+
+
+def test_lemma_regeneration_matches_per_member_closures():
+    dig = exchange_digamma(4)
+    g = generate(dig, [parse_term("Y1 Z2", 4)])
+    other = parse_term("Z1", 4)  # seeds case (b), another component
+    assert other not in g
+    fewer = AccessibleSet(4, g.members[1:], (None,) * (len(g) - 1))
+    more = AccessibleSet(4, (*g.members, other), (None,) * (len(g) + 1))
+    for s, want in ((g, True), (fewer, False), (more, False)):
+        assert regenerates_member_by_member(s, dig) is want
+        assert cli._regenerates_from_every_member(s, dig) is want
 
 
 def write_measurement_file(path, texts, n):

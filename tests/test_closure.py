@@ -12,6 +12,7 @@ from conftest import cases_fitting
 from pauliaccess import (
     AccessibleSet,
     PauliString,
+    bracket_normalized,
     chain_closed_form,
     exchange_digamma,
     generate,
@@ -466,3 +467,74 @@ def test_warm_cache_reads_the_member_budget_at_call_time(monkeypatch):
         generate(*args)
     monkeypatch.setattr(closure, "MAX_MEMBERS", 50)
     assert len(generate(*args)) == 50
+
+
+# ---------------------------------------------------------------------------
+# regeneration walk from many starts at once
+
+
+def reach_per_start(batches) -> list[set[int]]:
+    """Each start's reached keys, in start order, from the kernel's batches."""
+    out = []
+    for span, reached in batches:
+        out += [{key for key, mask in reached.items() if mask >> s & 1} for s in range(len(span))]
+    return out
+
+
+def walk_within(digamma, start: PauliString, within) -> set[int]:
+    """Keys one start reaches, bracket by bracket, never leaving ``within``."""
+    n = start.n_qubits
+    reached = {start.x_mask | start.z_mask << n}
+    queue = [start]
+    while queue:
+        tau = queue.pop()
+        for nu in digamma:
+            r = bracket_normalized(tau, nu)
+            if r is None:
+                continue
+            key = r.x_mask | r.z_mask << n
+            if key in within and key not in reached:
+                reached.add(key)
+                queue.append(r)
+    return reached
+
+
+@st.composite
+def reach_inputs(draw):
+    n = draw(st.integers(1, 5))
+    masks = st.integers(0, (1 << n) - 1)
+    string = st.builds(PauliString, st.just(n), masks, masks)
+    digamma = draw(st.lists(string, min_size=1, max_size=5))
+    # random starts: repeated, identity, and from several components
+    starts = draw(st.lists(string, min_size=1, max_size=8))
+    return n, digamma, starts
+
+
+@settings(max_examples=150, deadline=None)
+@given(reach_inputs(), st.randoms(use_true_random=False))
+def test_reach_matches_per_start_closures(inputs, rnd):
+    n, digamma, starts = inputs
+    keys = [s.x_mask | s.z_mask << n for s in starts]
+    with pytest.MonkeyPatch.context() as mp:
+        # batches of 3 starts, so up to 8 starts cross batch boundaries
+        mp.setattr(closure, "REACH_BATCH", 3)
+        full = reach_per_start(closure._reach(n, digamma, keys))
+        assert full == [generate(digamma, [s]).key_set() for s in starts]
+        block = {key for key in set().union(*full) if rnd.random() < 0.5}
+        within = reach_per_start(closure._reach(n, digamma, keys, within=block))
+        assert within == [walk_within(digamma, s, block) for s in starts]
+
+
+def test_reach_budgets(monkeypatch):
+    # case (b) at N = 4 closes to 16 members
+    dig = exchange_digamma(4)
+    g = generate(dig, [parse_term("Z1", 4)])
+    keys = g.packed_keys()
+    monkeypatch.setattr(closure, "MAX_REGEN_PAIRS", 16**2 - 1)
+    with pytest.raises(ValueError, match="MAX_REGEN_PAIRS = 255"):
+        list(closure._reach(4, dig, keys))
+    monkeypatch.setattr(closure, "MAX_REGEN_PAIRS", 16**2)
+    assert [r.keys() == g.key_set() for _, r in closure._reach(4, dig, keys)] == [True]
+    monkeypatch.setattr(closure, "MAX_MEMBERS", 15)
+    with pytest.raises(ValueError, match="MAX_MEMBERS = 15"):
+        list(closure._reach(4, dig, keys[:1]))
