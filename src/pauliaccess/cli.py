@@ -24,7 +24,7 @@ import numpy as np
 from .closure import (
     AccessibleSet,
     ClosureError,
-    _reach,
+    _regenerators,
     accessible_set_to_json,
     chain_closed_form,
     generate,
@@ -58,6 +58,7 @@ from .pauli import (
 )
 from .statespace import (
     DENSE_DIM,
+    NormDriftError,
     SimulationUnstableError,
     build_model,
     initial_state_vector,
@@ -282,9 +283,12 @@ def _parse_range(text: str, lo_default: int, hi_default: int) -> tuple[int, int]
         return lo_default, hi_default
     lo, dots, hi = text.partition("..")
     try:
-        return int(lo), int(hi if dots else lo)
+        lo, hi = int(lo), int(hi if dots else lo)
     except ValueError:
         raise ValueError(f"--n takes a size or a range like 2..10, got {text!r}") from None
+    if max(lo, hi) > MAX_QUBITS:
+        raise ValueError(f"--n takes sizes up to MAX_QUBITS = {MAX_QUBITS}, got {text!r}")
+    return lo, hi
 
 
 def _cases_for(n: int) -> dict[str, str]:
@@ -340,17 +344,10 @@ def _is_simple(gr) -> bool:
 
 
 def _regenerates_from_every_member(g, digamma) -> bool:
-    """Whether the closure of each single member of g is exactly g.
-
-    One walk from all members at once: every member of g must reach every
-    member (a full mask on each), and no member may reach a key outside g.
-    """
-    keys = g.key_set()
-    for span, reached in _reach(g.n_qubits, digamma, g.packed_keys()):
-        full = (1 << len(span)) - 1
-        if reached.keys() != keys or any(mask != full for mask in reached.values()):
-            return False
-    return True
+    """Whether the closure of each single member of g is exactly g: no
+    member's child falls outside g, and every member reaches all of g."""
+    closed, passes = _regenerators(g.n_qubits, digamma, g.packed_keys())
+    return closed and all(passes)
 
 
 def _suite_lemmas(lo: int, hi: int):
@@ -695,7 +692,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             setattr(args, dest, value)
     try:
         return args.func(args)
-    except ClosureError as exc:
+    except (ClosureError, NormDriftError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except MemoryError as exc:

@@ -9,8 +9,9 @@ bilinear over GF(2), so the child t ^ nu_j has syndrome syn(t) ^ S_j, where
 row S_j is nu_j's own syndrome against digamma.  A member therefore costs
 one step per string it anticommutes with (its degree), not one per string of
 digamma.  The resulting set holds the keys and builds its ``PauliString``
-members only when asked.  The private ``_reach`` takes the same steps from
-many starts at once, for the checks that every member regenerates its set.
+members only when asked.  The private ``_regenerators`` takes the same
+steps inside a given set of keys, and finds in linear time which keys
+regenerate the whole set, for the checks that every member does.
 
 ``generate_reference`` re-implements the original trace-test rule densely as
 a small-width oracle, and ``chain_closed_form`` emits the known alternating
@@ -57,7 +58,6 @@ __all__ = [
     "load_accessible_set",
     "REFERENCE_CAP",
     "MAX_MEMBERS",
-    "MAX_REGEN_PAIRS",
 ]
 
 #: widest system the dense reference rule will enumerate (4^N candidates)
@@ -67,15 +67,6 @@ REFERENCE_CAP = 4
 #: with seed Z1 closes to 4^N / 4 members: N = 11 (about 1.05 M) fits, while
 #: N = 12 (about 4.2 M) would need several GB of Python objects.
 MAX_MEMBERS = 2**21
-
-#: most (start, member) pairs a regeneration check walks: it checks that each
-#: member of a set regenerates the whole set, members^2 pairs.  Case (f) of
-#: the exchange chain fits up to N = 16.
-MAX_REGEN_PAIRS = 2**28
-
-#: most starts one batch of a regeneration walk carries, so each reached key
-#: holds a mask of at most 4 096 bits (512 B)
-REACH_BATCH = 4096
 
 SET_SCHEMA_ID = "pauli-access-set/1"
 
@@ -305,70 +296,73 @@ def generate(
     return AccessibleSet._from_keys(n, keys, seen, tuple(prov))
 
 
-def _reach(
-    n: int,
-    digamma: Sequence[PauliString],
-    starts: Sequence[int],
-    within: Optional[AbstractSet[int]] = None,
-):
-    """Walk the bracket rule from every packed start key at once.
+def _regenerators(n: int, digamma: Sequence[PauliString], keys: Sequence[int]):
+    """Which of the distinct packed ``keys`` regenerate all of them.
 
-    Yields ``(span, reached)`` per batch of at most :data:`REACH_BATCH`
-    starts: ``span`` is the range of the batch's positions in ``starts``, and
-    ``reached`` maps each key some start of the batch reaches to a mask whose
-    bit s is set when ``starts[span[s]]`` reaches it.  Every start reaches
-    itself.  The walk is semi-naive (Warshall's bit-matrix closure with the
-    delta rule of Bancilhon and Ramakrishnan): a key passes on only the bits
-    it gained since its last visit, to the children ``t ^ nu_j`` its syndrome
-    selects, with the steps :func:`generate` uses.  A child no start has
-    reached yet becomes a new key, as in :func:`generate`.  When ``within``
-    is given, a child outside it is dropped, even one that is a start.  One
-    batch holds one mask of at most REACH_BATCH bits (512 B) per reached key.
-
-    Raises ValueError when len(starts)^2 exceeds :data:`MAX_REGEN_PAIRS`, or
-    when one batch reaches more than :data:`MAX_MEMBERS` keys.
+    Returns ``(closed, passes)`` for the digraph joining each key t to its
+    children ``t ^ nu_j`` among ``keys``, by the steps of :func:`generate`:
+    ``closed`` says no child falls outside ``keys``, and ``passes[i]`` that
+    ``keys[i]`` reaches every key.  So ``keys[i]`` alone closes to exactly
+    ``keys`` when both hold.  Time and memory are O(len(keys) x |digamma|).
     """
-    if len(starts) ** 2 > MAX_REGEN_PAIRS:
-        raise ValueError(
-            f"regenerating from each of {len(starts)} members exceeds the work "
-            f"budget MAX_REGEN_PAIRS = {MAX_REGEN_PAIRS} (members^2)"
-        )
-    terms, step_keys, step_rows = _closure_steps(
-        n, tuple((s.x_mask, s.z_mask) for s in digamma)
-    )
-    width = REACH_BATCH
-    for first in range(0, len(starts), width):
-        span = range(first, min(first + width, len(starts)))
-        reached: dict[int, int] = {}
-        syns: dict[int, int] = {}
-        for s, key in enumerate(starts[first : span.stop]):
-            reached[key] = reached.get(key, 0) | 1 << s
-            syns[key] = _syndrome(key, terms)
-        room = MAX_MEMBERS - len(reached)
-        gained = dict(reached)
-        while gained:
-            frontier, gained = gained, {}
-            for t, bits in frontier.items():
-                syn = rest = syns[t]
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    child = t ^ step_keys[low]
-                    if within is not None and child not in within:
-                        continue
-                    had = reached.get(child)
-                    if had is None:
-                        if room <= 0:
-                            raise ValueError(_over_budget(MAX_MEMBERS, len(reached)))
-                        room -= 1
-                        syns[child] = syn ^ step_rows[low][0]
-                        reached[child] = gained[child] = bits
-                    else:
-                        merged = had | bits
-                        if merged != had:
-                            reached[child] = merged
-                            gained[child] = gained.get(child, 0) | (merged ^ had)
-        yield span, reached
+    terms, step_keys, step_rows = _closure_steps(n, tuple((s.x_mask, s.z_mask) for s in digamma))
+    index = {key: i for i, key in enumerate(keys)}
+    succ: list[list[int]] = [[] for _ in keys]
+    pred: list[list[int]] = [[] for _ in keys]
+    # as in generate, a key takes its syndrome from the first key stepping to it
+    syns: list[Optional[int]] = [None] * len(keys)
+    closed = True
+    for i, t in enumerate(keys):
+        syn = rest = _syndrome(t, terms) if syns[i] is None else syns[i]
+        out = succ[i]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = index.get(t ^ step_keys[low])
+            if c is None:
+                closed = False
+                continue
+            out.append(c)
+            pred[c].append(i)
+            if syns[c] is None:
+                syns[c] = syn ^ step_rows[low][0]
+    return closed, _reaching_all(succ, pred)
+
+
+def _reaching_all(succ: list[list[int]], pred: list[list[int]]) -> list[bool]:
+    """``passes[i]``: node i of the digraph ``succ`` (reversed: ``pred``)
+    reaches every node.
+
+    A sweep walks from each node not yet seen, in order.  Its last root v is
+    the node a depth-first search from the same roots finishes last, so v
+    lies in a source component (the Kosaraju-Sharir lemma).  A node that
+    reaches everything lies in the one source component, with v.  So if the
+    walk from v covers the digraph, exactly the nodes that reach v pass,
+    found by one walk back over ``pred``; otherwise none does.  Time is
+    linear in nodes plus edges.
+    """
+    m, last = len(succ), 0
+    seen = bytearray(m)
+    for root in range(m):
+        if not seen[root]:
+            last = root
+            _mark(succ, root, seen)
+    # one sweep tree (last == 0) covers the digraph already
+    if last and 0 in _mark(succ, last, bytearray(m)):
+        return [False] * m
+    return [bool(b) for b in _mark(pred, last, bytearray(m))] if m else []
+
+
+def _mark(adj: list[list[int]], root: int, seen: bytearray) -> bytearray:
+    """Set ``seen`` for every node reached from root, without recursion."""
+    seen[root] = 1
+    stack = [root]
+    while stack:
+        for c in adj[stack.pop()]:
+            if not seen[c]:
+                seen[c] = 1
+                stack.append(c)
+    return seen
 
 
 def _over_budget(budget: int, reached: int) -> str:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._fixedwidth import index_table, join_rows, json_rows, string_table, text_table
-from .closure import AccessibleSet, ClosureError, _reach
+from .closure import AccessibleSet, ClosureError, _regenerators
 from .pauli import (
     PauliString,
     PauliTable,
@@ -292,28 +292,19 @@ def verify_block_regeneration(
 
     Uses the prefix sets digamma_k (strings supported on sites <= k) and
     keeps the walk inside the block, per the block-regeneration assertion
-    for chain systems.  Each block is one walk from all its members at once
-    (:func:`~pauliaccess.closure._reach`): member i regenerates the block
-    when every block key's reach mask holds i's bit.  The checks are listed
+    for chain systems.  Each block takes one linear-time pass over its
+    bracket digraph (:func:`~pauliaccess.closure._regenerators`), which
+    finds the members that reach every block member.  The checks are listed
     per block, in member order.
-
-    Raises ValueError when a block's members^2 exceeds
-    :data:`~pauliaccess.closure.MAX_REGEN_PAIRS`.
     """
     n = g.n_qubits
     check_widths(digamma, n)
     keys = g.packed_keys()
     checks = []
     for k, indices in partition.blocks:
-        starts = [keys[i] for i in indices]
-        block = set(starts)
         dig_k = [nu for nu in digamma if nu.highest_site() <= k]
-        for span, reached in _reach(n, dig_k, starts, within=block):
-            # bit s survives only if start span[s] reached every block key
-            common = -1
-            for key in block:
-                common &= reached.get(key, 0)
-            checks.extend((k, indices[p], bool(common >> s & 1)) for s, p in enumerate(span))
+        _, passes = _regenerators(n, dig_k, [keys[i] for i in indices])
+        checks.extend((k, i, ok) for i, ok in zip(indices, passes))
     return BlockRegenerationReport(tuple(checks))
 
 

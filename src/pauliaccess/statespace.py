@@ -52,6 +52,7 @@ __all__ = [
     "StateSpaceModel",
     "SimulationResult",
     "SimulationUnstableError",
+    "NormDriftError",
     "build_model",
     "initial_state_vector",
     "simulate_reduced",
@@ -82,6 +83,10 @@ BLOCH_KETS = {
 
 class SimulationUnstableError(RuntimeError):
     """State norm drifted far beyond its conserved value; reduce the step."""
+
+
+class NormDriftError(RuntimeError):
+    """``expm`` moved the conserved state norm; indicates an implementation bug."""
 
 
 @dataclass(eq=False)
@@ -258,11 +263,14 @@ def simulate_reduced(
     """Integrate x' = A x and report y = C x at the requested times.
 
     ``expm`` is exact up to rounding and ``rk4`` marches a fixed-step
-    classical Runge-Kutta scheme.  Both take A dense up to
-    :data:`DENSE_DIM` states and sparse above it: ``expm`` then switches from
-    scaling-and-squaring on the dense A to ``expm_multiply`` on the sparse A
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011), which it also uses
-    on a grid that is not uniform at any size.  There is no size cap.
+    classical Runge-Kutta scheme.  ``expm`` raises :class:`NormDriftError`
+    when max |norm(x(t)) - norm(x0)| exceeds 1e-10 (1 + len(times))
+    max(1, norm(x0)); rk4 keeps its 10x divergence guard.  Both take A dense
+    up to :data:`DENSE_DIM` states and sparse above it: ``expm`` then
+    switches from scaling-and-squaring on the dense A to ``expm_multiply``
+    on the sparse A (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011),
+    which it also uses on a grid that is not uniform at any size.  There is
+    no size cap.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or len(t) == 0:
@@ -275,6 +283,15 @@ def simulate_reduced(
 
     if integrator == "expm":
         states = _run_expm(model, x0, t)
+        # exp(A t) is orthogonal for an antisymmetric A, so the norm is a free check
+        norm0 = float(np.linalg.norm(x0))
+        drift = float(np.abs(np.sqrt(np.einsum("ij,ij->i", states, states)) - norm0).max())
+        bound = 1e-10 * (1 + len(t)) * max(1.0, norm0)
+        if not drift <= bound:
+            raise NormDriftError(
+                f"expm moved the state norm by {drift:.3g}, past the bound "
+                f"1e-10 * (1 + {len(t)} points) * max(1, |x0| = {norm0:.3g}) = {bound:.3g}"
+            )
     elif integrator == "rk4":
         states = _run_rk4(model, x0, t, step)
     else:

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -302,6 +303,13 @@ def test_verify_unknown_suite(capsys):
     pytest.param(("--suite", "oracle", "--n", "6"), "--n 6", id="oracle n 6"),  # stops at 4
     pytest.param(("--suite", "prop2", "--n", "5..2"), "--n 5..2", id="empty range"),
     pytest.param(("--suite", "prop2", "--n", "two"), "--n", id="n not an integer"),
+    # sizes past the widest a loader accepts started building until memory ran out
+    pytest.param(("--suite", "prop2", "--n", "99999999999"),
+                 "--n takes sizes up to MAX_QUBITS = 4096", id="n past MAX_QUBITS"),
+    pytest.param(("--suite", "lemmas", "--n", "2..4097"),
+                 "--n takes sizes up to MAX_QUBITS = 4096", id="range end past MAX_QUBITS"),
+    pytest.param(("--suite", "prop3", "--n", "4097..2"),
+                 "--n takes sizes up to MAX_QUBITS = 4096", id="range start past MAX_QUBITS"),
     pytest.param(("--suite", "identities", "--trials", "-3"), "--trials", id="negative trials"),
     # trials that draw no sequence whose brackets stay nonzero
     pytest.param(("--suite", "identities", "--trials", "1"), "--trials 1", id="one trial"),
@@ -314,21 +322,35 @@ def test_verify_that_checks_nothing_exits_2(capsys, argv, named):
     assert f"error: {named}" in err
 
 
-def test_verify_regeneration_budget(monkeypatch, capsys):
-    # at N = 4, case (f) has the most members, 36, and the largest block, 27
-    monkeypatch.setattr(closure, "MAX_REGEN_PAIRS", 36**2)
-    assert run(capsys, "verify", "--suite", "lemmas", "--n", "4")[0] == 0
-    monkeypatch.setattr(closure, "MAX_REGEN_PAIRS", 36**2 - 1)
-    code, _, err = run(capsys, "verify", "--suite", "lemmas", "--n", "4")
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "MAX_REGEN_PAIRS = 1295" in err
-    monkeypatch.setattr(closure, "MAX_REGEN_PAIRS", 27**2)
-    assert run(capsys, "verify", "--suite", "prop3", "--n", "4")[0] == 0
-    monkeypatch.setattr(closure, "MAX_REGEN_PAIRS", 27**2 - 1)
-    code, _, err = run(capsys, "verify", "--suite", "prop3", "--n", "4")
-    assert code == 2
-    assert err.count("\n") == 1 and "MAX_REGEN_PAIRS = 728" in err
+def test_verify_lemmas_past_the_old_pair_budget(capsys):
+    # case (f) at N = 17 has 18 496 members: a members^2 walk refused it
+    code, stdout, err = run(capsys, "verify", "--suite", "lemmas", "--n", "17")
+    assert code == 0 and err == ""
+    assert stdout.splitlines() == [f"PASS lemmas n=17 case {c}" for c in "abcdef"]
+
+
+def test_expm_norm_drift_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    set_path, model_path = tmp_path / "set.json", tmp_path / "model.json"
+    assert run(capsys, "gen", "--chain", "2", "--measurement", "Z1", "--out", str(set_path))[0] == 0
+    assert run(
+        capsys, "model", "--set", str(set_path), "--chain", "2",
+        "--measurement", "Z1", "--out", str(model_path),
+    )[0] == 0
+    load = cli.load_model
+
+    def load_symmetric(path):
+        # the loader refuses a non-antisymmetric A, so it is changed after loading
+        model = load(path)
+        return dataclasses.replace(model, a_values=np.abs(model.a_values))
+
+    monkeypatch.setattr(cli, "load_model", load_symmetric)
+    code, _, err = run(
+        capsys, "simulate", "--model", str(model_path), "--rho0", "+,0",
+        "--times", "0:0.5:0.25", "--out", str(tmp_path / "traj.csv"),
+    )
+    assert code == 3
+    assert err.startswith("internal consistency failure: expm moved the state norm")
+    assert err.count("\n") == 1 and "past the bound 1e-10 * (1 + 3 points)" in err
 
 
 def test_lemma_simplicity_rejects_loops_and_repeated_pairs():

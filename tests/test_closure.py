@@ -5,7 +5,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cases_fitting
@@ -470,15 +470,7 @@ def test_warm_cache_reads_the_member_budget_at_call_time(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# regeneration walk from many starts at once
-
-
-def reach_per_start(batches) -> list[set[int]]:
-    """Each start's reached keys, in start order, from the kernel's batches."""
-    out = []
-    for span, reached in batches:
-        out += [{key for key, mask in reached.items() if mask >> s & 1} for s in range(len(span))]
-    return out
+# regeneration: the members of a set that reach all of it
 
 
 def walk_within(digamma, start: PauliString, within) -> set[int]:
@@ -500,41 +492,64 @@ def walk_within(digamma, start: PauliString, within) -> set[int]:
 
 
 @st.composite
-def reach_inputs(draw):
+def regeneration_inputs(draw):
     n = draw(st.integers(1, 5))
     masks = st.integers(0, (1 << n) - 1)
     string = st.builds(PauliString, st.just(n), masks, masks)
     digamma = draw(st.lists(string, min_size=1, max_size=5))
-    # random starts: repeated, identity, and from several components
-    starts = draw(st.lists(string, min_size=1, max_size=8))
-    return n, digamma, starts
+    # seeds from one component or several, the identity included
+    seeds = draw(st.lists(string, min_size=1, max_size=4))
+    # the share of their closure left out: the set may be closed or not
+    drop = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    return n, digamma, seeds, drop
 
 
 @settings(max_examples=150, deadline=None)
-@given(reach_inputs(), st.randoms(use_true_random=False))
-def test_reach_matches_per_start_closures(inputs, rnd):
-    n, digamma, starts = inputs
-    keys = [s.x_mask | s.z_mask << n for s in starts]
-    with pytest.MonkeyPatch.context() as mp:
-        # batches of 3 starts, so up to 8 starts cross batch boundaries
-        mp.setattr(closure, "REACH_BATCH", 3)
-        full = reach_per_start(closure._reach(n, digamma, keys))
-        assert full == [generate(digamma, [s]).key_set() for s in starts]
-        block = {key for key in set().union(*full) if rnd.random() < 0.5}
-        within = reach_per_start(closure._reach(n, digamma, keys, within=block))
-        assert within == [walk_within(digamma, s, block) for s in starts]
+@given(regeneration_inputs(), st.randoms(use_true_random=False))
+def test_regenerators_match_per_start_closures(inputs, rnd):
+    n, digamma, seeds, drop = inputs
+    keys = [key for key in generate(digamma, seeds).packed_keys() if rnd.random() >= drop]
+    rnd.shuffle(keys)
+    closed, passes = closure._regenerators(n, digamma, keys)
+    assert len(passes) == len(keys)
+    full = (1 << n) - 1
+    for i in rnd.sample(range(len(keys)), min(8, len(keys))):
+        start = PauliString(n, keys[i] & full, keys[i] >> n)
+        # the closure of member i alone is exactly the set
+        assert (closed and passes[i]) == (generate(digamma, [start]).key_set() == set(keys))
+        # member i reaches every member without leaving the set
+        assert passes[i] == (walk_within(digamma, start, set(keys)) == set(keys))
 
 
-def test_reach_budgets(monkeypatch):
-    # case (b) at N = 4 closes to 16 members
-    dig = exchange_digamma(4)
-    g = generate(dig, [parse_term("Z1", 4)])
-    keys = g.packed_keys()
-    monkeypatch.setattr(closure, "MAX_REGEN_PAIRS", 16**2 - 1)
-    with pytest.raises(ValueError, match="MAX_REGEN_PAIRS = 255"):
-        list(closure._reach(4, dig, keys))
-    monkeypatch.setattr(closure, "MAX_REGEN_PAIRS", 16**2)
-    assert [r.keys() == g.key_set() for _, r in closure._reach(4, dig, keys)] == [True]
-    monkeypatch.setattr(closure, "MAX_MEMBERS", 15)
-    with pytest.raises(ValueError, match="MAX_MEMBERS = 15"):
-        list(closure._reach(4, dig, keys[:1]))
+def digraphs():
+    """Successor lists on up to 7 nodes, loops and repeated edges included."""
+    return st.integers(1, 7).flatmap(
+        lambda m: st.lists(st.lists(st.integers(0, m - 1), max_size=3), min_size=m, max_size=m)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+@example([[], [0]])  # node 1 alone reaches all: the sweep's last root, not its first
+@example([[1], [0], [0, 1]])  # a source component {2} above a cycle
+def test_reaching_all_matches_per_node_walks(succ):
+    # a bracket digraph is symmetric (t ^ nu anticommutes with nu too), so
+    # only directed draws tell a source component from any other
+    pred = [[] for _ in succ]
+    for u, out in enumerate(succ):
+        for v in out:
+            pred[v].append(u)
+    want = []
+    for i in range(len(succ)):
+        seen, stack = {i}, [i]
+        while stack:
+            for v in succ[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        want.append(len(seen) == len(succ))
+    assert closure._reaching_all(succ, pred) == want
+
+
+def test_regenerators_on_no_keys():
+    assert closure._regenerators(2, exchange_digamma(2), []) == (True, [])

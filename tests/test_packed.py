@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from pauliaccess import (
     AccessibleSet,
     GrammarError,
+    HamiltonianSpec,
     MeasurementSpec,
     PauliString,
     bracket,
@@ -25,6 +26,7 @@ from pauliaccess import (
     order_members,
     parse_term,
     partition_k_finite,
+    WeightedPauliSum,
 )
 from pauliaccess.closure import accessible_set_from_json, accessible_set_to_json
 from pauliaccess.graph import graph_to_json
@@ -301,14 +303,10 @@ def test_depths_reject_a_provenance_cycle():
 # graph and model against per-pair loops, two words wide
 
 
-def test_graph_and_model_match_pair_loops_at_n70():
-    n = 70
-    spec = build_exchange_chain(n, [0.5 + 0.01 * k for k in range(n - 1)])
-    digamma = decomposed_digamma(spec)
-    g = generate(digamma, [parse_term("X1", n)])  # case (a)
-    assert len(g) == n
+def pair_loop_edges_and_a(g, spec, digamma):
+    """The graph's edges and A's nonzeros from the scalar ``bracket``, one
+    (member, string) pair at a time, in the orders the package lists them."""
     index = {(s.x_mask, s.z_mask): i for i, s in enumerate(g.members)}
-
     edges = {}
     for m, om in enumerate(g.members):
         for nu in digamma:
@@ -316,8 +314,6 @@ def test_graph_and_model_match_pair_loops_at_n70():
             if br is not None:
                 k = index[(br[1].x_mask, br[1].z_mask)]
                 edges[(min(m, k), max(m, k))] = nu
-    assert build_graph(g, digamma).edges == tuple((u, v, nu) for (u, v), nu in sorted(edges.items()))
-
     a = {}
     for j, oj in enumerate(g.members):
         for h, hm in spec.terms.terms:
@@ -326,9 +322,55 @@ def test_graph_and_model_match_pair_loops_at_n70():
                 c, r = br
                 l = index[(r.x_mask, r.z_mask)]
                 a[(j, l)] = a.get((j, l), 0.0) + (-h * c)
-    meas = MeasurementSpec.from_texts(["X1"], n)
-    model = build_model(g, spec, meas)
-    assert model.a_entries == tuple((j, l, v) for (j, l), v in sorted(a.items()) if v != 0.0)
+    return (
+        tuple((u, v, nu) for (u, v), nu in sorted(edges.items())),
+        tuple((j, l, v) for (j, l), v in sorted(a.items()) if v != 0.0),
+    )
+
+
+def test_graph_and_model_match_pair_loops_at_n70():
+    n = 70
+    spec = build_exchange_chain(n, [0.5 + 0.01 * k for k in range(n - 1)])
+    digamma = decomposed_digamma(spec)
+    g = generate(digamma, [parse_term("X1", n)])  # case (a)
+    assert len(g) == n
+    edges, a = pair_loop_edges_and_a(g, spec, digamma)
+    assert build_graph(g, digamma).edges == edges
+    assert build_model(g, spec, MeasurementSpec.from_texts(["X1"], n)).a_entries == a
+
+
+@st.composite
+def wide_sparse_cases(draw):
+    """A few weighted strings of weight 1 to 3 and one or two seeds, on 63 to
+    130 qubits.  The sites come from a pool at the ends and at the 64-bit
+    word edges, so that the strings overlap and reach across words.  Every
+    member is a seed times a product of distinct Hamiltonian strings, so at
+    most 9 terms keep a set under 2 * 2^9 = 1024 members."""
+    n = draw(st.sampled_from((63, 64, 65, 66, 130)))
+    site = st.sampled_from([s for s in (1, 2, 3, 62, 63, 64, 65, 66, 67, 128, 129, 130) if s <= n])
+
+    def sparse():
+        cells = st.dictionaries(site, st.sampled_from("XYZ"), min_size=1, max_size=3)
+        return cells.map(lambda c: PauliString.from_cells(n, c))
+
+    coeff = st.floats(0.05, 2.0) | st.floats(-2.0, -0.05)
+    terms = draw(st.lists(st.tuples(coeff, sparse()), min_size=1, max_size=9, unique_by=lambda t: t[1]))
+    seeds = draw(st.lists(sparse(), min_size=1, max_size=2, unique_by=lambda s: s.to_text()))
+    return n, terms, seeds
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_sparse_cases())
+def test_graph_and_model_match_pair_loops_on_wide_sparse_hamiltonians(case):
+    n, terms, seeds = case
+    spec = HamiltonianSpec(n, WeightedPauliSum(n, tuple(terms)))
+    digamma = decomposed_digamma(spec)
+    meas = MeasurementSpec.from_texts([s.to_text() for s in seeds], n)
+    g = generate(digamma, list(meas.decomposed))
+    assert len(g) <= 2 * 2 ** len(terms)
+    edges, a = pair_loop_edges_and_a(g, spec, digamma)
+    assert build_graph(g, digamma).edges == edges
+    assert build_model(g, spec, meas).a_entries == a
 
 
 def test_payloads_match_member_texts_at_n70():

@@ -1,5 +1,6 @@
 """State-space extraction and reduced integration."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -34,6 +35,7 @@ from pauliaccess import statespace
 from pauliaccess.closure import ClosureError
 from pauliaccess.statespace import (
     DENSE_DIM,
+    NormDriftError,
     SimulationResult,
     SimulationUnstableError,
     model_from_json,
@@ -401,6 +403,39 @@ def test_simulate_flags_unstable_step():
     x0 = initial_state_vector("0,1", g)
     with pytest.raises(SimulationUnstableError):
         simulate_reduced(model, x0, [0.0, 50.0], integrator="rk4", step=0.049)
+
+
+def not_antisymmetric(model):
+    """The model with every A entry made positive: A is then symmetric, and
+    exp(A t) stretches the state.  Built in process, as the loader refuses it."""
+    return dataclasses.replace(model, a_values=np.abs(model.a_values))
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, 0.25, 0.5],  # uniform: dense expm
+    [0.0, 0.1, 0.5],  # non-uniform: expm_multiply
+])
+def test_expm_refuses_a_drifting_norm(times):
+    model, _ = model_case_b2()
+    x0 = np.array([1.0, 0.0, 0.0, 0.0])  # not in the kernel of the symmetric A
+    bad = not_antisymmetric(model)
+    with pytest.raises(NormDriftError, match=r"past the bound 1e-10 \* \(1 \+ 3 points\)"):
+        simulate_reduced(bad, x0, times)
+    # rk4 keeps only its 10x guard: A's largest eigenvalue is 4, so the norm
+    # grows by at most e^2 by t = 0.5
+    simulate_reduced(bad, x0, times, integrator="rk4", step=0.01)
+
+
+def test_expm_norm_bound_scales_with_points_and_norm():
+    model, _ = model_case_b2()
+    x0 = np.array([1e6, 0.0, 0.0, 0.0])
+    # a large x0 and many points: the rounding drift stays inside the bound
+    result = simulate_reduced(model, x0, np.linspace(0.0, 10.0, 1001))
+    norms = np.linalg.norm(result.states, axis=1)
+    assert np.abs(norms - 1e6).max() <= 1e-10 * 1002 * 1e6
+    # a drift far below any bound still fails when A is not antisymmetric
+    with pytest.raises(NormDriftError):
+        simulate_reduced(not_antisymmetric(model), x0, [0.0, 1e-3])
 
 
 # ---------------------------------------------------------------------------
