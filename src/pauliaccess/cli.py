@@ -24,7 +24,7 @@ import numpy as np
 from .closure import (
     AccessibleSet,
     ClosureError,
-    _regenerators,
+    _regenerates,
     accessible_set_to_json,
     chain_closed_form,
     generate,
@@ -75,6 +75,9 @@ EXIT_INTERNAL = 3
 
 #: largest number of points a --times grid may hold
 MAX_TIME_POINTS = 1_000_000
+
+#: most trials ``verify --suite identities`` may run, at about 150 us each
+MAX_TRIALS = 1_000_000
 
 #: most steps an rk4 run may take, about the last time over --step; each
 #: step is four products with A
@@ -204,6 +207,8 @@ def cmd_chain(args) -> int:
 
 
 def _ordered_set(spec: HamiltonianSpec, meas: MeasurementSpec) -> AccessibleSet:
+    if not meas.decomposed:
+        raise ValueError("the measurement has no nonzero Pauli term to seed the closure")
     digamma = decomposed_digamma(spec)
     g = generate(digamma, list(meas.decomposed))
     return order_members(g, build_graph(g, digamma), partition_k_finite(g))
@@ -346,8 +351,8 @@ def _is_simple(gr) -> bool:
 def _regenerates_from_every_member(g, digamma) -> bool:
     """Whether the closure of each single member of g is exactly g: no
     member's child falls outside g, and every member reaches all of g."""
-    closed, passes = _regenerators(g.n_qubits, digamma, g.packed_keys())
-    return closed and all(passes)
+    closed, covered = _regenerates(g.n_qubits, digamma, g.packed_keys())
+    return closed and covered
 
 
 def _suite_lemmas(lo: int, hi: int):
@@ -493,8 +498,11 @@ def cmd_verify(args) -> int:
         raise ValueError(
             f"unknown suite {args.suite!r}; choose from {sorted(suites)}"
         )
-    if args.suite == "identities" and args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.suite == "identities":
+        if not 1 <= args.trials <= MAX_TRIALS:
+            raise ValueError(f"--trials takes 1 to MAX_TRIALS = {MAX_TRIALS}, got {args.trials}")
+        if args.seed < 0:
+            raise ValueError(f"--seed takes a non-negative integer, got {args.seed}")
     checked = 0
     all_ok = True
     for name, ok, detail in suites[args.suite]():
@@ -659,6 +667,24 @@ def _stage(exc: BaseException) -> str:
     return stage
 
 
+def _attach_dash_values(argv: list, subparsers: list) -> list:
+    """``--opt VALUE`` as ``--opt=VALUE`` where VALUE starts with "-".
+
+    argparse reads such a value (``--couplings -1,1``, ``--rho0 -,0``) as an
+    unknown option and refuses it; a token that names an option stays apart.
+    """
+    actions = [a for sub in subparsers for a in sub._actions]
+    options = {opt for a in actions for opt in a.option_strings}
+    takes_value = {opt for a in actions if a.nargs is None for opt in a.option_strings}
+    out = []
+    for arg in argv:
+        if out and out[-1] in takes_value and arg[:1] == "-" and arg not in options:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
 
@@ -676,6 +702,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         del argv[i : i + 2]
 
     parser, subparsers = build_parser()
+    argv = _attach_dash_values(argv, subparsers)
     try:
         defaults = _config_defaults(config, subparsers)
     except ValueError as exc:

@@ -9,9 +9,9 @@ bilinear over GF(2), so the child t ^ nu_j has syndrome syn(t) ^ S_j, where
 row S_j is nu_j's own syndrome against digamma.  A member therefore costs
 one step per string it anticommutes with (its degree), not one per string of
 digamma.  The resulting set holds the keys and builds its ``PauliString``
-members only when asked.  The private ``_regenerators`` takes the same
-steps inside a given set of keys, and finds in linear time which keys
-regenerate the whole set, for the checks that every member does.
+members only when asked.  The private ``_regenerates`` takes the same
+steps from one key without leaving a given set of keys.  The step is
+symmetric, so that one walk tells whether every key regenerates the set.
 
 ``generate_reference`` re-implements the original trace-test rule densely as
 a small-width oracle, and ``chain_closed_form`` emits the known alternating
@@ -296,73 +296,37 @@ def generate(
     return AccessibleSet._from_keys(n, keys, seen, tuple(prov))
 
 
-def _regenerators(n: int, digamma: Sequence[PauliString], keys: Sequence[int]):
-    """Which of the distinct packed ``keys`` regenerate all of them.
+def _regenerates(n: int, digamma: Sequence[PauliString], keys: Sequence[int]):
+    """Walk from ``keys[0]`` by the steps of :func:`generate`, never leaving
+    the distinct packed ``keys``.
 
-    Returns ``(closed, passes)`` for the digraph joining each key t to its
-    children ``t ^ nu_j`` among ``keys``, by the steps of :func:`generate`:
-    ``closed`` says no child falls outside ``keys``, and ``passes[i]`` that
-    ``keys[i]`` reaches every key.  So ``keys[i]`` alone closes to exactly
-    ``keys`` when both hold.  Time and memory are O(len(keys) x |digamma|).
+    Returns ``(closed, covered)``: ``closed`` says no key the walk visits
+    has a child ``t ^ nu_j`` outside ``keys``, and ``covered`` that the walk
+    visits every key.  The step is symmetric, as ``t ^ nu`` anticommutes
+    with nu exactly when t does; so when ``covered`` holds every key reaches
+    every key, and otherwise none does.  A single key then closes to exactly
+    ``keys`` when both hold.  Time is O(len(keys) x |digamma|).
     """
     terms, step_keys, step_rows = _closure_steps(n, tuple((s.x_mask, s.z_mask) for s in digamma))
-    index = {key: i for i, key in enumerate(keys)}
-    succ: list[list[int]] = [[] for _ in keys]
-    pred: list[list[int]] = [[] for _ in keys]
-    # as in generate, a key takes its syndrome from the first key stepping to it
-    syns: list[Optional[int]] = [None] * len(keys)
+    walk = list(keys[:1])
+    syns = [_syndrome(t, terms) for t in walk]
+    # per key, whether the walk has visited it; a child outside keys gets None
+    visited = dict.fromkeys(keys, False) | dict.fromkeys(walk, True)
     closed = True
-    for i, t in enumerate(keys):
-        syn = rest = _syndrome(t, terms) if syns[i] is None else syns[i]
-        out = succ[i]
+    for head, t in enumerate(walk):
+        syn = rest = syns[head]
         while rest:
             low = rest & -rest
             rest ^= low
-            c = index.get(t ^ step_keys[low])
-            if c is None:
+            child = t ^ step_keys[low]
+            seen = visited.get(child)
+            if seen is None:
                 closed = False
-                continue
-            out.append(c)
-            pred[c].append(i)
-            if syns[c] is None:
-                syns[c] = syn ^ step_rows[low][0]
-    return closed, _reaching_all(succ, pred)
-
-
-def _reaching_all(succ: list[list[int]], pred: list[list[int]]) -> list[bool]:
-    """``passes[i]``: node i of the digraph ``succ`` (reversed: ``pred``)
-    reaches every node.
-
-    A sweep walks from each node not yet seen, in order.  Its last root v is
-    the node a depth-first search from the same roots finishes last, so v
-    lies in a source component (the Kosaraju-Sharir lemma).  A node that
-    reaches everything lies in the one source component, with v.  So if the
-    walk from v covers the digraph, exactly the nodes that reach v pass,
-    found by one walk back over ``pred``; otherwise none does.  Time is
-    linear in nodes plus edges.
-    """
-    m, last = len(succ), 0
-    seen = bytearray(m)
-    for root in range(m):
-        if not seen[root]:
-            last = root
-            _mark(succ, root, seen)
-    # one sweep tree (last == 0) covers the digraph already
-    if last and 0 in _mark(succ, last, bytearray(m)):
-        return [False] * m
-    return [bool(b) for b in _mark(pred, last, bytearray(m))] if m else []
-
-
-def _mark(adj: list[list[int]], root: int, seen: bytearray) -> bytearray:
-    """Set ``seen`` for every node reached from root, without recursion."""
-    seen[root] = 1
-    stack = [root]
-    while stack:
-        for c in adj[stack.pop()]:
-            if not seen[c]:
-                seen[c] = 1
-                stack.append(c)
-    return seen
+            elif not seen:
+                visited[child] = True
+                walk.append(child)
+                syns.append(syn ^ step_rows[low][0])
+    return closed, len(walk) == len(visited)
 
 
 def _over_budget(budget: int, reached: int) -> str:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._fixedwidth import index_table, join_rows, json_rows, string_table, text_table
-from .closure import AccessibleSet, ClosureError, _regenerators
+from .closure import AccessibleSet, ClosureError, _regenerates
 from .pauli import (
     PauliString,
     PauliTable,
@@ -292,10 +292,11 @@ def verify_block_regeneration(
 
     Uses the prefix sets digamma_k (strings supported on sites <= k) and
     keeps the walk inside the block, per the block-regeneration assertion
-    for chain systems.  Each block takes one linear-time pass over its
-    bracket digraph (:func:`~pauliaccess.closure._regenerators`), which
-    finds the members that reach every block member.  The checks are listed
-    per block, in member order.
+    for chain systems.  Each block takes one walk from its first member
+    (:func:`~pauliaccess.closure._regenerates`).  The bracket step is
+    symmetric, so every member of a block passes when that walk covers the
+    block, and none does otherwise.  The checks are listed per block, in
+    member order.
     """
     n = g.n_qubits
     check_widths(digamma, n)
@@ -303,8 +304,8 @@ def verify_block_regeneration(
     checks = []
     for k, indices in partition.blocks:
         dig_k = [nu for nu in digamma if nu.highest_site() <= k]
-        _, passes = _regenerators(n, dig_k, [keys[i] for i in indices])
-        checks.extend((k, i, ok) for i, ok in zip(indices, passes))
+        _, covered = _regenerates(n, dig_k, [keys[i] for i in indices])
+        checks.extend((k, i, covered) for i in indices)
     return BlockRegenerationReport(tuple(checks))
 
 

@@ -47,6 +47,35 @@ def test_chain_writes_spec(tmp_path, capsys):
     assert len(data["terms"]) == 6
 
 
+def test_a_value_starting_with_a_dash_follows_its_option(tmp_path, capsys):
+    # argparse took "-1,1" and "-,0" for unknown options and exited 2
+    chain = ("chain", "--n", "3")
+    plain = run(capsys, *chain, "--couplings", "-1,1")
+    assert plain == run(capsys, *chain, "--couplings=-1,1")
+    assert plain[0] == 0
+    assert [t["coeff"] for t in json.loads(plain[1])["terms"]] == [-1.0, -1.0, 1.0, 1.0]
+
+    set_path, model_path = tmp_path / "set.json", tmp_path / "model.json"
+    source = ("--chain", "2", "--measurement", "Z1")
+    assert run(capsys, "gen", *source, "--out", str(set_path))[0] == 0
+    assert run(capsys, "model", "--set", str(set_path), *source, "--out", str(model_path))[0] == 0
+    simulate = ("simulate", "--model", str(model_path), "--times", "0:1:0.5")
+    plain = run(capsys, *simulate, "--rho0", "-,0")
+    assert plain == run(capsys, *simulate, "--rho0=-,0")
+    assert plain[0] == 0 and plain[1].startswith("t,")
+
+    # an option in the value's place still leaves its option without one
+    code, err = run_quietly([*chain, "--couplings", "--out", str(tmp_path / "x")])
+    assert code == 2 and "argument --couplings: expected one argument" in err
+
+
+@pytest.mark.parametrize("text", ["0 * X1", "X1 + -1 * X1"])
+def test_gen_with_an_all_zero_measurement_exits_2_naming_it(capsys, text):
+    code, stdout, err = run(capsys, "gen", "--chain", "2", "--measurement", text)
+    assert (code, stdout) == (2, "")
+    assert err == "error: the measurement has no nonzero Pauli term to seed the closure\n"
+
+
 def test_gen_summary_case_d_n5(tmp_path, capsys):
     out = tmp_path / "set.json"
     code, stdout, _ = run(
@@ -311,6 +340,12 @@ def test_verify_unknown_suite(capsys):
     pytest.param(("--suite", "prop3", "--n", "4097..2"),
                  "--n takes sizes up to MAX_QUBITS = 4096", id="range start past MAX_QUBITS"),
     pytest.param(("--suite", "identities", "--trials", "-3"), "--trials", id="negative trials"),
+    # ran until killed: a trial takes about 150 us
+    pytest.param(("--suite", "identities", "--trials", str(cli.MAX_TRIALS + 1)),
+                 "--trials takes 1 to MAX_TRIALS = 1000000", id="trials past MAX_TRIALS"),
+    # numpy's "expected non-negative integer" named no option
+    pytest.param(("--suite", "identities", "--seed", "-1"),
+                 "--seed takes a non-negative integer, got -1", id="negative seed"),
     # trials that draw no sequence whose brackets stay nonzero
     pytest.param(("--suite", "identities", "--trials", "1"), "--trials 1", id="one trial"),
     pytest.param(("--suite", "identities", "--trials", "2", "--seed", "3"), "--trials 2",

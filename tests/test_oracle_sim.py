@@ -1,6 +1,12 @@
 """Dense full-space evolution and the truncated commutator series."""
 
+import contextlib
+import csv
+import io
+import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,10 +32,13 @@ from pauliaccess import (
     parse_term,
 )
 from pauliaccess import oracle
+from pauliaccess.cli import main
 from pauliaccess.closure import AccessibleSet
+from pauliaccess.hamiltonian import hamiltonian_to_json
 from pauliaccess.oracle import validate_density_matrix
 from pauliaccess.pauli import DENSE_CAP
 from pauliaccess.statespace import BLOCH_KETS
+from test_statespace import hamiltonians_and_seeds
 
 
 def basis_ket_rho(n, bits):
@@ -536,3 +545,42 @@ def test_matrix_over_the_cap_refused_before_allocating(kind):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # the matrix would be 64 MB
+
+
+# ---------------------------------------------------------------------------
+# the CLI pipeline against the dense oracle on random Hamiltonians
+
+
+@pytest.mark.filterwarnings("ignore:induced subgraph")  # a random H may leave a block apart
+@settings(max_examples=100, deadline=None)
+@given(hamiltonians_and_seeds(max_n=5), st.data())
+def test_cli_trajectory_matches_dense_oracle_on_random_hamiltonians(case, data):
+    # gen, model and simulate --integrator expm, in process, against full
+    # Hilbert-space evolution to criterion 6's bound
+    terms, seed = case
+    assume(set(seed) != {"I"})
+    n = len(seed)
+    spec = HamiltonianSpec(n, WeightedPauliSum(n, tuple((c, string_of(lab)) for c, lab in terms)))
+    meas = string_of(seed)
+    kets = data.draw(st.lists(st.sampled_from(sorted(BLOCH_KETS)), min_size=n, max_size=n))
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path, set_path, model_path, csv_path = (
+            str(Path(tmp) / name) for name in ("spec.json", "set.json", "model.json", "traj.csv")
+        )
+        Path(spec_path).write_text(json.dumps(hamiltonian_to_json(spec)))
+        source = ("--hamiltonian", spec_path, "--measurement", meas.to_text())
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gen", *source, "--out", set_path]) == 0
+            assert main(["model", "--set", set_path, *source, "--out", model_path]) == 0
+            # the kets in the plain --rho0 VALUE form, "-" first included
+            assert main([
+                "simulate", "--model", model_path, "--rho0", ",".join(kets),
+                "--integrator", "expm", "--times", "0:10:0.1", "--out", csv_path,
+            ]) == 0
+        with open(csv_path) as f:
+            rows = list(csv.DictReader(f))
+    times = [float(row["t"]) for row in rows]
+    got = np.array([float(row["y_1"]) for row in rows])
+    expected = evolve_expectation(spec, meas, product_rho(kets), times)
+    assert len(times) == 101
+    assert np.max(np.abs(got - expected)) < 1e-8

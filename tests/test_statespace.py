@@ -92,12 +92,12 @@ def test_model_case_b2_row_entries():
 
 
 @st.composite
-def hamiltonians_and_seeds(draw):
-    """Up to five distinct terms on N <= 4 qubits, as (coeff, label) pairs,
-    and a seed label.  A term is a string of any weight with Y twice as
-    likely as X or Z (an odd Y count makes H complex), a long-range pair on
-    the end sites, or a single-site field."""
-    n = draw(st.integers(1, 4))
+def hamiltonians_and_seeds(draw, max_n=4):
+    """Up to five distinct terms on N <= max_n qubits, as (coeff, label)
+    pairs, and a seed label.  A term is a string of any weight with Y twice
+    as likely as X or Z (an odd Y count makes H complex), a long-range pair
+    on the end sites, or a single-site field."""
+    n = draw(st.integers(1, max_n))
     cells = st.lists(st.sampled_from("IXYYZ"), min_size=n, max_size=n).map("".join)
     field = st.tuples(st.integers(0, n - 1), st.sampled_from("XYZ")).map(
         lambda t: "I" * t[0] + t[1] + "I" * (n - 1 - t[0])
