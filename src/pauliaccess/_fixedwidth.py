@@ -9,9 +9,10 @@ edge labels), so :func:`join_rows` lays each row out at one fixed width:
 literals, then NUL-padded table entries, in row order.  One
 ``bytes.translate`` drops the padding, as
 :func:`~pauliaccess._reprtext.rows_text` does for the trajectory.
-No Python object is made per row, and rows are rendered about
-:data:`STEP_BYTES` at a time, so the temporaries stay at a few MB however
-many rows there are.
+A field may also take several table entries per row, as a row of indices
+(the cells of a Pauli string).  No Python object is made per row, and
+rows are rendered about :data:`STEP_BYTES` at a time, so the temporaries
+stay at a few MB however many rows there are.
 
 The tables hold the ``str`` of each index (:func:`index_table`), the JSON
 text of each distinct float (:func:`float_column`) or any ASCII texts
@@ -21,16 +22,15 @@ text of each distinct float (:func:`float_column`) or any ASCII texts
 from __future__ import annotations
 
 import json
+import math
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .validation import JSONText
-
 __all__ = [
-    "STEP_BYTES", "index_table", "text_table", "string_table", "float_column",
-    "join_rows", "json_rows",
+    "STEP_BYTES", "JSONText", "index_table", "text_table", "string_table", "float_column",
+    "join_rows", "json_rows", "json_texts",
 ]
 
 #: bytes of fixed-width rows rendered per step, at least one row; a step's
@@ -38,8 +38,16 @@ __all__ = [
 STEP_BYTES = 1 << 20
 
 #: a field of a row: literal bytes, or (table, index), row ``index[r]`` of
-#: the table for row r
+#: the table for row r; a 2-D index gives the entries ``index[r, :]`` in turn
 Field = Union[bytes, tuple[np.ndarray, np.ndarray]]
+
+
+class JSONText(str):
+    """A value already rendered as JSON text, which
+    :func:`~pauliaccess.validation.dump_json` copies as is.  Its lines must
+    carry the indent of the place it goes; the payload writers render whole
+    values of top-level fields (:func:`json_rows`).
+    """
 
 
 def index_table(n: int) -> np.ndarray:
@@ -80,8 +88,14 @@ def float_column(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def join_rows(fields: Sequence[Field], count: int) -> bytearray:
     """``count`` rows, each the concatenation of ``fields`` with the
     padding of table fields dropped; no field may hold a NUL byte."""
-    # one void field per part, so a row is one record with no gaps
-    kinds = [f"V{len(f)}" if isinstance(f, bytes) else f"V{f[0].itemsize}" for f in fields]
+    # one void field per part, so a row is one record with no gaps; a part
+    # of no bytes has none
+    widths = [
+        len(f) if isinstance(f, bytes) else f[0].itemsize * math.prod(f[1].shape[1:])
+        for f in fields
+    ]
+    fields = [f for f, width in zip(fields, widths) if width]
+    kinds = [f"V{width}" for width in widths if width]
     record = np.dtype([(f"f{i}", kind) for i, kind in enumerate(kinds)])
     # the literals are written once, and each step overwrites the tables' fields
     step = max(1, STEP_BYTES // record.itemsize)
@@ -91,12 +105,13 @@ def join_rows(fields: Sequence[Field], count: int) -> bytearray:
         if isinstance(f, bytes):
             block[name] = np.frombuffer(f, dtype=kind)[0]
         else:
-            tables.append((name, f[0].view(kind), f[1]))
+            tables.append((name, kind, f[0], f[1]))
     text = bytearray()
     for start in range(0, count, step):
         rows = block[: count - start]
-        for name, table, index in tables:
-            rows[name] = table[index[start : start + len(rows)]]
+        for name, kind, table, index in tables:
+            entries = table[index[start : start + len(rows)]]
+            rows[name] = entries.reshape(len(rows), -1).view(kind)[:, 0]
         text += rows.tobytes().translate(None, b"\0")
     return text
 
@@ -120,7 +135,20 @@ def json_rows(
     for sep, head, column in zip(seps, heads, columns):
         fields += [sep + head, column]
     fields.append(b"\n    " + close + b",\n")
-    text = join_rows(fields, count)
-    text[:0] = b"[\n"
-    text[-2:] = b"\n  ]"  # no separator after the last row
-    return JSONText(text, "ascii")
+    return _json_list(join_rows(fields, count))
+
+
+def json_texts(table) -> JSONText:
+    """The value of a top-level payload field that lists the texts of a
+    :class:`~pauliaccess.pauli.PauliTable`'s rows, as ``json.dumps(indent=2)``
+    writes it there (:meth:`~pauliaccess.pauli.PauliTable.text_rows`)."""
+    if not len(table):
+        return JSONText("[]")
+    return _json_list(table.text_rows(b'    "', b'",\n'))
+
+
+def _json_list(rows: bytearray) -> JSONText:
+    """The JSON list of rows that each end in a comma and a newline."""
+    rows[:0] = b"[\n"
+    rows[-2:] = b"\n  ]"  # no separator after the last row
+    return JSONText(rows, "ascii")

@@ -3,7 +3,8 @@
 Subcommands: ``chain`` (emit an exchange-chain Hamiltonian spec), ``gen``
 (generate + partition + order an accessible set), ``graph`` (DOT/JSON graph
 export), ``model`` (state-space extraction), ``simulate`` (reduced
-trajectories as CSV) and ``verify`` (built-in property suites).
+trajectories as CSV), ``explain`` (how a set reached one member) and
+``verify`` (built-in property suites).
 
 Exit codes: 0 success, 2 input error, 3 internal consistency failure.
 All outputs are deterministic byte-for-byte for fixed inputs and flags.
@@ -53,8 +54,10 @@ from .hamiltonian import (
 from .pauli import (
     GrammarError,
     PauliString,
+    PauliTable,
     apply_sequence,
     check_bilinear_decomposition,
+    parse_term,
 )
 from .statespace import (
     DENSE_DIM,
@@ -276,6 +279,32 @@ def cmd_simulate(args) -> int:
         model, x0, times, integrator=args.integrator, step=args.step
     )
     _write_output(trajectory_to_csv(result), args.out)
+    return EXIT_OK
+
+
+def cmd_explain(args) -> int:
+    """Print the edging sequence from a seed to one member of a set file.
+
+    The walk goes up the member's provenance chain.  The first line is
+    ``seed <text> (member <i>)``, the chain's root; each further line is
+    ``step <s>: bracket with <edge> gives <text> (member <i>)``, the member
+    that bracketing the previous line's member with that edging string
+    first produced.
+    """
+    g = load_accessible_set(args.set)
+    member = parse_term(args.member, g.n_qubits)
+    i = int(g.table().find(PauliTable.from_strings([member], g.n_qubits))[0])
+    if i < 0:
+        raise ValueError(f"{member.to_text()} is not a member of {args.set}")
+    path = g.lineage(i)
+    _, label, labels = g.provenance_arrays()
+    texts = g.table().take(path).texts()
+    lines = [f"seed {texts[0]} (member {path[0]})"]
+    lines += [
+        f"step {s}: bracket with {labels[label[j]].to_text()} gives {text} (member {j})"
+        for s, (j, text) in enumerate(zip(path[1:], texts[1:]), 1)
+    ]
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -594,6 +623,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, list]:
     p.set_defaults(func=cmd_simulate)
     created.append(p)
 
+    p = subs.add_parser("explain", help="print how a set's provenance reached one member")
+    p.add_argument("--set", required=True, help="accessible set JSON file")
+    p.add_argument("--member", required=True, help="the member's operator text")
+    p.set_defaults(func=cmd_explain)
+    created.append(p)
+
     p = subs.add_parser("verify", help="run a built-in property suite")
     p.add_argument(
         "--suite",
@@ -672,17 +707,35 @@ def _attach_dash_values(argv: list, subparsers: list) -> list:
 
     argparse reads such a value (``--couplings -1,1``, ``--rho0 -,0``) as an
     unknown option and refuses it; a token that names an option stays apart.
+    Options are those of the subcommand the first plain token names, and, as
+    argparse allows, a unique prefix of one of them names it (``--coup``).
     """
-    actions = [a for sub in subparsers for a in sub._actions]
-    options = {opt for a in actions for opt in a.option_strings}
-    takes_value = {opt for a in actions if a.nargs is None for opt in a.option_strings}
+    parsers = {sub.prog.rsplit(" ", 1)[-1]: sub for sub in subparsers}
+    sub = parsers.get(next((arg for arg in argv if arg[:1] != "-"), None))
+    if sub is None:
+        return argv
     out = []
     for arg in argv:
-        if out and out[-1] in takes_value and arg[:1] == "-" and arg not in options:
+        option = _option(sub, out[-1]) if out else None
+        takes_value = option is not None and option.nargs is None
+        if takes_value and arg[:1] == "-" and _option(sub, arg) is None:
             out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
+
+
+def _option(sub: argparse.ArgumentParser, token: str) -> Optional[argparse.Action]:
+    """The action of ``sub`` that ``token`` names: one of its option strings,
+    or a prefix of exactly one long option string."""
+    actions = sub._option_string_actions
+    if token in actions:
+        return actions[token]
+    if token[:2] == "--":
+        hits = [action for option, action in actions.items() if option.startswith(token)]
+        if len(hits) == 1:
+            return hits[0]
+    return None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

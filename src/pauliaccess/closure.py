@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
+from itertools import compress, repeat
 from pathlib import Path
 from typing import AbstractSet, Optional, Sequence, Union
 
 import numpy as np
 
-from ._fixedwidth import index_table, json_rows, string_table
+from ._fixedwidth import index_table, json_rows, json_texts, string_table
 from .pauli import (
     PauliString,
     PauliTable,
@@ -88,6 +90,12 @@ class AccessibleSet:
     strings are packed into keys at once, and a set made by :func:`generate`
     holds keys too.  The other form, :meth:`table` or :meth:`packed_keys`,
     and the ``members`` tuple of strings are built on first access.
+
+    The provenance is a spanning forest of the access graph, held as arrays
+    (:meth:`provenance_arrays`) by the sets that :func:`generate`,
+    :func:`~pauliaccess.graph.order_members` and the set reader make.  The
+    ``provenance`` tuple is built from them on first access, and a set made
+    from a tuple builds the arrays on first use.
     """
 
     def __init__(
@@ -107,15 +115,27 @@ class AccessibleSet:
             check_widths(members, n_qubits)
             self._keys = [s.x_mask | s.z_mask << n_qubits for s in members]
         self._members: Optional[tuple[PauliString, ...]] = None
-        self.provenance = provenance
+        self._provenance = provenance
+        # (parent, label, labels): lists or int64 arrays, and a tuple of strings
+        self._forest: Optional[tuple] = None
         self.partition = partition
         self.cores = cores
         self._key_set: Optional[set[int]] = None
-        self._depths: Optional[list[int]] = None
+        self._depths: Optional[np.ndarray] = None
 
     @classmethod
-    def _from_keys(cls, n_qubits, keys, key_set, provenance) -> "AccessibleSet":
-        g = cls(n_qubits, (), provenance)
+    def _from_forest(
+        cls, n_qubits, members, forest, partition=None, cores=None
+    ) -> "AccessibleSet":
+        """A set whose provenance is ``forest = (parent, label, labels)``, as
+        :meth:`provenance_arrays` returns it; parent and label may be lists."""
+        g = cls(n_qubits, members, None, partition, cores)
+        g._forest = forest
+        return g
+
+    @classmethod
+    def _from_keys(cls, n_qubits, keys, key_set, forest) -> "AccessibleSet":
+        g = cls._from_forest(n_qubits, (), forest)
         g._keys, g._key_set = keys, key_set
         return g
 
@@ -125,6 +145,36 @@ class AccessibleSet:
         if self._members is None:
             self._members = strings_from_keys(self.packed_keys(), self.n_qubits)
         return self._members
+
+    @property
+    def provenance(self) -> tuple[Optional[tuple[int, PauliString]], ...]:
+        """``(parent_index, edging_string)`` per member, None for a seed."""
+        if self._provenance is None:
+            parent, label, labels = self.provenance_arrays()
+            edges = [*labels, None]  # label -1 is a seed's
+            self._provenance = tuple([
+                None if p < 0 else (p, edges[j])
+                for p, j in zip(parent.tolist(), label.tolist())
+            ])
+        return self._provenance
+
+    def provenance_arrays(self) -> tuple[np.ndarray, np.ndarray, tuple[PauliString, ...]]:
+        """``(parent, label, labels)``: the int64 parent index of each member
+        and the index of its edging string in ``labels``, both -1 for a
+        seed.  Built once on demand; callers only read them."""
+        if self._forest is None:
+            prov = self._provenance
+            index = {s: i for i, s in enumerate(dict.fromkeys(p[1] for p in prov if p))}
+            self._forest = (
+                [-1 if p is None else p[0] for p in prov],
+                [-1 if p is None else index[p[1]] for p in prov],
+                tuple(index),
+            )
+        parent, label, labels = self._forest
+        if isinstance(parent, list):
+            parent, label = (np.array(a, dtype=np.int64) for a in (parent, label))
+            self._forest = parent, label, labels
+        return parent, label, labels
 
     def packed_keys(self) -> list[int]:
         """One int ``x | z << n_qubits`` per member, in member order."""
@@ -175,28 +225,50 @@ class AccessibleSet:
         return frozenset((k & full, k >> n) for k in self.packed_keys())
 
     def depths(self) -> list[int]:
-        """Provenance chain length of every member, computed once.
+        """Provenance chain length of every member.
 
-        Raises ValueError when the provenance chains form a cycle.
+        Raises ValueError when the provenance chains form a cycle, naming
+        the first member met twice on the chain of the first member that
+        reaches no seed.
         """
+        return self._depth_array().tolist()
+
+    def _depth_array(self) -> np.ndarray:
+        """:meth:`depths` as int64, computed once by pointer jumping: each
+        round adds the length from a member's current ancestor to that
+        ancestor's own and doubles the jump, so log2(members) rounds reach
+        every seed."""
         if self._depths is None:
-            on_path = -1
-            depth = [-2] * len(self)
-            for start in range(len(depth)):
-                path, i = [], start
-                while depth[i] < 0:
-                    if depth[i] == on_path:
-                        raise ValueError(f"provenance of member {i} forms a cycle")
-                    if self.provenance[i] is None:
-                        depth[i] = 0
-                        break
-                    depth[i] = on_path
-                    path.append(i)
-                    i = self.provenance[i][0]
-                for d, j in enumerate(reversed(path), depth[i] + 1):
-                    depth[j] = d
+            parent = self.provenance_arrays()[0]
+            seed = parent < 0
+            up = np.where(seed, np.arange(len(parent)), parent)
+            depth = (~seed).astype(np.int64)
+            # depth[i] is the chain length from i to up[i]; a seed's is 0
+            for _ in range(len(parent).bit_length()):
+                if seed[up].all():
+                    break
+                depth += depth[up]
+                up = up[up]
+            if not seed[up].all():
+                self.lineage(int(np.argmin(seed[up])))  # raises
             self._depths = depth
         return self._depths
+
+    def lineage(self, i: int) -> list[int]:
+        """Member indices along i's provenance chain, from its seed down to i.
+
+        Raises ValueError when the chain meets a cycle, naming the first
+        member it meets twice.
+        """
+        parent = self.provenance_arrays()[0]
+        path, seen = [i], {i}
+        while parent[path[-1]] >= 0:
+            j = int(parent[path[-1]])
+            if j in seen:
+                raise ValueError(f"provenance of member {j} forms a cycle")
+            seen.add(j)
+            path.append(j)
+        return path[::-1]
 
     def to_text(self) -> str:
         """Flat format: one operator per line."""
@@ -215,21 +287,21 @@ def _closure_steps(n: int, masks: tuple[tuple[int, int], ...]):
     """Canonical digamma of width n, prepared for :func:`generate`.
 
     ``masks`` lists the raw digamma as (x, z) pairs.  Returns the syndrome
-    terms ``(1 << j, dual of nu_j)``, used for the seeds, and two maps keyed
-    by the lowest syndrome bit ``1 << j``: to the key of nu_j, and to
-    (syndrome row S_j, nu_j).  Every call with the same arguments gets the
-    same maps, so callers only read them.
+    terms ``(1 << j, dual of nu_j)``, used for the seeds, two maps keyed by
+    the lowest syndrome bit ``1 << j``: to the key of nu_j, and to
+    (syndrome row S_j, j), and the canonical digamma.  Every call with the
+    same arguments gets the same maps, so callers only read them.
     """
     dig = canonical_digamma(PauliString(n, x, z) for x, z in masks)
     # t anticommutes with nu exactly when key(t) & dual(nu) has odd popcount,
     # where key = x | z << n and dual = z | x << n
     terms = tuple((1 << j, s.z_mask | s.x_mask << n) for j, s in enumerate(dig))
     step_keys, step_rows = {}, {}
-    for (bit, _), s in zip(terms, dig):
+    for j, ((bit, _), s) in enumerate(zip(terms, dig)):
         key = s.x_mask | s.z_mask << n
         step_keys[bit] = key
-        step_rows[bit] = (_syndrome(key, terms), s)
-    return terms, step_keys, step_rows
+        step_rows[bit] = (_syndrome(key, terms), j)
+    return terms, step_keys, step_rows, tuple(dig)
 
 
 def _syndrome(key: int, terms) -> int:
@@ -247,7 +319,9 @@ def generate(
     the strings nu_j it anticommutes with, and the child t ^ nu_j inherits
     syn(t) ^ S_j.  Work per member is thus O(degree), not O(|digamma|).
     The steps are prepared once per distinct digamma (see
-    :func:`_closure_steps`), so many small calls share them.
+    :func:`_closure_steps`), so many small calls share them.  A new
+    member's provenance is two ints: its parent's index and its edging
+    string's index in canonical digamma.
 
     Raises ValueError when the set would grow past :data:`MAX_MEMBERS`.
     """
@@ -256,7 +330,7 @@ def generate(
     n = seeds[0].n_qubits
     check_widths(seeds, n)
     check_widths(digamma, n)
-    terms, step_keys, step_rows = _closure_steps(
+    terms, step_keys, step_rows, dig = _closure_steps(
         n, tuple((s.x_mask, s.z_mask) for s in digamma)
     )
 
@@ -272,9 +346,10 @@ def generate(
         raise ValueError(_over_budget(budget, len(keys)))
     room = budget - len(keys)
     syns = [_syndrome(key, terms) for key in keys]
-    prov: list[Optional[tuple[int, PauliString]]] = [None] * len(keys)
+    parents, labels = [-1] * len(keys), [-1] * len(keys)
 
-    add, add_key, add_syn, add_prov = seen.add, keys.append, syns.append, prov.append
+    add, add_key, add_syn = seen.add, keys.append, syns.append
+    add_parent, add_label = parents.append, labels.append
     # the loop also visits the members appended while it runs; most children
     # are already members, so only a new one looks up its row and label
     for head, t in enumerate(keys):
@@ -289,11 +364,12 @@ def generate(
                 room -= 1
                 add(child)
                 add_key(child)
-                row, nu = step_rows[low]
+                row, j = step_rows[low]
                 add_syn(syn ^ row)
-                add_prov((head, nu))
+                add_parent(head)
+                add_label(j)
 
-    return AccessibleSet._from_keys(n, keys, seen, tuple(prov))
+    return AccessibleSet._from_keys(n, keys, seen, (parents, labels, dig))
 
 
 def _regenerates(n: int, digamma: Sequence[PauliString], keys: Sequence[int]):
@@ -307,7 +383,9 @@ def _regenerates(n: int, digamma: Sequence[PauliString], keys: Sequence[int]):
     every key, and otherwise none does.  A single key then closes to exactly
     ``keys`` when both hold.  Time is O(len(keys) x |digamma|).
     """
-    terms, step_keys, step_rows = _closure_steps(n, tuple((s.x_mask, s.z_mask) for s in digamma))
+    terms, step_keys, step_rows, _ = _closure_steps(
+        n, tuple((s.x_mask, s.z_mask) for s in digamma)
+    )
     walk = list(keys[:1])
     syns = [_syndrome(t, terms) for t in walk]
     # per key, whether the walk has visited it; a child outside keys gets None
@@ -444,30 +522,22 @@ def chain_closed_form(n_qubits: int, m: int, axis: str) -> AccessibleSet:
 
 def accessible_set_to_json(g: AccessibleSet) -> str:
     """The set file's text: ``json.dumps(<the set as a dict>, indent=2)``
-    plus a newline, the provenance entries rendered from a parent and a
-    label index per member (:func:`~pauliaccess._fixedwidth.json_rows`)."""
+    plus a newline, the member list and the provenance entries rendered
+    from the packed members and the provenance arrays
+    (:func:`~pauliaccess._fixedwidth.json_rows`)."""
     m = len(g)
-    # a seed's parent and edge are null: parent row m, and the None label
-    pairs = [(m, None) if p is None else p for p in g.provenance]
-    parents, labels = zip(*pairs) if pairs else ((), ())
-    # the labels are a few digamma strings, each shared by the many members it
-    # produced: key them by object, as a frozen dataclass hashes in Python,
-    # and render each one once
-    distinct = dict(zip(map(id, labels), labels))
-    row = dict(zip(distinct, range(len(distinct))))
-    edges = string_table(None if s is None else s.to_text() for s in distinct.values())
+    parent, label, labels = g.provenance_arrays()
+    # a seed's parent and edge are null: index -1, the last entry of each table
+    edges = string_table([*(s.to_text() for s in labels), None])
     provenance = json_rows(
-        [
-            (np.append(index_table(m), b"null"), np.fromiter(parents, np.int64, m)),
-            (edges, np.fromiter(map(row.__getitem__, map(id, labels)), np.int64, m)),
-        ],
+        [(np.append(index_table(m), b"null"), parent), (edges, label)],
         m,
         keys=("parent", "edge"),
     )
     return dump_json({
         "schema": SET_SCHEMA_ID,
         "n_qubits": g.n_qubits,
-        "members": g.table().texts(),
+        "members": json_texts(g.table()),
         "provenance": provenance,
         "partition": None
         if g.partition is None
@@ -492,26 +562,7 @@ def accessible_set_from_json(data: dict) -> AccessibleSet:
     entries = json_list(entries, "provenance", dict)
     if len(entries) != m:
         raise ValueError(f"provenance must have {m} entries, one per member")
-    parents = json_column(entries, "parent", "provenance entry")
-    edge_texts = json_column(entries, "edge", "provenance entry")
-    # each distinct edge text is parsed once; the checks are inline, as this
-    # loop runs once per member
-    edges: dict[str, PauliString] = {}
-    provenance = []
-    for parent, text in zip(parents, edge_texts):
-        if parent is None:
-            provenance.append(None)
-            continue
-        if type(parent) is not int or not 0 <= parent < m:
-            raise ValueError(
-                f"provenance parent must be an integer in 0..{m - 1}, got {parent!r}"
-            )
-        if type(text) is not str:
-            raise ValueError("provenance edge must be an operator text")
-        edge = edges.get(text)
-        if edge is None:
-            edge = edges[text] = parse_term(text, n)
-        provenance.append((parent, edge))
+    forest = _provenance_columns(entries, n)
 
     partition = data.get("partition")
     if partition is not None:
@@ -527,7 +578,65 @@ def accessible_set_from_json(data: dict) -> AccessibleSet:
         if not isinstance(cores, list):
             raise ValueError("cores must be a list of member indices")
         cores = tuple(json_int(c, "core", hi=m - 1) for c in cores)
-    return AccessibleSet(n, table, tuple(provenance), partition, cores)
+    return AccessibleSet._from_forest(n, table, forest, partition, cores)
+
+
+def _provenance_columns(entries: list[dict], n: int) -> tuple:
+    """``(parent, label, labels)`` of a set file's provenance entries, as
+    :meth:`AccessibleSet.provenance_arrays` holds them.
+
+    An entry whose parent is null is a seed, whatever its edge.  Any other
+    must have an integer parent in 0..m-1 and an edge that
+    :func:`~pauliaccess.pauli.parse_term` reads; the first entry that has
+    not is named, its parent checked before its edge.  The columns are
+    checked with numpy and C-level passes over them, and each distinct edge
+    text is parsed once.
+    """
+    m = len(entries)
+    parents = json_column(entries, "parent", "provenance entry")
+    edge_texts = json_column(entries, "edge", "provenance entry")
+    seed = np.fromiter(map(operator.is_, parents, repeat(None)), bool, m)
+    # bool is an int subclass, so the types are matched exactly; the range is
+    # compared on the Python ints, which may have any size
+    linked = np.fromiter(map(operator.is_, map(type, parents), repeat(int)), bool, m)
+    values = np.fromiter(parents, object, m)
+    linked[linked] = (values[linked] >= 0) & (values[linked] < m)
+    parent = np.full(m, -1, dtype=np.int64)
+    parent[linked] = values[linked].astype(np.int64)
+
+    linked &= np.fromiter(map(operator.is_, map(type, edge_texts), repeat(str)), bool, m)
+    linked_texts = list(compress(edge_texts, linked.tolist()))
+    texts = list(dict.fromkeys(linked_texts))
+    try:
+        labels = PauliTable.from_texts(texts, n).strings()
+        parsed = np.ones(len(texts), dtype=bool)
+    except ValueError:  # which texts are no operators: the first entry is named below
+        labels = ()
+        parsed = np.fromiter(map(_parses, texts, repeat(n)), bool, len(texts))
+    label = np.full(m, -1, dtype=np.int64)
+    row = dict(zip(texts, range(len(texts))))
+    label[linked] = np.fromiter(map(row.__getitem__, linked_texts), np.int64, len(linked_texts))
+    linked[linked] = parsed[label[linked]]
+
+    bad = np.flatnonzero(~(seed | linked))
+    if bad.size:
+        first, text = parents[bad[0]], edge_texts[bad[0]]
+        if type(first) is not int or not 0 <= first < m:
+            raise ValueError(
+                f"provenance parent must be an integer in 0..{m - 1}, got {first!r}"
+            )
+        if type(text) is not str:
+            raise ValueError("provenance edge must be an operator text")
+        parse_term(text, n)  # raises: the text is one that failed above
+    return parent, label, labels
+
+
+def _parses(text: str, n: int) -> bool:
+    try:
+        parse_term(text, n)
+    except ValueError:
+        return False
+    return True
 
 
 def load_accessible_set(path: Union[str, Path]) -> AccessibleSet:

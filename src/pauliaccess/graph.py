@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -194,7 +195,9 @@ def order_members(
     # a member's place in the partition, which orders a fallback block.
     blocks = partition.blocks
     sizes = [len(idx) for _, idx in blocks]
-    members = np.fromiter((i for _, idx in blocks for i in idx), dtype=np.int64, count=sum(sizes))
+    members = np.fromiter(
+        chain.from_iterable(idx for _, idx in blocks), dtype=np.int64, count=sum(sizes)
+    )
     n_groups = len(first) * len(blocks)
     group = np.full(len(g), -1)
     group[members] = comp_pos[labels[members]] * len(blocks) + np.repeat(
@@ -205,7 +208,7 @@ def order_members(
     size = np.bincount(group[members], minlength=n_groups)
 
     # each group's core: least provenance depth, then canonical order
-    depth = np.array(g.depths(), dtype=np.int64)
+    depth = g._depth_array()
     by_core = members[np.lexsort((rank[members], depth[members], group[members]))]
     cores = by_core[np.flatnonzero(np.diff(group[by_core], prepend=-1))]
 
@@ -228,13 +231,13 @@ def order_members(
         (blocks[gid % len(blocks)][0], end - n, end)
         for gid, n, end in zip(gids.tolist(), size[gids].tolist(), ends)
     )
-    old_to_new = new_index.tolist()
-    old = [g.provenance[i] for i in new_order.tolist()]
-    provenance = tuple([None if p is None else (old_to_new[p[0]], p[1]) for p in old])
-    return AccessibleSet(
+    parent, label, labels = g.provenance_arrays()
+    # a seed's parent -1 picks the -1 appended to the new indices
+    parent = np.append(new_index, -1)[parent[new_order]]
+    return AccessibleSet._from_forest(
         g.n_qubits,
-        g.table().take(new_order.tolist()),
-        provenance,
+        g.table().take(new_order),
+        (parent, label[new_order], labels),
         partition=new_partition,
         cores=tuple(new_index[cores].tolist()),
     )

@@ -25,6 +25,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ._fixedwidth import STEP_BYTES, join_rows
+
 __all__ = [
     "PauliString",
     "PhasedString",
@@ -384,12 +386,29 @@ def _popcount_rows(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
+#: bytes of member text :meth:`PauliTable.from_texts` parses at a time; the
+#: parse's temporaries take about 30 times this.  A case (d) set at N = 30
+#: (about 0.7 MB of text) is one chunk.
+_PARSE_BYTES = 1 << 21
+
+
+#: the text of a row with no non-identity cell, at index 1
+_IDENTITY_TEXT = np.array([b"", b"I"])
+
+
 @functools.lru_cache(maxsize=8)
 def _cell_tokens(n_qubits: int) -> np.ndarray:
-    """The ``to_text`` token of code c at site s + 1, at index 4*s + c."""
+    """The ``to_text`` token of code c at site s + 1 as NUL-padded bytes, at
+    index 8*s + c without a leading space and at 8*s + 4 + c with one; the
+    identity's tokens are empty."""
     return np.array(
-        [f"{letter}{site}" for site in range(1, n_qubits + 1) for letter in CELL_LETTERS],
-        dtype=object,
+        [
+            b"" if letter == "I" else f"{space}{letter}{site}".encode()
+            for site in range(1, n_qubits + 1)
+            for space in ("", " ")
+            for letter in CELL_LETTERS
+        ],
+        dtype=bytes,
     )
 
 
@@ -450,8 +469,9 @@ class PauliTable:
         A row is canonical when it is ``to_text`` output: bare ``I``, or
         tokens X/Y/Z followed by a site of up to 4 digits without a leading
         zero, sites strictly ascending inside 1..n_qubits, one space apart.
-        Those rows are parsed together with numpy on the joined ASCII bytes;
-        every other row (all of them, when the text is not ASCII) goes
+        Those rows are parsed together with numpy on the joined ASCII bytes,
+        in chunks of rows of about :data:`_PARSE_BYTES` characters; every
+        other row (all of a chunk's, when its text is not ASCII) goes
         through :func:`parse_term`, in row order, so its errors are the same.
         When every row is canonical, the table keeps a copy of ``texts`` and
         :meth:`texts` returns it.
@@ -460,10 +480,16 @@ class PauliTable:
         words = (n_qubits + 63) // 64
         x = np.zeros((m, words), dtype=np.uint64)
         z = np.zeros((m, words), dtype=np.uint64)
-        try:
-            ok = _parse_canonical_rows(texts, n_qubits, x, z)
-        except UnicodeEncodeError:
-            ok = np.zeros(m, dtype=bool)
+        ok = np.zeros(m, dtype=bool)
+        # a chunk ends at the last row that ends inside the next _PARSE_BYTES
+        ends = np.cumsum(np.fromiter(map(len, texts), np.int64, m))
+        cuts = np.arange(_PARSE_BYTES, ends[-1] if m else 0, _PARSE_BYTES)
+        bounds = np.unique(np.r_[0, np.searchsorted(ends, cuts, side="right"), m]).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            try:
+                ok[lo:hi] = _parse_canonical_rows(texts[lo:hi], n_qubits, x[lo:hi], z[lo:hi])
+            except UnicodeEncodeError:
+                pass
         rest = np.flatnonzero(~ok)
         if rest.size:
             strings = [parse_term(texts[i], n_qubits) for i in rest.tolist()]
@@ -516,19 +542,39 @@ class PauliTable:
         return (z << 1) | (x ^ z)
 
     def texts(self) -> list[str]:
-        """:meth:`PauliString.to_text` of every row, rendered in one pass, or
-        the texts the table was parsed from when they were all canonical."""
+        """:meth:`PauliString.to_text` of every row, rendered by
+        :meth:`text_rows`, or the texts the table was parsed from when they
+        were all canonical."""
         if self._texts is not None:
             return self._texts
-        codes = self.cell_codes()
-        rows, sites = np.nonzero(codes)
-        cells = _cell_tokens(self.n_qubits)[4 * sites + codes[rows, sites]].tolist()
-        ends = np.bincount(rows, minlength=len(self)).cumsum().tolist()
-        out, start = [], 0
-        for end in ends:
-            out.append(" ".join(cells[start:end]) if end > start else "I")
-            start = end
-        return out
+        return self.text_rows(b"", b"\n").decode("ascii").split("\n")[:-1]
+
+    def text_rows(self, head: bytes, tail: bytes) -> bytearray:
+        """``head + to_text + tail`` for every row, concatenated.
+
+        Each row's cells are gathered from a table of fixed-width tokens
+        (:func:`~pauliaccess._fixedwidth.join_rows`), the first non-identity
+        cell without its leading space; an identity row reads ``I``.  Works
+        in row chunks so the temporaries stay at a few MB.
+        """
+        n = self.n_qubits
+        tokens = _cell_tokens(n)
+        # rows per chunk: the token index takes 8 bytes a cell
+        step = max(1, STEP_BYTES // (8 * n))
+        base = 8 * np.arange(n)
+        text = bytearray()
+        for lo in range(0, len(self), step):
+            codes = PauliTable(n, self.x[lo : lo + step], self.z[lo : lo + step]).cell_codes()
+            # a cell after a non-identity one takes the token with the space
+            on = codes != 0
+            spaced = np.zeros_like(on)
+            np.logical_or.accumulate(on[:, :-1], axis=1, out=spaced[:, 1:])
+            index = base + codes
+            index += spaced.view(np.uint8) << 2
+            identity = ~on.any(axis=1)
+            fields = [head, (tokens, index), (_IDENTITY_TEXT, identity.view(np.uint8)), tail]
+            text += join_rows(fields, len(codes))
+        return text
 
     def traces(self, mat: np.ndarray) -> np.ndarray:
         """Tr(P M) of every row P for a dense 2^n x 2^n matrix M.

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -168,6 +170,7 @@ def build_model(
     keep = np.flatnonzero(values != 0.0)
     keep = keep[np.lexsort((br.target[keep], br.member[keep]))]
     a_index = np.stack((br.member[keep], br.target[keep]), axis=1)
+    _check_band(table, a_index, [s for _, s in terms])
 
     c_rows = []
     for r, op in enumerate(meas.operators):
@@ -186,6 +189,30 @@ def build_model(
     return StateSpaceModel(
         table, a_index, values[keep], c_index, c_values, len(meas.operators), br.string[keep]
     )
+
+
+def _check_band(table: PauliTable, a_index: np.ndarray, terms) -> None:
+    """Every nonzero A_jl joins members whose highest sites differ by at most
+    w - 1, w the widest span (highest site - lowest site + 1) of H's terms.
+
+    A term h that anticommutes with O shares a site at or below O's highest
+    k, so the product's highest site is at most k + w - 1; and where the
+    product leaves site k empty, h's cell there is O's, so some site at or
+    above lowest(h) >= k - w + 1 keeps a cell.  A breach raises
+    :class:`ClosureError`: the sweep or the set is wrong.
+    """
+    masks = [s.x_mask | s.z_mask for s in terms]
+    width = max((m.bit_length() - (m & -m).bit_length() + 1 for m in masks if m), default=0)
+    sites = table.highest_sites()
+    gap = sites[a_index[:, 0]]
+    gap -= sites[a_index[:, 1]]
+    over = np.flatnonzero(np.abs(gap, out=gap) >= width)
+    if over.size:
+        j, l = a_index[over[0]].tolist()
+        raise ClosureError(
+            f"A joins members {j} and {l}, whose highest sites {sites[j]} and "
+            f"{sites[l]} lie more than the widest term span {width} less one apart"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -457,21 +484,29 @@ def model_from_json(data: dict) -> StateSpaceModel:
 def _triplets(raw, name: str, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     """[row, col, value] entries with integer indices inside rows x cols and
     finite values, each (row, col) at most once, as an int64 (n, 2) index
-    array and a float value array in file order."""
+    array and a float value array in file order.
+
+    The entries' lengths and the types of each column are checked by
+    C-level passes over the list, and the values convert in one pass over
+    the chained entries, so no Python object is made per entry.
+    """
+    # bool is an int subclass, so the types are matched exactly
     try:
-        arr = np.array(raw, dtype=float)
+        typed = (
+            isinstance(raw, list)
+            and set(map(len, raw)) <= {3}
+            and set(map(type, map(itemgetter(0), raw))) <= {int}
+            and set(map(type, map(itemgetter(1), raw))) <= {int}
+            and set(map(type, map(itemgetter(2), raw))) <= {int, float}
+        )
+    except (TypeError, KeyError):  # an entry that is no list
+        typed = False
+    if not typed:
+        _triplet_error(raw, name)
+    try:
+        arr = np.fromiter(chain.from_iterable(raw), float, 3 * len(raw)).reshape(-1, 3)
     except OverflowError:
         raise ValueError(f"{name} holds an integer past the float range") from None
-    except (TypeError, ValueError):
-        arr = None
-    if not isinstance(raw, list) or arr is None or arr.shape not in ((0,), (len(raw), 3)):
-        raise ValueError(f"{name} must be a list of [row, col, value] triplets")
-    # np.array converted booleans, and numeric strings, without complaint
-    kinds = {(type(r), type(c), type(v)) for r, c, v in raw}
-    if not kinds <= _TRIPLET_TYPES:
-        bad = next(e for e in raw if tuple(map(type, e)) not in _TRIPLET_TYPES)
-        raise ValueError(f"{name} entry {bad!r} must be [integer, integer, number]")
-    arr = arr.reshape(-1, 3)
     r, c, v = arr.T
     ok = (r == np.floor(r)) & (c == np.floor(c)) & np.isfinite(v)
     ok &= (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
@@ -490,8 +525,24 @@ def _triplets(raw, name: str, rows: int, cols: int) -> tuple[np.ndarray, np.ndar
     return index, v.copy()
 
 
-#: the JSON types of a [row, col, value] triplet: bool is not int here
-_TRIPLET_TYPES = {(int, int, int), (int, int, float)}
+def _triplet_error(raw, name: str) -> None:
+    """Raise the error for triplets that are not all [integer, integer, number]:
+    ``np.array`` of them tells a list of another shape, or of values that
+    are no numbers, from one of numbers of the wrong type."""
+    try:
+        arr = np.array(raw, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer past the float range") from None
+    except (TypeError, ValueError):
+        arr = None
+    if not isinstance(raw, list) or arr is None or arr.shape != (len(raw), 3):
+        raise ValueError(f"{name} must be a list of [row, col, value] triplets")
+    # np.array converted booleans, and numeric strings, without complaint
+    bad = next(
+        e for e in raw
+        if not (type(e[0]) is int and type(e[1]) is int and type(e[2]) in (int, float))
+    )
+    raise ValueError(f"{name} entry {bad!r} must be [integer, integer, number]")
 
 
 def _keys(index: np.ndarray, dim: int) -> np.ndarray:

@@ -10,8 +10,10 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Optional, Sequence
 
+from ._fixedwidth import JSONText
 from .pauli import PauliTable
 
 _ITEM_NAMES = {str: "operator texts", dict: "objects", list: "lists"}
@@ -83,7 +85,7 @@ def json_fields(data: dict, keys: Sequence[str], what: str) -> list:
 def json_column(objects: list[dict], key: str, what: str) -> list:
     """One field of every JSON object in a list; a missing field is named."""
     try:
-        return [o[key] for o in objects]
+        return list(map(itemgetter(key), objects))
     except KeyError:
         raise ValueError(f"{what} has no {key!r} field") from None
 
@@ -95,13 +97,6 @@ def unique_rows(table: PauliTable, what: str) -> None:
         first, i = pair
         text = table.take([i]).texts()[0]
         raise ValueError(f"{what} {text} is listed twice (entries {first} and {i})")
-
-
-class JSONText(str):
-    """A value already rendered as JSON text, which :func:`dump_json` copies
-    as is.  Its lines must carry the indent of the place it goes; the payload
-    writers render whole values of top-level fields (``_fixedwidth.json_rows``).
-    """
 
 
 def dump_json(data) -> str:

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pauliaccess import (
     AccessibleSet,
     MeasurementSpec,
+    bracket,
     build_graph,
     cli,
     closure,
@@ -52,6 +53,8 @@ def test_a_value_starting_with_a_dash_follows_its_option(tmp_path, capsys):
     chain = ("chain", "--n", "3")
     plain = run(capsys, *chain, "--couplings", "-1,1")
     assert plain == run(capsys, *chain, "--couplings=-1,1")
+    # a unique prefix names its option, as argparse reads it
+    assert plain == run(capsys, *chain, "--coup", "-1,1")
     assert plain[0] == 0
     assert [t["coeff"] for t in json.loads(plain[1])["terms"]] == [-1.0, -1.0, 1.0, 1.0]
 
@@ -67,6 +70,49 @@ def test_a_value_starting_with_a_dash_follows_its_option(tmp_path, capsys):
     # an option in the value's place still leaves its option without one
     code, err = run_quietly([*chain, "--couplings", "--out", str(tmp_path / "x")])
     assert code == 2 and "argument --couplings: expected one argument" in err
+
+
+@pytest.fixture
+def case_d_n4_set(tmp_path, capsys):
+    path = tmp_path / "set.json"
+    assert run(capsys, "gen", "--chain", "4", "--measurement", "Y1 Z2", "--out", str(path))[0] == 0
+    return path
+
+
+def test_explain_the_seed_is_one_line(case_d_n4_set, capsys):
+    code, out, err = run(capsys, "explain", "--set", str(case_d_n4_set), "--member", "Y1 Z2")
+    assert (code, out, err) == (0, "seed Y1 Z2 (member 0)\n", "")
+
+
+def test_explain_walks_the_parents_down_from_the_seed(case_d_n4_set, capsys):
+    code, out, _ = run(capsys, "explain", "--set", str(case_d_n4_set), "--member", "Y1 Y2 Z3 Y4")
+    assert code == 0
+    assert out == (
+        "seed Y1 Z2 (member 0)\n"
+        "step 1: bracket with X2 X3 gives Y1 Y2 X3 (member 7)\n"
+        "step 2: bracket with Y3 Y4 gives Y1 Y2 Z3 Y4 (member 21)\n"
+    )
+    # each step is the bracket it names
+    g = closure.load_accessible_set(case_d_n4_set)
+    for line in out.splitlines()[1:]:
+        edge, member = line.split("bracket with ")[1].split(" (")[0].split(" gives ")
+        parent = g.members[g.provenance[int(line.rsplit(" ", 1)[1][:-1])][0]]
+        assert bracket(parse_term(edge, 4), parent)[1] == parse_term(member, 4)
+
+
+def test_explain_an_absent_member_exits_2(case_d_n4_set, capsys):
+    code, out, err = run(capsys, "explain", "--set", str(case_d_n4_set), "--member", "X1")
+    assert (code, out) == (2, "")
+    assert err == f"error: X1 is not a member of {case_d_n4_set}\n"
+
+
+def test_explain_a_provenance_cycle_exits_2(case_d_n4_set, capsys):
+    # the loaders accept a set whose parents form a cycle; the walk stops at it
+    data = json.loads(case_d_n4_set.read_text())
+    data["provenance"][0] = {"parent": 7, "edge": "X2 X3"}
+    case_d_n4_set.write_text(json.dumps(data))
+    code, out, err = run(capsys, "explain", "--set", str(case_d_n4_set), "--member", "Y1 Y2 Z3 Y4")
+    assert (code, out, err) == (2, "", "error: provenance of member 7 forms a cycle\n")
 
 
 @pytest.mark.parametrize("text", ["0 * X1", "X1 + -1 * X1"])

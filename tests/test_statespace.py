@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -131,6 +132,49 @@ def test_model_a_matches_dense_commutators(case):
         assert got == {
             lab: pytest.approx(c.real, abs=1e-12) for lab, c in row.items()
         }
+
+
+def band_and_width(model, terms):
+    """max |k(row) - k(col)| over A's nonzeros, with k a member's highest
+    site, and w - 1 for w the widest term span of H."""
+    sites = model.table.highest_sites()
+    rows, cols = model.a_index.T
+    band = int(np.abs(sites[rows] - sites[cols]).max(initial=0))
+    spans = [max(s.support()) - min(s.support()) + 1 for _, s in terms if s.support()]
+    return band, max(spans, default=0) - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(hamiltonians_and_seeds(max_n=6))
+@example(([(0.4, "XIIIIZ"), (1.1, "IYYIII")], "ZIIIII"))  # a long-range pair
+def test_model_a_stays_inside_the_block_band(case):
+    terms, seed = case
+    n = len(seed)
+    spec = HamiltonianSpec(n, WeightedPauliSum(n, tuple((c, string_of(lab)) for c, lab in terms)))
+    meas = MeasurementSpec.from_texts([string_of(seed).to_text()], n)
+    g = generate(decomposed_digamma(spec), list(meas.decomposed))
+    model = build_model(g, spec, meas)
+    band, bound = band_and_width(model, spec.terms.terms)
+    assert band <= bound or not len(model.a_values)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("case", ["a", "b", "c", "d", "e", "f"])
+def test_chain_a_is_block_tridiagonal(n, case, chain_cases):
+    # w = 2 on the chain: every block touches its neighbours, and no further
+    spec = build_exchange_chain(n, [0.5 + 0.1 * j for j in range(n - 1)])
+    meas = MeasurementSpec.from_texts([chain_cases[case][0]], n)
+    g = generate(decomposed_digamma(spec), list(meas.decomposed))
+    ordered = order_members(g, build_graph(g, decomposed_digamma(spec)), partition_k_finite(g))
+    assert band_and_width(build_model(ordered, spec, meas), spec.terms.terms) == (1, 1)
+
+
+def test_a_outside_the_block_band_is_an_internal_error():
+    model, g = model_case_b2()
+    table = g.table()  # highest sites 1, 2, 2, 2
+    terms = [PauliString.from_text("X1", 2)]  # w = 1: no entry may join two blocks
+    with pytest.raises(ClosureError, match="widest term span 1"):
+        statespace._check_band(table, model.a_index, terms)
 
 
 def test_model_zero_couplings_give_zero_a():
@@ -469,6 +513,52 @@ def test_model_json_rejects_repeated_entries():
     data["A"] = [[1, 0, -2.0], [1, 0, -2.0], [0, 1, 2.0], [0, 1, 2.0]]
     with pytest.raises(ValueError, match=r"A entry \[1, 0, -2.0\] repeats .* \(1, 0\)"):
         model_from_json(data)
+
+
+def reference_triplet_error(raw, name, rows, cols):
+    """The message of the per-triplet checks that ``_triplets`` replaced, or
+    None: ``np.array`` of the list, then a set of per-triplet type tuples."""
+    try:
+        arr = np.array(raw, dtype=float)
+    except OverflowError:
+        return f"{name} holds an integer past the float range"
+    except (TypeError, ValueError):
+        arr = None
+    if not isinstance(raw, list) or arr is None or arr.shape not in ((0,), (len(raw), 3)):
+        return f"{name} must be a list of [row, col, value] triplets"
+    kinds = {(int, int, int), (int, int, float)}
+    bad = next((e for e in raw if tuple(map(type, e)) not in kinds), None)
+    if bad is not None:
+        return f"{name} entry {bad!r} must be [integer, integer, number]"
+    arr = arr.reshape(-1, 3)
+    for e, (r, c, v) in zip(raw, arr.tolist()):
+        inside = 0 <= r < rows and 0 <= c < cols
+        if not (r == int(r) and c == int(c) and math.isfinite(v) and inside):
+            return f"{name} entry {e!r} is not a finite value inside {rows} x {cols}"
+    return None
+
+
+#: the values of drawn triplets, of every JSON type and a few shapes
+TRIPLET_VALUES = st.one_of(
+    st.integers(-1, 4), st.sampled_from([0.0, 1.5, -2.0, True, None, "1", "x", [1], 10**400])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.lists(TRIPLET_VALUES, min_size=3, max_size=3), max_size=4),
+    st.lists(st.lists(TRIPLET_VALUES, max_size=4) | TRIPLET_VALUES, max_size=3),
+    TRIPLET_VALUES,
+))
+def test_triplet_checks_match_the_per_triplet_reference(raw):
+    want = reference_triplet_error(raw, "A", 3, 3)
+    try:
+        statespace._triplets(raw, "A", 3, 3)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    # a repeated position is checked after these, by both
+    assert got == want or (want is None and "repeats an earlier entry" in got)
 
 
 def reference_antisymmetry_error(entries):
