@@ -116,7 +116,7 @@ class AccessibleSet:
             self._keys = [s.x_mask | s.z_mask << n_qubits for s in members]
         self._members: Optional[tuple[PauliString, ...]] = None
         self._provenance = provenance
-        # (parent, label, labels): lists or int64 arrays, and a tuple of strings
+        # (parent, label, labels): two int64 arrays and a tuple of strings
         self._forest: Optional[tuple] = None
         self.partition = partition
         self.cores = cores
@@ -128,7 +128,7 @@ class AccessibleSet:
         cls, n_qubits, members, forest, partition=None, cores=None
     ) -> "AccessibleSet":
         """A set whose provenance is ``forest = (parent, label, labels)``, as
-        :meth:`provenance_arrays` returns it; parent and label may be lists."""
+        :meth:`provenance_arrays` returns it."""
         g = cls(n_qubits, members, None, partition, cores)
         g._forest = forest
         return g
@@ -166,15 +166,11 @@ class AccessibleSet:
             prov = self._provenance
             index = {s: i for i, s in enumerate(dict.fromkeys(p[1] for p in prov if p))}
             self._forest = (
-                [-1 if p is None else p[0] for p in prov],
-                [-1 if p is None else index[p[1]] for p in prov],
+                np.array([-1 if p is None else p[0] for p in prov], dtype=np.int64),
+                np.array([-1 if p is None else index[p[1]] for p in prov], dtype=np.int64),
                 tuple(index),
             )
-        parent, label, labels = self._forest
-        if isinstance(parent, list):
-            parent, label = (np.array(a, dtype=np.int64) for a in (parent, label))
-            self._forest = parent, label, labels
-        return parent, label, labels
+        return self._forest
 
     def packed_keys(self) -> list[int]:
         """One int ``x | z << n_qubits`` per member, in member order."""
@@ -224,20 +220,16 @@ class AccessibleSet:
         full = (1 << n) - 1
         return frozenset((k & full, k >> n) for k in self.packed_keys())
 
-    def depths(self) -> list[int]:
-        """Provenance chain length of every member.
+    def depths(self) -> np.ndarray:
+        """Provenance chain length of every member, as int64.
 
-        Raises ValueError when the provenance chains form a cycle, naming
-        the first member met twice on the chain of the first member that
-        reaches no seed.
+        Computed once by pointer jumping: each round adds the length from a
+        member's current ancestor to that ancestor's own and doubles the
+        jump, so log2(members) rounds reach every seed.  Callers only read
+        the array.  Raises ValueError when the provenance chains form a
+        cycle, naming the first member met twice on the chain of the first
+        member that reaches no seed.
         """
-        return self._depth_array().tolist()
-
-    def _depth_array(self) -> np.ndarray:
-        """:meth:`depths` as int64, computed once by pointer jumping: each
-        round adds the length from a member's current ancestor to that
-        ancestor's own and doubles the jump, so log2(members) rounds reach
-        every seed."""
         if self._depths is None:
             parent = self.provenance_arrays()[0]
             seed = parent < 0
@@ -369,7 +361,8 @@ def generate(
                 add_parent(head)
                 add_label(j)
 
-    return AccessibleSet._from_keys(n, keys, seen, (parents, labels, dig))
+    forest = (np.array(parents, dtype=np.int64), np.array(labels, dtype=np.int64), dig)
+    return AccessibleSet._from_keys(n, keys, seen, forest)
 
 
 def _regenerates(n: int, digamma: Sequence[PauliString], keys: Sequence[int]):
@@ -590,7 +583,7 @@ def _provenance_columns(entries: list[dict], n: int) -> tuple:
     :func:`~pauliaccess.pauli.parse_term` reads; the first entry that has
     not is named, its parent checked before its edge.  The columns are
     checked with numpy and C-level passes over them, and each distinct edge
-    text is parsed once.
+    text is parsed once, by :func:`~pauliaccess.pauli.parse_term`.
     """
     m = len(entries)
     parents = json_column(entries, "parent", "provenance entry")
@@ -607,12 +600,13 @@ def _provenance_columns(entries: list[dict], n: int) -> tuple:
     linked &= np.fromiter(map(operator.is_, map(type, edge_texts), repeat(str)), bool, m)
     linked_texts = list(compress(edge_texts, linked.tolist()))
     texts = list(dict.fromkeys(linked_texts))
-    try:
-        labels = PauliTable.from_texts(texts, n).strings()
-        parsed = np.ones(len(texts), dtype=bool)
-    except ValueError:  # which texts are no operators: the first entry is named below
-        labels = ()
-        parsed = np.fromiter(map(_parses, texts, repeat(n)), bool, len(texts))
+    labels = []  # None for a text that is no operator: the first entry is named below
+    for text in texts:
+        try:
+            labels.append(parse_term(text, n))
+        except ValueError:
+            labels.append(None)
+    parsed = np.array([s is not None for s in labels], dtype=bool)
     label = np.full(m, -1, dtype=np.int64)
     row = dict(zip(texts, range(len(texts))))
     label[linked] = np.fromiter(map(row.__getitem__, linked_texts), np.int64, len(linked_texts))
@@ -628,15 +622,7 @@ def _provenance_columns(entries: list[dict], n: int) -> tuple:
         if type(text) is not str:
             raise ValueError("provenance edge must be an operator text")
         parse_term(text, n)  # raises: the text is one that failed above
-    return parent, label, labels
-
-
-def _parses(text: str, n: int) -> bool:
-    try:
-        parse_term(text, n)
-    except ValueError:
-        return False
-    return True
+    return parent, label, tuple(labels)
 
 
 def load_accessible_set(path: Union[str, Path]) -> AccessibleSet:

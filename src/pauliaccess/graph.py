@@ -208,7 +208,7 @@ def order_members(
     size = np.bincount(group[members], minlength=n_groups)
 
     # each group's core: least provenance depth, then canonical order
-    depth = g._depth_array()
+    depth = g.depths()
     by_core = members[np.lexsort((rank[members], depth[members], group[members]))]
     cores = by_core[np.flatnonzero(np.diff(group[by_core], prepend=-1))]
 

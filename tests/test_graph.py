@@ -457,7 +457,7 @@ def reference_order(g, graph, partition):
                         stack.append(v)
             comps.append(sorted(comp))
     comps.sort(key=lambda comp: rank[comp].min())
-    depth = g.depths()
+    depth = g.depths().tolist()
     order, parts, cores, warned = [], [], [], []
     for comp in comps:
         comp_set = set(comp)

@@ -284,7 +284,7 @@ def test_duplicate_rows_have_no_rank():
 
 def test_depths_match_provenance_walk():
     g = generate(exchange_digamma(6), [parse_term("Y1 Z2", 6)])
-    for i, d in enumerate(g.depths()):
+    for i, d in enumerate(g.depths().tolist()):
         walk, j = 0, i
         while g.provenance[j] is not None:
             j, walk = g.provenance[j][0], walk + 1
