@@ -1,7 +1,8 @@
 """Python ``repr`` text of float64 values, for a whole block at once.
 
-:func:`rows_text` returns exactly ``",".join(map(repr, row)) + "\\n"`` for
-each row of a 2-D float64 array, without calling ``repr`` per value.
+:func:`rows_text` appends exactly ``",".join(map(repr, row)) + "\\n"`` for
+each row of a 2-D float64 array, as ASCII bytes, to a ``bytearray``,
+without calling ``repr`` per value and without a ``str`` of the text.
 
 ``repr`` prints the shortest decimal digits that read back to the same
 double, the nearest such string when several have that length.  Here each
@@ -103,23 +104,23 @@ def _tables():
     return powers, quads, heads, tails, low, dots
 
 
-def rows_text(block: np.ndarray) -> str:
-    """``",".join(map(repr, row)) + "\\n"`` for each row, concatenated.
+def rows_text(block: np.ndarray, out: bytearray) -> bytearray:
+    """``",".join(map(repr, row)) + "\\n"`` for each row, concatenated, as
+    ASCII bytes appended to ``out``; returns ``out``.
 
     ``block`` is a 2-D float64 array; it is formatted :data:`CELLS` values
     at a time.
     """
     cols = block.shape[1]
     flat = np.ascontiguousarray(block, dtype=np.float64).ravel()
-    pieces = []
     for start in range(0, flat.size, CELLS):
-        out = _fields(flat[start : start + CELLS])
-        out[:, 3] |= np.uint64(ord(",")) << np.uint64(48)
+        fields = _fields(flat[start : start + CELLS])
+        fields[:, 3] |= np.uint64(ord(",")) << np.uint64(48)
         # the first value of this slice that ends a row, then every cols-th
         last = (cols - 1 - start) % cols
-        out[last::cols, 3] ^= np.uint64(ord(",") ^ ord("\n")) << np.uint64(48)
-        pieces.append(out.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(pieces)
+        fields[last::cols, 3] ^= np.uint64(ord(",") ^ ord("\n")) << np.uint64(48)
+        out += fields.tobytes().translate(None, b"\0")
+    return out
 
 
 def _fields(x: np.ndarray) -> np.ndarray:

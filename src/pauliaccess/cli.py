@@ -16,9 +16,10 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from itertools import chain
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -157,14 +158,24 @@ def _load_measurement(args, n_qubits: int) -> MeasurementSpec:
     return MeasurementSpec.from_texts(texts, n_qubits)
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
+def _write_output(payload: Union[str, bytearray], out: Optional[str]) -> None:
+    """Write a payload, a str or the CSV's ASCII bytes, to ``out``; None or
+    "-" is stdout.
+
+    Bytes go to a file in one binary write.  Otherwise the payload goes in
+    1 MB slices: no encoded copy of a whole str is made at once, and bytes
+    reach stdout decoded, so a text-only stdout works.
+    """
+    to_stdout = out is None or out == "-"
+    if not to_stdout and not isinstance(payload, str):
+        with open(out, "wb") as f:
+            f.write(payload)
         return
-    # in slices, so no encoded copy of the whole payload is made at once
-    with open(out, "w") as f:
-        for i in range(0, len(text), 1 << 20):
-            f.write(text[i : i + (1 << 20)])
+    step = 1 << 20
+    with nullcontext(sys.stdout) if to_stdout else open(out, "w") as f:
+        for i in range(0, len(payload), step):
+            piece = payload[i : i + step]
+            f.write(piece if isinstance(piece, str) else piece.decode("ascii"))
 
 
 def _read_rho0(path: str) -> np.ndarray:
@@ -196,7 +207,10 @@ def _parse_times(text: str) -> np.ndarray:
     # counted before np.arange allocates; an overflowing count fails it too
     if not steps + 1 <= MAX_TIME_POINTS:
         raise ValueError(f"--times {text!r} asks for more than {MAX_TIME_POINTS} time points")
-    return start + step * np.arange(int(steps + 1e-9) + 1)
+    # a stop before the start, by any amount, makes an empty grid, which
+    # simulate refuses; its steps can be -inf, which cannot be floored
+    points = math.floor(steps + 1e-9) + 1 if stop >= start else 0
+    return start + step * np.arange(points)
 
 
 # ---------------------------------------------------------------------------

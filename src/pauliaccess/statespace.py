@@ -569,11 +569,13 @@ def load_model(path: Union[str, Path]) -> StateSpaceModel:
     return model_from_json(json.loads(Path(path).read_text()))
 
 
-def trajectory_to_csv(result: SimulationResult) -> str:
-    """CSV text with header t, x_1..x_dim, y_1..y_r.
+def trajectory_to_csv(result: SimulationResult) -> bytearray:
+    """CSV text with header t, x_1..x_dim, y_1..y_r, as ASCII bytes.
 
     Each row is ``",".join(map(repr, row))``: numbers are Python's shortest
-    round-trip text, formatted for a block of rows at once.
+    round-trip text, formatted for a block of rows at once.  Every block is
+    appended to the one returned buffer, so the text is held once and its
+    ``len()`` is the byte count.
     """
     dim = result.states.shape[1]
     n_out = result.outputs.shape[1]
@@ -582,12 +584,11 @@ def trajectory_to_csv(result: SimulationResult) -> str:
         + [f"x_{i}" for i in range(1, dim + 1)]
         + [f"y_{i}" for i in range(1, n_out + 1)]
     )
-    lines = [",".join(header) + "\n"]
-    # blocks of whole rows, at least one, of about CELLS values: the blocks'
-    # text and its one join are the only full-size copies
+    out = bytearray(",".join(header).encode("ascii") + b"\n")
+    # blocks of whole rows, at least one, of about CELLS values
     step = max(1, CELLS // len(header))
     for r in range(0, len(result.times), step):
         rows = slice(r, r + step)
         block = np.column_stack((result.times[rows], result.states[rows], result.outputs[rows]))
-        lines.append(rows_text(block))
-    return "".join(lines)
+        rows_text(block, out)
+    return out

@@ -639,6 +639,11 @@ MALFORMED = {
     # 10^9 rk4 steps: ran on without a budget
     "rk4 step tiny": ("config", lambda d: d.update(integrator="rk4", step=1e-9, times="0:1:0.5")),
     "rk4 empty time grid": ("config", lambda d: d.update(integrator="rk4", step=1.0, times="2:0:1")),
+    # a stop before the start: int() truncated -1 and -0.5 steps to a
+    # one-point grid at t = start, and -inf steps ended in an OverflowError
+    "empty time grid, stop a step before start": ("config", lambda d: d.update(times="1:0:1")),
+    "empty time grid, stop half a step before start": ("config", lambda d: d.update(times="1:0.5:1")),
+    "empty time grid, stop far before start": ("config", lambda d: d.update(times="1e308:-1e308:1")),
     # a dense 2^40 x dim C ran out of memory
     "model n_outputs huge": ("model", lambda d: d.update(n_outputs=2**40)),
     "model n_outputs over MAX_OUTPUTS": (
@@ -678,7 +683,7 @@ MALFORMED_MESSAGES = {
     **{case: "n_qubits must be an integer in 1..4096" for case in MALFORMED if "huge" in case},
     "rk4 step too large": "the step 2 is too large",
     "rk4 step tiny": "--step 1e-09 asks for more than 1000000 rk4 steps",
-    "rk4 empty time grid": "times must be a nonempty",
+    **{case: "times must be a nonempty" for case in MALFORMED if "empty time grid" in case},
     **{case: "n_outputs must be an integer in 0..4096" for case in MALFORMED if "n_outputs" in case},
     **{
         case: "n_qubits must be an integer in 1..4096, got 4097"
@@ -826,6 +831,33 @@ def payloads(tmp_path_factory):
     assert run_quietly(["gen", *source, "--out", str(paths["set"])])[0] == 0
     assert run_quietly(["model", "--set", str(paths["set"]), *source, "--out", str(paths["model"])])[0] == 0
     return out, {kind: json.loads(path.read_text()) for kind, path in paths.items()}
+
+
+def test_simulate_writes_the_same_bytes_to_stdout_and_to_a_file(
+    payloads, tmp_path, capsys, monkeypatch
+):
+    out, _ = payloads
+    # about 2.5 MB of CSV, so stdout takes several 1 MB slices
+    argv = ["simulate", "--model", str(out / "model.json"), "--rho0", "i+,0,+",
+            "--times", "0:1:1e-4"]
+    lengths, real = [], cli.trajectory_to_csv
+
+    def to_csv(result):
+        text = real(result)
+        lengths.append(len(text))
+        return text
+
+    monkeypatch.setattr(cli, "trajectory_to_csv", to_csv)
+    assert main([*argv, "--out", str(tmp_path / "traj.csv")]) == 0
+    written = (tmp_path / "traj.csv").read_bytes()
+    assert lengths == [len(written)] and len(written) > 2 << 20
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0 and stdout.encode("ascii") == written
+    # a text-only stdout, as run_quietly gives
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(argv) == 0
+    assert buffer.getvalue().encode("ascii") == written
 
 
 def assert_exit_contract(argv) -> None:
@@ -1011,6 +1043,14 @@ def test_time_grid_point_budget(monkeypatch):
     assert len(cli._parse_times("0:1:0.125")) == 9
     with pytest.raises(ValueError, match="--times '0:10:1' asks for more than 10 time points"):
         cli._parse_times("0:10:1")
+
+
+def test_a_stop_before_the_start_makes_an_empty_grid():
+    for text in ("1:0:1", "1:0.5:1", "2:0:1", "1e308:-1e308:1"):
+        assert cli._parse_times(text).size == 0
+    # a stop at or past the start keeps its points
+    assert cli._parse_times("1:1:1").tolist() == [1.0]
+    assert cli._parse_times("1:2.5:1").tolist() == [1.0, 2.0]
 
 
 @pytest.mark.parametrize("text", ["0:1", "0:1:0", "0:1:-0.5"])

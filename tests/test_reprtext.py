@@ -24,10 +24,10 @@ def assert_same(values, cols: int = 1) -> None:
     values = np.asarray(values, dtype=np.float64).ravel()
     values = np.concatenate([values, np.zeros(-values.size % cols)])
     block = values.reshape(-1, cols)
-    got, want = rows_text(block), reference(block)
+    got, want = rows_text(block, bytearray()), reference(block).encode("ascii")
     if got != want:
-        pairs = zip(got.replace("\n", ",").split(","), want.replace("\n", ",").split(","))
-        bad = next((g, w) for g, w in pairs if g != w)
+        pairs = zip(got.replace(b"\n", b",").split(b","), want.replace(b"\n", b",").split(b","))
+        bad = next((g.decode(), w.decode()) for g, w in pairs if g != w)
         raise AssertionError(f"wrote {bad[0]!r} where repr gives {bad[1]!r}")
 
 
@@ -120,7 +120,14 @@ def test_blocks_wider_than_a_slice_keep_their_rows():
     # slices of CELLS values end mid-row; the newlines must still close rows
     rng = np.random.default_rng(11)
     block = rng.standard_normal((3, CELLS + 17))
-    assert rows_text(block) == reference(block)
+    assert rows_text(block, bytearray()) == reference(block).encode("ascii")
+
+
+def test_rows_append_to_the_given_buffer():
+    block = np.array([[0.1, -2.5e-7], [1e22, 3.0]])
+    out = bytearray(b"a,b\n")
+    assert rows_text(block, out) is out
+    assert out == b"a,b\n" + reference(block).encode("ascii")
 
 
 def test_trajectory_csv_is_repr_joined():
@@ -133,4 +140,4 @@ def test_trajectory_csv_is_repr_joined():
     dim = states.shape[1]
     header = ",".join(["t", *(f"x_{i}" for i in range(1, dim + 1)), "y_1", "y_2"]) + "\n"
     want = header + reference(np.column_stack((times, states, res.outputs)))
-    assert trajectory_to_csv(res) == want
+    assert trajectory_to_csv(res) == want.encode("ascii")
