@@ -17,6 +17,11 @@ stay at a few MB however many rows there are.
 The tables hold the ``str`` of each index (:func:`index_table`), the JSON
 text of each distinct float (:func:`float_column`) or any ASCII texts
 (:func:`text_table`, :func:`string_table` for JSON strings).
+
+Every JSON file is an object written by :func:`dump_json`, as
+``json.dumps(indent=2)`` writes it.  A bulk list arrives there as a
+:class:`JSONText` (:func:`json_rows`, :func:`json_texts`), laid out for a
+top-level field; every other field goes through the standard encoder.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 __all__ = [
-    "STEP_BYTES", "JSONText", "index_table", "text_table", "string_table", "float_column",
-    "join_rows", "json_rows", "json_texts",
+    "STEP_BYTES", "JSONText", "dump_json", "index_table", "text_table", "string_table",
+    "float_column", "join_rows", "json_rows", "json_texts",
 ]
 
 #: bytes of fixed-width rows rendered per step, at least one row; a step's
@@ -43,11 +48,22 @@ Field = Union[bytes, tuple[np.ndarray, np.ndarray]]
 
 
 class JSONText(str):
-    """A value already rendered as JSON text, which
-    :func:`~pauliaccess.validation.dump_json` copies as is.  Its lines must
-    carry the indent of the place it goes; the payload writers render whole
-    values of top-level fields (:func:`json_rows`).
-    """
+    """The value of a top-level field already rendered as JSON text, which
+    :func:`dump_json` copies as is; its inner lines carry that indent."""
+
+
+def dump_json(data: dict) -> str:
+    """``json.dumps(data, indent=2) + "\\n"`` for a nonempty object with
+    string keys, each :class:`JSONText` value copied as is."""
+    # one join, so that each value is copied once
+    parts = ["{"]
+    for key, value in data.items():
+        if not isinstance(value, JSONText):
+            # the encoder writes a raw newline only to start a line
+            value = json.dumps(value, indent=2).replace("\n", "\n  ")
+        parts += ["\n  ", encode_basestring_ascii(key), ": ", value, ","]
+    parts[-1] = "\n}\n"
+    return "".join(parts)
 
 
 def index_table(n: int) -> np.ndarray:

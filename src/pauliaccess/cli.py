@@ -23,6 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._fixedwidth import dump_json
 from .closure import (
     AccessibleSet,
     ClosureError,
@@ -71,7 +72,7 @@ from .statespace import (
     simulate_reduced,
     trajectory_to_csv,
 )
-from .validation import MAX_QUBITS, dump_json, json_width
+from .validation import MAX_QUBITS, json_width
 
 EXIT_OK = 0
 EXIT_INPUT = 2

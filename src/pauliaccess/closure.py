@@ -29,7 +29,7 @@ from typing import AbstractSet, Optional, Sequence, Union
 
 import numpy as np
 
-from ._fixedwidth import index_table, json_rows, json_texts, string_table
+from ._fixedwidth import dump_json, index_table, json_rows, json_texts, string_table
 from .pauli import (
     PauliString,
     PauliTable,
@@ -39,7 +39,6 @@ from .pauli import (
     strings_from_keys,
 )
 from .validation import (
-    dump_json,
     json_column,
     json_fields,
     json_int,

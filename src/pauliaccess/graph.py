@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._fixedwidth import index_table, join_rows, json_rows, string_table, text_table
+from ._fixedwidth import dump_json, index_table, join_rows, json_rows, string_table, text_table
 from .closure import AccessibleSet, ClosureError, _regenerates
 from .pauli import (
     PauliString,
@@ -25,7 +25,6 @@ from .pauli import (
     check_widths,
     phase_free_product,
 )
-from .validation import dump_json
 
 __all__ = [
     "AccessGraph",

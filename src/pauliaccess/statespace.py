@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._fixedwidth import float_column, index_table, json_rows
+from ._fixedwidth import JSONText, dump_json, float_column, index_table, json_rows
 from ._reprtext import CELLS, rows_text
 from .closure import AccessibleSet, ClosureError
 from .hamiltonian import HamiltonianSpec, MeasurementSpec
@@ -40,8 +40,6 @@ from .oracle import validate_density_matrix
 from .pauli import _CHUNK_CELLS, DENSE_CAP, PauliTable, decompose
 from .validation import (
     MAX_OUTPUTS,
-    JSONText,
-    dump_json,
     json_fields,
     json_int,
     json_list,

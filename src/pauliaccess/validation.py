@@ -1,5 +1,4 @@
-"""JSON in and out: checks on values read from spec, set and model files,
-and the indented writer every JSON payload goes through.
+"""Checks on the values read from spec, set and model files.
 
 Each check raises ValueError naming the field, which the CLI reports with
 exit code 2 instead of a traceback.
@@ -7,13 +6,10 @@ exit code 2 instead of a traceback.
 
 from __future__ import annotations
 
-import json
 import math
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from ._fixedwidth import JSONText
 from .pauli import PauliTable
 
 _ITEM_NAMES = {str: "operator texts", dict: "objects", list: "lists"}
@@ -97,53 +93,3 @@ def unique_rows(table: PauliTable, what: str) -> None:
         first, i = pair
         text = table.take([i]).texts()[0]
         raise ValueError(f"{what} {text} is listed twice (entries {first} and {i})")
-
-
-def dump_json(data) -> str:
-    """Exactly ``json.dumps(data, indent=2) + "\\n"``, mostly through the C
-    encoder, with any :class:`JSONText` value copied as is.
-
-    With ``indent`` the standard library encodes in pure Python, one chunk
-    string per bracket, separator and scalar.  Without it, the C encoder
-    takes any item separator, so a container of scalars (the member texts,
-    one partition entry) is one C call whose separator carries the newline
-    and indent.  Other containers recurse.  The bulk rows of the payloads
-    arrive as :class:`JSONText`.
-    """
-    return _indented(data, "\n") + "\n"
-
-
-#: a JSONText counts as one, so that the C encoder never quotes it
-_CONTAINERS = (list, tuple, dict, JSONText)
-
-
-def _scalars(items) -> bool:
-    """Whether no item is a container; one type per item, checked in C."""
-    return not any(issubclass(t, _CONTAINERS) for t in set(map(type, items)))
-
-
-def _indented(value, newline: str) -> str:
-    """``value`` indented by 2, where ``newline`` is "\\n" plus its line's indent."""
-    if isinstance(value, JSONText):
-        return value
-    if not isinstance(value, _CONTAINERS):
-        return json.dumps(value)
-    start, end = "{}" if isinstance(value, dict) else "[]"
-    if not value:
-        return start + end
-    inner = newline + "  "
-    # no JSON text holds a raw newline, so a separator with one in it
-    # appears in the C encoder's output only between items
-    if _scalars(value.values() if start == "{" else value):
-        text = json.dumps(value, separators=("," + inner, ": "))
-        return start + inner + text[1:-1] + newline + end
-    if start == "[":
-        items = (_indented(v, inner) for v in value)
-    elif all(isinstance(k, str) for k in value):
-        items = (
-            f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in value.items()
-        )
-    else:
-        # the standard encoder converts or rejects other keys
-        return json.dumps(value, indent=2).replace("\n", newline)
-    return start + inner + ("," + inner).join(items) + newline + end

@@ -27,10 +27,10 @@ from pauliaccess import (
     parse_term,
     validation,
 )
+from pauliaccess._fixedwidth import dump_json
 from pauliaccess.cli import main
 from pauliaccess.graph import AccessGraph
-from pauliaccess.hamiltonian import measurement_to_json
-from pauliaccess.validation import dump_json
+from pauliaccess.hamiltonian import build_exchange_chain, hamiltonian_to_json, measurement_to_json
 
 
 def run(capsys, *argv):
@@ -46,6 +46,35 @@ def test_chain_writes_spec(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["schema"] == "pauli-access-spec/1"
     assert len(data["terms"]) == 6
+
+
+#: finite coefficients, with the texts the writer must keep exactly
+COEFFS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 1e-7, 1e16, 123456.789]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(COEFFS, min_size=1, max_size=5))
+def test_chain_spec_is_the_indented_json_of_the_spec(couplings):
+    n = len(couplings) + 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["chain", "--n", str(n), f"--couplings={','.join(map(repr, couplings))}"])
+    assert code == 0
+    spec = hamiltonian_to_json(build_exchange_chain(n, couplings))
+    assert out.getvalue() == json.dumps(spec, indent=2) + "\n"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.lists(COEFFS, min_size=1, max_size=3), min_size=1, max_size=3))
+def test_measurement_file_is_the_indented_json_of_the_spec(operators):
+    cells = ["X1", "Y2", "Z1 Z2"]
+    texts = [" + ".join(f"{c!r} * {s}" for c, s in zip(op, cells)) for op in operators]
+    data = measurement_to_json(MeasurementSpec.from_texts(texts, 2))
+    assert [[t["coeff"] for t in op] for op in data["operators"]] == operators
+    assert dump_json(data) == json.dumps(data, indent=2) + "\n"
 
 
 def test_a_value_starting_with_a_dash_follows_its_option(tmp_path, capsys):

@@ -5,7 +5,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from pauliaccess.validation import JSONText, dump_json
+from pauliaccess._fixedwidth import JSONText, dump_json
 
 #: strings that would split a row if the writer's replaces reached them
 TRICKY_TEXT = st.lists(
@@ -42,12 +42,21 @@ JSON_VALUES = st.recursive(
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
-@given(JSON_VALUES)
+@given(st.dictionaries(TRICKY_TEXT, JSON_VALUES, min_size=1))
 def test_dump_json_equals_indented_json_dumps(value):
+    # a payload is an object with string keys; its fields take any value
     assert dump_json(value) == json.dumps(value, indent=2) + "\n"
 
 
 def test_dump_json_copies_json_text_as_is():
-    # beside scalars only, the object would otherwise be one C-encoder call
     data = {"a": 1, "rows": JSONText('[\n    "x"\n  ]'), "b": None}
     assert dump_json(data) == json.dumps({"a": 1, "rows": ["x"], "b": None}, indent=2) + "\n"
+
+
+def test_dump_json_copies_json_text_beside_nested_containers():
+    nested = {"blocks": [{"k": 1, "members": [0, 2]}, {"k": (2,), 3: [[], {}]}], "c": [[1.5]]}
+    rows = [[0, 1, -0.0], [1, 0, 0.0]]
+    text = json.dumps({"rows": rows}, indent=2)[len('{\n  "rows": ') : -len("\n}")]
+    data = {**nested, "rows": JSONText(text), "tail": ["x", None]}
+    want = json.dumps({**nested, "rows": rows, "tail": ["x", None]}, indent=2) + "\n"
+    assert dump_json(data) == want
