@@ -8,13 +8,15 @@ when it anticommutes with digamma string nu_j.  The symplectic form is
 bilinear over GF(2), so the child t ^ nu_j has syndrome syn(t) ^ S_j, where
 row S_j is nu_j's own syndrome against digamma.  A member therefore costs
 one step per string it anticommutes with (its degree), not one per string of
-digamma.  The resulting set holds the keys and builds its ``PauliString``
-members only when asked.  The private ``_regenerates`` takes the same
-steps from one key without leaving a given set of keys.  The step is
-symmetric, so that one walk tells whether every key regenerates the set.
+digamma.  The resulting set holds one packed table of the members, with
+the keys and their set handed over as caches, and the provenance forest as
+arrays; it builds its ``PauliString`` members only when asked.  The private
+``_regenerates`` takes the same steps from one key without leaving a given
+set of keys.  The step is symmetric, so that one walk tells whether every
+key regenerates the set.
 
-``generate_reference`` re-implements the original trace-test rule densely as
-a small-width oracle, and ``chain_closed_form`` emits the known alternating
+``generate_reference`` re-implements the original trace-test rule over the
+full 4^N basis, with :meth:`PauliTable.traces`, as a small-width oracle, and ``chain_closed_form`` emits the known alternating
 ladder for the exchange chain with a single Z-prefixed seed.
 """
 
@@ -84,17 +86,13 @@ class AccessibleSet:
     ``cores`` stay None until the graph stage orders the set; partition
     entries are ``(k, start, end)`` with end exclusive.
 
-    A set holds its members in one of two forms: a :class:`PauliTable`, or
-    packed keys ``x | z << n`` (one int per member).  Members given as
-    strings are packed into keys at once, and a set made by :func:`generate`
-    holds keys too.  The other form, :meth:`table` or :meth:`packed_keys`,
-    and the ``members`` tuple of strings are built on first access.
-
-    The provenance is a spanning forest of the access graph, held as arrays
-    (:meth:`provenance_arrays`) by the sets that :func:`generate`,
-    :func:`~pauliaccess.graph.order_members` and the set reader make.  The
-    ``provenance`` tuple is built from them on first access, and a set made
-    from a tuple builds the arrays on first use.
+    A set holds its members as one :class:`PauliTable` (:meth:`table`;
+    members given as strings are packed at once) and its provenance as one
+    spanning forest of the access graph, the arrays
+    :meth:`provenance_arrays` returns (a given ``provenance`` tuple is
+    converted at once).  The packed keys, their set, the ``members`` tuple
+    of strings and the ``provenance`` tuple are views of those two, built
+    on first access.
     """
 
     def __init__(
@@ -106,36 +104,32 @@ class AccessibleSet:
         cores: Optional[tuple[int, ...]] = None,
     ):
         self.n_qubits = n_qubits
-        self._table: Optional[PauliTable] = None
-        self._keys: Optional[list[int]] = None
-        if isinstance(members, PauliTable):
-            self._table = members
-        else:
-            check_widths(members, n_qubits)
-            self._keys = [s.x_mask | s.z_mask << n_qubits for s in members]
-        self._members: Optional[tuple[PauliString, ...]] = None
-        self._provenance = provenance
+        if not isinstance(members, PauliTable):
+            members = PauliTable.from_strings(members, n_qubits)
+        self._table = members
+        index = {s: i for i, s in enumerate(dict.fromkeys(p[1] for p in provenance if p))}
         # (parent, label, labels): two int64 arrays and a tuple of strings
-        self._forest: Optional[tuple] = None
+        self._forest = (
+            np.array([-1 if p is None else p[0] for p in provenance], dtype=np.int64),
+            np.array([-1 if p is None else index[p[1]] for p in provenance], dtype=np.int64),
+            tuple(index),
+        )
         self.partition = partition
         self.cores = cores
+        self._keys: Optional[list[int]] = None
         self._key_set: Optional[set[int]] = None
+        self._members: Optional[tuple[PauliString, ...]] = None
+        self._provenance: Optional[tuple[Optional[tuple[int, PauliString]], ...]] = None
         self._depths: Optional[np.ndarray] = None
 
     @classmethod
     def _from_forest(
-        cls, n_qubits, members, forest, partition=None, cores=None
+        cls, n_qubits, table, forest, partition=None, cores=None
     ) -> "AccessibleSet":
         """A set whose provenance is ``forest = (parent, label, labels)``, as
         :meth:`provenance_arrays` returns it."""
-        g = cls(n_qubits, members, None, partition, cores)
+        g = cls(n_qubits, table, (), partition, cores)
         g._forest = forest
-        return g
-
-    @classmethod
-    def _from_keys(cls, n_qubits, keys, key_set, forest) -> "AccessibleSet":
-        g = cls._from_forest(n_qubits, (), forest)
-        g._keys, g._key_set = keys, key_set
         return g
 
     @property
@@ -149,7 +143,7 @@ class AccessibleSet:
     def provenance(self) -> tuple[Optional[tuple[int, PauliString]], ...]:
         """``(parent_index, edging_string)`` per member, None for a seed."""
         if self._provenance is None:
-            parent, label, labels = self.provenance_arrays()
+            parent, label, labels = self._forest
             edges = [*labels, None]  # label -1 is a seed's
             self._provenance = tuple([
                 None if p < 0 else (p, edges[j])
@@ -160,15 +154,7 @@ class AccessibleSet:
     def provenance_arrays(self) -> tuple[np.ndarray, np.ndarray, tuple[PauliString, ...]]:
         """``(parent, label, labels)``: the int64 parent index of each member
         and the index of its edging string in ``labels``, both -1 for a
-        seed.  Built once on demand; callers only read them."""
-        if self._forest is None:
-            prov = self._provenance
-            index = {s: i for i, s in enumerate(dict.fromkeys(p[1] for p in prov if p))}
-            self._forest = (
-                np.array([-1 if p is None else p[0] for p in prov], dtype=np.int64),
-                np.array([-1 if p is None else index[p[1]] for p in prov], dtype=np.int64),
-                tuple(index),
-            )
+        seed.  Callers only read them."""
         return self._forest
 
     def packed_keys(self) -> list[int]:
@@ -178,7 +164,7 @@ class AccessibleSet:
         return self._keys
 
     def __len__(self) -> int:
-        return len(self._table if self._keys is None else self._keys)
+        return len(self._table)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AccessibleSet):
@@ -195,14 +181,12 @@ class AccessibleSet:
         return f"AccessibleSet(n_qubits={self.n_qubits}, {len(self)} members)"
 
     def table(self) -> PauliTable:
-        """The members packed as x/z words, built once on demand."""
-        if self._table is None:
-            self._table = PauliTable.from_keys(self._keys, self.n_qubits)
+        """The members packed as x/z words."""
         return self._table
 
     def key_set(self) -> AbstractSet[int]:
         """The set of :meth:`packed_keys`, built once on demand (a set made
-        by :func:`generate` already holds it).  Callers only read it."""
+        by :func:`generate` is handed its own).  Callers only read it."""
         if self._key_set is None:
             self._key_set = set(self.packed_keys())
         return self._key_set
@@ -230,7 +214,7 @@ class AccessibleSet:
         member that reaches no seed.
         """
         if self._depths is None:
-            parent = self.provenance_arrays()[0]
+            parent = self._forest[0]
             seed = parent < 0
             up = np.where(seed, np.arange(len(parent)), parent)
             depth = (~seed).astype(np.int64)
@@ -251,7 +235,7 @@ class AccessibleSet:
         Raises ValueError when the chain meets a cycle, naming the first
         member it meets twice.
         """
-        parent = self.provenance_arrays()[0]
+        parent = self._forest[0]
         path, seen = [i], {i}
         while parent[path[-1]] >= 0:
             j = int(parent[path[-1]])
@@ -263,7 +247,7 @@ class AccessibleSet:
 
     def to_text(self) -> str:
         """Flat format: one operator per line."""
-        return "\n".join(self.table().texts()) + "\n"
+        return self._table.text_rows(b"", b"\n").decode("ascii")
 
 
 def _dedupe_seeds(seeds: Sequence[PauliString]) -> list[PauliString]:
@@ -361,7 +345,9 @@ def generate(
                 add_label(j)
 
     forest = (np.array(parents, dtype=np.int64), np.array(labels, dtype=np.int64), dig)
-    return AccessibleSet._from_keys(n, keys, seen, forest)
+    g = AccessibleSet._from_forest(n, PauliTable.from_keys(keys, n), forest)
+    g._keys, g._key_set = keys, seen
+    return g
 
 
 def _regenerates(n: int, digamma: Sequence[PauliString], keys: Sequence[int]):
@@ -412,9 +398,10 @@ def generate_reference(
 ) -> AccessibleSet:
     """Original trace-test rule over a full basis enumeration (oracle only).
 
-    Every candidate in the 4^N basis is tested against Tr(O^dag [tau, nu])
-    with dense matrices, exactly as the iterative membership rule states.
-    Member order may differ from :func:`generate`.
+    Every candidate in the 4^N basis is tested against Tr(O^dag [tau, nu]),
+    exactly as the iterative membership rule states: the commutator is a
+    dense matrix, and :meth:`PauliTable.traces` takes every candidate's
+    trace with it.  Member order may differ from :func:`generate`.
     """
     if not seeds:
         raise ValueError("seed set must be nonempty")
@@ -425,17 +412,9 @@ def generate_reference(
     check_widths(digamma, n)
     dig = canonical_digamma(digamma)
 
-    # candidate c's matrix has one nonzero per row r, at column cols[c, r];
-    # the trace test needs only those entries
     dim = 1 << n
-    omega = [PauliString(n, x, z) for x in range(dim) for z in range(dim)]
-    rows = np.arange(dim)
-    cols = np.empty((len(omega), dim), dtype=np.intp)
-    conj_vals = np.empty((len(omega), dim), dtype=complex)
-    for c, p in enumerate(omega):
-        dense = p.to_matrix()
-        cols[c] = np.nonzero(dense)[1]
-        conj_vals[c] = dense[rows, cols[c]].conj()
+    omega = PauliTable.from_keys([x | z << n for x in range(dim) for z in range(dim)], n)
+    candidates = omega.strings()
     dig_dense = [p.to_matrix() for p in dig]
 
     members = _dedupe_seeds(seeds)
@@ -450,10 +429,11 @@ def generate_reference(
             comm = tau @ nu - nu @ tau
             if not comm.any():
                 continue
-            # Tr(O^dag comm) of every candidate O at once, walked in order
-            traces = (conj_vals * comm[rows, cols]).sum(axis=1)
+            # Tr(O^dag comm) = Tr(O comm) of every candidate O at once, as
+            # Paulis are Hermitian; walked in order
+            traces = omega.traces(comm)
             for c in np.flatnonzero(np.abs(traces) > 1e-9).tolist():
-                cand = omega[c]
+                cand = candidates[c]
                 key = (cand.x_mask, cand.z_mask)
                 if key in seen:
                     continue
@@ -542,7 +522,8 @@ def accessible_set_from_json(data: dict) -> AccessibleSet:
     """Rebuild a set written by :func:`accessible_set_to_json`.
 
     Malformed input (wrong types, missing fields, indices out of range,
-    repeated members) raises ValueError.
+    repeated members, partition blocks that do not tile the members in order
+    or hold a member whose highest site is not their k) raises ValueError.
     """
     json_schema(data, SET_SCHEMA_ID, "set")
     n_qubits, texts, entries = json_fields(data, ("n_qubits", "members", "provenance"), "set")
@@ -558,12 +539,21 @@ def accessible_set_from_json(data: dict) -> AccessibleSet:
 
     partition = data.get("partition")
     if partition is not None:
-        blocks = []
+        sites, blocks, tiled = table.highest_sites(), [], 0
         for e in json_list(partition, "partition", dict):
             k, start, end = json_fields(e, ("k", "start", "end"), "partition entry")
             k = json_int(k, "partition k", lo=1, hi=n)
-            start = json_int(start, "partition start", hi=m)
-            blocks.append((k, start, json_int(end, "partition end", lo=start, hi=m)))
+            # each block starts where the one before it ends, and is nonempty
+            start = json_int(start, "partition start", lo=tiled, hi=tiled)
+            tiled = json_int(end, "partition end", lo=start + 1, hi=m)
+            if (sites[start:tiled] != k).any():
+                raise ValueError(
+                    f"partition block k={k} holds members {start}..{tiled - 1}, "
+                    f"not all of highest site {k}"
+                )
+            blocks.append((k, start, tiled))
+        if tiled != m:
+            raise ValueError(f"partition blocks end at member {tiled}, not at {m}")
         partition = tuple(blocks)
     cores = data.get("cores")
     if cores is not None:

@@ -17,7 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._fixedwidth import dump_json, index_table, join_rows, json_rows, string_table, text_table
+from ._fixedwidth import (
+    dump_json, index_table, join_rows, json_rows, json_texts, string_table, text_table,
+)
 from .closure import AccessibleSet, ClosureError, _regenerates
 from .pauli import (
     PauliString,
@@ -366,8 +368,9 @@ def graph_to_json(
     partition: Optional[Sequence[tuple[int, int, int]]] = None,
 ) -> str:
     """The graph file's text: ``json.dumps(<the graph as a dict>, indent=2)``
-    plus a newline, the edges rendered from the edge arrays
-    (:func:`~pauliaccess._fixedwidth.json_rows`)."""
+    plus a newline, the vertices rendered from the table
+    (:func:`~pauliaccess._fixedwidth.json_texts`) and the edges from the
+    edge arrays (:func:`~pauliaccess._fixedwidth.json_rows`)."""
     blocks = _blocks_as_arrays(partition)
     ids = index_table(len(graph))
     u, v = graph.ends.T
@@ -378,7 +381,7 @@ def graph_to_json(
     return dump_json({
         "schema": "pauli-access-graph/1",
         "n_qubits": graph.n_qubits,
-        "vertices": graph.table.texts(),
+        "vertices": json_texts(graph.table),
         "edges": edges,
         "blocks": None
         if blocks is None

@@ -441,7 +441,6 @@ class PauliTable:
         self.z = z
         self._keys: Optional[np.ndarray] = None
         self._sorted: Optional[np.ndarray] = None
-        self._texts: Optional[list[str]] = None
 
     @classmethod
     def from_strings(cls, strings: Sequence[PauliString], n_qubits: int) -> "PauliTable":
@@ -473,8 +472,6 @@ class PauliTable:
         in chunks of rows of about :data:`_PARSE_BYTES` characters; every
         other row (all of a chunk's, when its text is not ASCII) goes
         through :func:`parse_term`, in row order, so its errors are the same.
-        When every row is canonical, the table keeps a copy of ``texts`` and
-        :meth:`texts` returns it.
         """
         m = len(texts)
         words = (n_qubits + 63) // 64
@@ -495,11 +492,7 @@ class PauliTable:
             strings = [parse_term(texts[i], n_qubits) for i in rest.tolist()]
             parsed = cls.from_strings(strings, n_qubits)
             x[rest], z[rest] = parsed.x, parsed.z
-        table = cls(n_qubits, x, z)
-        if ok.all():
-            # canonical text is to_text output
-            table._texts = list(texts)
-        return table
+        return cls(n_qubits, x, z)
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -543,10 +536,7 @@ class PauliTable:
 
     def texts(self) -> list[str]:
         """:meth:`PauliString.to_text` of every row, rendered by
-        :meth:`text_rows`, or the texts the table was parsed from when they
-        were all canonical."""
-        if self._texts is not None:
-            return self._texts
+        :meth:`text_rows`."""
         return self.text_rows(b"", b"\n").decode("ascii").split("\n")[:-1]
 
     def text_rows(self, head: bytes, tail: bytes) -> bytearray:

@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._fixedwidth import JSONText, dump_json, float_column, index_table, json_rows
+from ._fixedwidth import JSONText, dump_json, float_column, index_table, json_rows, json_texts
 from ._reprtext import CELLS, rows_text
 from .closure import AccessibleSet, ClosureError
 from .hamiltonian import HamiltonianSpec, MeasurementSpec
@@ -437,13 +437,14 @@ def _run_rk4(
 
 def model_to_json(model: StateSpaceModel) -> str:
     """The model file's text: ``json.dumps(<the model as a dict>, indent=2)``
-    plus a newline, the A and C triplets rendered from the index and value
-    arrays (:func:`~pauliaccess._fixedwidth.json_rows`)."""
+    plus a newline, the ordering rendered from the table
+    (:func:`~pauliaccess._fixedwidth.json_texts`) and the A and C triplets
+    from the index and value arrays (:func:`~pauliaccess._fixedwidth.json_rows`)."""
     indices = index_table(max(model.dim, model.n_outputs))
     return dump_json({
         "schema": MODEL_SCHEMA_ID,
         "n_qubits": model.n_qubits,
-        "ordering": model.table.texts(),
+        "ordering": json_texts(model.table),
         "A": _triplets_text(indices, model.a_index, model.a_values),
         "B": [],
         "C": _triplets_text(indices, model.c_index, model.c_values),

@@ -144,6 +144,36 @@ def test_explain_a_provenance_cycle_exits_2(case_d_n4_set, capsys):
     assert (code, out, err) == (2, "", "error: provenance of member 7 forms a cycle\n")
 
 
+def test_payloads_render_member_texts_from_the_table(case_d_n4_set, tmp_path, capsys):
+    # the same set, its member texts valid but not what to_text writes: the
+    # cells reversed and two spaces apart
+    data = json.loads(case_d_n4_set.read_text())
+    canonical = data["members"]
+    data["members"] = ["  " + "  ".join(t.split()[::-1]) for t in canonical]
+    assert not set(data["members"]) & set(canonical)
+    scrambled = tmp_path / "scrambled.json"
+    scrambled.write_text(json.dumps(data))
+    commands = {
+        "graph json": ("graph", "--chain", "4", "--format", "json"),
+        "dot": ("graph", "--chain", "4"),
+        "model": ("model", "--chain", "4", "--measurement", "Y1 Z2"),
+        "explain": ("explain", "--member", "Y1 Y2 Z3 Y4"),
+    }
+    outputs = {}
+    for path in (case_d_n4_set, scrambled):
+        for name, (command, *args) in commands.items():
+            code, out, err = run(capsys, command, "--set", str(path), *args)
+            assert (code, err) == (0, ""), (name, path)
+            outputs[name, path] = out
+    for name in commands:
+        assert outputs[name, scrambled] == outputs[name, case_d_n4_set], name
+    assert json.loads(outputs["graph json", scrambled])["vertices"] == canonical
+    assert json.loads(outputs["model", scrambled])["ordering"] == canonical
+    dot = outputs["dot", scrambled]
+    assert all(f'n{i} [label="{t}"];' in dot for i, t in enumerate(canonical))
+    assert "gives Y1 Y2 Z3 Y4 (member 21)" in outputs["explain", scrambled]
+
+
 @pytest.mark.parametrize("text", ["0 * X1", "X1 + -1 * X1"])
 def test_gen_with_an_all_zero_measurement_exits_2_naming_it(capsys, text):
     code, stdout, err = run(capsys, "gen", "--chain", "2", "--measurement", text)
@@ -641,6 +671,13 @@ MALFORMED = {
     "set without members": ("set", lambda d: d.__delitem__("members")),
     "provenance entry without parent": ("set", lambda d: d["provenance"][0].__delitem__("parent")),
     "partition entry without start": ("set", lambda d: d["partition"][0].__delitem__("start")),
+    # the set is case (d) at N = 3: blocks k=2 at 0..1 and k=3 at 2..8.  Such
+    # partitions were read as given, and graph drew clusters that repeat or
+    # miss members, or file them under another k
+    "partition blocks overlap": ("set", lambda d: d["partition"][1].update(start=1)),
+    "partition blocks leave a gap": ("set", lambda d: d["partition"][1].update(start=3)),
+    "partition block with the wrong k": ("set", lambda d: d["partition"][0].update(k=1)),
+    "partition short of the last member": ("set", lambda d: d["partition"][1].update(end=8)),
     "model without A": ("model", lambda d: d.__delitem__("A")),
     "A index a boolean": ("model", lambda d: d["A"][0].__setitem__(0, False)),
     "A index a float": ("model", lambda d: d["A"][0].__setitem__(0, 0.0)),
@@ -695,6 +732,10 @@ MALFORMED_MESSAGES = {
     "set without members": "set has no 'members' field",
     "provenance entry without parent": "provenance entry has no 'parent' field",
     "partition entry without start": "partition entry has no 'start' field",
+    "partition blocks overlap": "partition start must be an integer in 2..2, got 1",
+    "partition blocks leave a gap": "partition start must be an integer in 2..2, got 3",
+    "partition block with the wrong k": "members 0..1, not all of highest site 1",
+    "partition short of the last member": "partition blocks end at member 8, not at 9",
     "model without A": "model has no 'A' field",
     "A index a boolean": "A entry [False, ",
     "A index a float": "A entry [0.0, ",

@@ -3,6 +3,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -222,7 +223,7 @@ def assert_same_as_parse_term(texts, n):
         ref = PauliTable.from_strings(want, n)
         np.testing.assert_array_equal(got.x, ref.x)
         np.testing.assert_array_equal(got.z, ref.z)
-        # the input texts when all are canonical, else rendered
+        # rendered from the packed rows, whatever the input texts
         assert got.texts() == [s.to_text() for s in want]
 
 
@@ -371,6 +372,37 @@ def test_graph_and_model_match_pair_loops_on_wide_sparse_hamiltonians(case):
     edges, a = pair_loop_edges_and_a(g, spec, digamma)
     assert build_graph(g, digamma).edges == edges
     assert build_model(g, spec, meas).a_entries == a
+
+
+def assert_reader_keeps_the_partition(g, digamma):
+    with warnings.catch_warnings():
+        # a disconnected block falls back to generation order; its partition holds
+        warnings.simplefilter("ignore", UserWarning)
+        ordered = order_members(g, build_graph(g, digamma), partition_k_finite(g))
+    loaded = accessible_set_from_json(json.loads(accessible_set_to_json(ordered)))
+    assert loaded == ordered  # partition included
+
+
+@settings(max_examples=30, deadline=None)
+@given(wide_sparse_cases())
+def test_set_reader_takes_the_partition_of_wide_sparse_sets(case):
+    n, terms, seeds = case
+    digamma = decomposed_digamma(HamiltonianSpec(n, WeightedPauliSum(n, tuple(terms))))
+    meas = MeasurementSpec.from_texts([s.to_text() for s in seeds], n)
+    assert_reader_keeps_the_partition(generate(digamma, list(meas.decomposed)), digamma)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_set_reader_takes_the_partition_of_heisenberg_sets(n):
+    digamma = [PauliString.from_cells(n, {k: a, k + 1: a}) for k in range(1, n) for a in "XYZ"]
+    assert_reader_keeps_the_partition(generate(digamma, [parse_term("Z1", n)]), digamma)
+
+
+def test_set_reader_takes_the_partition_of_two_components():
+    # case (a) and case (b) seeds: two components, so each k has two blocks
+    digamma = exchange_digamma(5)
+    g = generate(digamma, [parse_term("X1", 5), parse_term("Z1", 5)])
+    assert_reader_keeps_the_partition(g, digamma)
 
 
 def test_payloads_match_member_texts_at_n70():
