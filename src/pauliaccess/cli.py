@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from itertools import chain
 from pathlib import Path
@@ -27,6 +28,7 @@ from ._fixedwidth import dump_json
 from .closure import (
     AccessibleSet,
     ClosureError,
+    SetMismatchError,
     _regenerates,
     accessible_set_to_json,
     chain_closed_form,
@@ -54,7 +56,6 @@ from .hamiltonian import (
     measurement_from_json,
 )
 from .pauli import (
-    GrammarError,
     PauliString,
     PauliTable,
     apply_sequence,
@@ -408,7 +409,7 @@ def _suite_lemmas(lo: int, hi: int):
             gr = build_graph(g, digamma)
             # on packed keys x | z << n: the label nu maps t to t ^ nu exactly
             # when t & dual(nu) has odd parity, with dual = z | x << n
-            labels = [(s.x_mask | s.z_mask << n, s.z_mask | s.x_mask << n) for s in gr.digamma]
+            labels = [(s.key, s.z_mask | s.x_mask << n) for s in gr.digamma]
             us, vs = gr.ends.T.tolist()
             packed = g.packed_keys()
             simple = _is_simple(gr)
@@ -429,9 +430,10 @@ def _suite_lemmas(lo: int, hi: int):
             yield f"lemmas n={n} case {name}", ok, detail
 
 
-def _restrict(s: PauliString, n_small: int) -> tuple[int, int]:
-    mask = (1 << n_small) - 1
-    return s.x_mask & mask, s.z_mask & mask
+def _restrict(key: int, n: int, i: int) -> int:
+    """A packed key ``x | z << n`` cut to sites 1..i, as ``x | z << i``."""
+    mask = (1 << i) - 1
+    return key & mask | (key >> n & mask) << i
 
 
 def _suite_prop3(lo: int, hi: int):
@@ -441,20 +443,17 @@ def _suite_prop3(lo: int, hi: int):
             seed_width = PauliString.from_text(text, n).highest_site()
             g = generate(digamma, [PauliString.from_text(text, n)])
             part = partition_k_finite(g)
+            keys = g.packed_keys()
             # nesting: the i-qubit closure equals the union of blocks k <= i
             nest_ok = True
             for i in range(max(2, seed_width), n):
                 small = generate(
                     exchange_digamma(i), [PauliString.from_text(text, i)]
                 )
-                small_keys = {(s.x_mask, s.z_mask) for s in small.members}
                 big_keys = {
-                    _restrict(g.members[j], i)
-                    for k, idx in part.blocks
-                    if k <= i
-                    for j in idx
+                    _restrict(keys[j], n, i) for k, idx in part.blocks if k <= i for j in idx
                 }
-                if small_keys != big_keys:
+                if small.member_keys() != big_keys:
                     nest_ok = False
             report = verify_block_regeneration(g, part, digamma)
             ok = nest_ok and report.all_passed
@@ -506,13 +505,10 @@ def _suite_identities(trials: int, seed: int):
             checked_perm += 1
             if other != end:
                 perm_ok = False
-        counts: dict[tuple[int, int], int] = {}
-        for nu in seq:
-            counts[(nu.x_mask, nu.z_mask)] = counts.get((nu.x_mask, nu.z_mask), 0) + 1
-        for key, cnt in counts.items():
+        for nu, cnt in Counter(seq).items():
             if cnt % 2 != 0:
                 continue
-            reduced = [nu for nu in seq if (nu.x_mask, nu.z_mask) != key]
+            reduced = [mu for mu in seq if mu != nu]
             red_end = apply_sequence(start, reduced)
             if red_end is not None:
                 checked_even += 1
@@ -787,6 +783,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             setattr(args, dest, value)
     try:
         return args.func(args)
+    except (
+        ValueError, OSError, KeyError,
+        SetMismatchError,  # a set file that does not fit the Hamiltonian or measurement
+        SimulationUnstableError,  # an rk4 --step too large for the model
+    ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except (ClosureError, NormDriftError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -794,12 +797,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         stage = _stage(exc)
         print(f"internal failure: {args.command} ran out of memory in {stage}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (
-        GrammarError, ValueError, OSError, json.JSONDecodeError, KeyError,
-        SimulationUnstableError,  # an rk4 --step too large for the model
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -2,22 +2,29 @@
 
 ``generate`` is the production rule: breadth-first bracketing of members
 against the decomposed Hamiltonian set (digamma), deduplicated on one packed
-int key per string, ``x | z << n``, so membership never requires
-materializing the 4^N basis.  Each member carries its syndrome: bit j is set
-when it anticommutes with digamma string nu_j.  The symplectic form is
-bilinear over GF(2), so the child t ^ nu_j has syndrome syn(t) ^ S_j, where
-row S_j is nu_j's own syndrome against digamma.  A member therefore costs
-one step per string it anticommutes with (its degree), not one per string of
-digamma.  The resulting set holds one packed table of the members, with
-the keys and their set handed over as caches, and the provenance forest as
-arrays; it builds its ``PauliString`` members only when asked.  The private
-``_regenerates`` takes the same steps from one key without leaving a given
-set of keys.  The step is symmetric, so that one walk tells whether every
+int key per string, ``x | z << n`` (:attr:`PauliString.key`), so membership
+never requires materializing the 4^N basis.  Each member carries its
+syndrome: bit j is set when it anticommutes with digamma string nu_j.  The
+symplectic form is bilinear over GF(2), so the child t ^ nu_j has syndrome
+syn(t) ^ S_j, where row S_j is nu_j's own syndrome against digamma.  A
+member therefore costs one step per string it anticommutes with (its
+degree), not one per string of digamma.  The resulting set holds one packed
+table of the members and the provenance forest as arrays; it builds its
+packed keys, their frozenset and its ``PauliString`` members only when
+asked.  The private ``_regenerates`` takes the same steps from one key
+without leaving a given set of keys.  The step is symmetric, so that one walk tells whether every
 key regenerates the set.
 
 ``generate_reference`` re-implements the original trace-test rule over the
-full 4^N basis, with :meth:`PauliTable.traces`, as a small-width oracle, and ``chain_closed_form`` emits the known alternating
-ladder for the exchange chain with a single Z-prefixed seed.
+full 4^N basis, with :meth:`PauliTable.traces`, as a small-width oracle, and
+``chain_closed_form`` emits the known alternating ladder for the exchange
+chain with a single Z-prefixed seed.  The reference rule deduplicates the
+strings themselves, as :class:`PauliString` equality is that of (n, x, z).
+
+A set that is not closed under a given Hamiltonian, or lacks a measured
+string, raises :class:`SetMismatchError` in the later stages: the inputs do
+not belong together.  Its base :class:`ClosureError` marks an internal
+fixpoint violation.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import json
 import operator
 from itertools import compress, repeat
 from pathlib import Path
-from typing import AbstractSet, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,6 +60,7 @@ from .validation import (
 __all__ = [
     "AccessibleSet",
     "ClosureError",
+    "SetMismatchError",
     "generate",
     "generate_reference",
     "chain_closed_form",
@@ -78,6 +86,11 @@ class ClosureError(RuntimeError):
     """Internal fixpoint violation; indicates an implementation bug."""
 
 
+class SetMismatchError(ClosureError):
+    """A given set is not closed under the given Hamiltonian, or lacks a
+    measured string: the inputs do not belong together."""
+
+
 class AccessibleSet:
     """Ordered, deduplicated strings closed under bracketing with a set.
 
@@ -90,9 +103,9 @@ class AccessibleSet:
     members given as strings are packed at once) and its provenance as one
     spanning forest of the access graph, the arrays
     :meth:`provenance_arrays` returns (a given ``provenance`` tuple is
-    converted at once).  The packed keys, their set, the ``members`` tuple
-    of strings and the ``provenance`` tuple are views of those two, built
-    on first access.
+    converted at once).  The packed keys, their frozenset, the ``members``
+    tuple of strings and the ``provenance`` tuple are views of those two,
+    built on first access.
     """
 
     def __init__(
@@ -117,7 +130,7 @@ class AccessibleSet:
         self.partition = partition
         self.cores = cores
         self._keys: Optional[list[int]] = None
-        self._key_set: Optional[set[int]] = None
+        self._member_keys: Optional[frozenset[int]] = None
         self._members: Optional[tuple[PauliString, ...]] = None
         self._provenance: Optional[tuple[Optional[tuple[int, PauliString]], ...]] = None
         self._depths: Optional[np.ndarray] = None
@@ -184,24 +197,17 @@ class AccessibleSet:
         """The members packed as x/z words."""
         return self._table
 
-    def key_set(self) -> AbstractSet[int]:
-        """The set of :meth:`packed_keys`, built once on demand (a set made
-        by :func:`generate` is handed its own).  Callers only read it."""
-        if self._key_set is None:
-            self._key_set = set(self.packed_keys())
-        return self._key_set
+    def member_keys(self) -> frozenset[int]:
+        """The frozenset of :meth:`packed_keys`, built once on demand."""
+        if self._member_keys is None:
+            self._member_keys = frozenset(self.packed_keys())
+        return self._member_keys
 
     def __contains__(self, s: PauliString) -> bool:
         n = self.n_qubits
         if (s.x_mask | s.z_mask) >> n:
             return False
-        return s.x_mask | s.z_mask << n in self.key_set()
-
-    def member_keys(self) -> frozenset[tuple[int, int]]:
-        """The set of (x_mask, z_mask) pairs of the members."""
-        n = self.n_qubits
-        full = (1 << n) - 1
-        return frozenset((k & full, k >> n) for k in self.packed_keys())
+        return s.x_mask | s.z_mask << n in self.member_keys()
 
     def depths(self) -> np.ndarray:
         """Provenance chain length of every member, as int64.
@@ -250,32 +256,24 @@ class AccessibleSet:
         return self._table.text_rows(b"", b"\n").decode("ascii")
 
 
-def _dedupe_seeds(seeds: Sequence[PauliString]) -> list[PauliString]:
-    out = {}
-    for s in seeds:
-        out.setdefault((s.x_mask, s.z_mask), s)
-    return list(out.values())
-
-
 @functools.lru_cache(maxsize=64)
-def _closure_steps(n: int, masks: tuple[tuple[int, int], ...]):
+def _closure_steps(n: int, digamma: tuple[PauliString, ...]):
     """Canonical digamma of width n, prepared for :func:`generate`.
 
-    ``masks`` lists the raw digamma as (x, z) pairs.  Returns the syndrome
+    ``digamma`` is the raw digamma, of width n.  Returns the syndrome
     terms ``(1 << j, dual of nu_j)``, used for the seeds, two maps keyed by
     the lowest syndrome bit ``1 << j``: to the key of nu_j, and to
     (syndrome row S_j, j), and the canonical digamma.  Every call with the
     same arguments gets the same maps, so callers only read them.
     """
-    dig = canonical_digamma(PauliString(n, x, z) for x, z in masks)
+    dig = canonical_digamma(digamma)
     # t anticommutes with nu exactly when key(t) & dual(nu) has odd popcount,
     # where key = x | z << n and dual = z | x << n
     terms = tuple((1 << j, s.z_mask | s.x_mask << n) for j, s in enumerate(dig))
     step_keys, step_rows = {}, {}
     for j, ((bit, _), s) in enumerate(zip(terms, dig)):
-        key = s.x_mask | s.z_mask << n
-        step_keys[bit] = key
-        step_rows[bit] = (_syndrome(key, terms), j)
+        step_keys[bit] = s.key
+        step_rows[bit] = (_syndrome(s.key, terms), j)
     return terms, step_keys, step_rows, tuple(dig)
 
 
@@ -305,18 +303,11 @@ def generate(
     n = seeds[0].n_qubits
     check_widths(seeds, n)
     check_widths(digamma, n)
-    terms, step_keys, step_rows, dig = _closure_steps(
-        n, tuple((s.x_mask, s.z_mask) for s in digamma)
-    )
+    terms, step_keys, step_rows, dig = _closure_steps(n, tuple(digamma))
 
     budget = MAX_MEMBERS
-    keys: list[int] = []
-    seen: set[int] = set()
-    for s in seeds:
-        key = s.x_mask | s.z_mask << n
-        if key not in seen:
-            seen.add(key)
-            keys.append(key)
+    keys = list(dict.fromkeys(s.key for s in seeds))
+    seen = set(keys)
     if len(keys) > budget:
         raise ValueError(_over_budget(budget, len(keys)))
     room = budget - len(keys)
@@ -345,9 +336,7 @@ def generate(
                 add_label(j)
 
     forest = (np.array(parents, dtype=np.int64), np.array(labels, dtype=np.int64), dig)
-    g = AccessibleSet._from_forest(n, PauliTable.from_keys(keys, n), forest)
-    g._keys, g._key_set = keys, seen
-    return g
+    return AccessibleSet._from_forest(n, PauliTable.from_keys(keys, n), forest)
 
 
 def _regenerates(n: int, digamma: Sequence[PauliString], keys: Sequence[int]):
@@ -361,9 +350,7 @@ def _regenerates(n: int, digamma: Sequence[PauliString], keys: Sequence[int]):
     every key, and otherwise none does.  A single key then closes to exactly
     ``keys`` when both hold.  Time is O(len(keys) x |digamma|).
     """
-    terms, step_keys, step_rows, _ = _closure_steps(
-        n, tuple((s.x_mask, s.z_mask) for s in digamma)
-    )
+    terms, step_keys, step_rows, _ = _closure_steps(n, tuple(digamma))
     walk = list(keys[:1])
     syns = [_syndrome(t, terms) for t in walk]
     # per key, whether the walk has visited it; a child outside keys gets None
@@ -417,9 +404,9 @@ def generate_reference(
     candidates = omega.strings()
     dig_dense = [p.to_matrix() for p in dig]
 
-    members = _dedupe_seeds(seeds)
+    members = list(dict.fromkeys(seeds))
     member_dense = [p.to_matrix() for p in members]
-    seen = {(s.x_mask, s.z_mask) for s in members}
+    seen = set(members)
     prov: list[Optional[tuple[int, PauliString]]] = [None] * len(members)
 
     head = 0
@@ -434,10 +421,9 @@ def generate_reference(
             traces = omega.traces(comm)
             for c in np.flatnonzero(np.abs(traces) > 1e-9).tolist():
                 cand = candidates[c]
-                key = (cand.x_mask, cand.z_mask)
-                if key in seen:
+                if cand in seen:
                     continue
-                seen.add(key)
+                seen.add(cand)
                 members.append(cand)
                 member_dense.append(cand.to_matrix())
                 prov.append((head, dig[nu_idx]))
@@ -523,7 +509,8 @@ def accessible_set_from_json(data: dict) -> AccessibleSet:
 
     Malformed input (wrong types, missing fields, indices out of range,
     repeated members, partition blocks that do not tile the members in order
-    or hold a member whose highest site is not their k) raises ValueError.
+    or hold a member whose highest site is not their k, cores that are not
+    one member of each block) raises ValueError.
     """
     json_schema(data, SET_SCHEMA_ID, "set")
     n_qubits, texts, entries = json_fields(data, ("n_qubits", "members", "provenance"), "set")
@@ -559,7 +546,11 @@ def accessible_set_from_json(data: dict) -> AccessibleSet:
     if cores is not None:
         if not isinstance(cores, list):
             raise ValueError("cores must be a list of member indices")
-        cores = tuple(json_int(c, "core", hi=m - 1) for c in cores)
+        if partition is None:
+            raise ValueError("cores need a partition, one core per block")
+        if len(cores) != len(partition):
+            raise ValueError(f"cores must have {len(partition)} entries, one per partition block")
+        cores = tuple(json_int(c, "core", lo=a, hi=b - 1) for c, (_, a, b) in zip(cores, partition))
     return AccessibleSet._from_forest(n, table, forest, partition, cores)
 
 

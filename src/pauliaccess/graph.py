@@ -20,7 +20,7 @@ import numpy as np
 from ._fixedwidth import (
     dump_json, index_table, join_rows, json_rows, json_texts, string_table, text_table,
 )
-from .closure import AccessibleSet, ClosureError, _regenerates
+from .closure import AccessibleSet, SetMismatchError, _regenerates
 from .pauli import (
     PauliString,
     PauliTable,
@@ -94,9 +94,10 @@ class KFinitePartition:
 def build_graph(g: AccessibleSet, digamma: Sequence[PauliString]) -> AccessGraph:
     """Edge (m, n, nu) for every bracket of a member with nu landing on another.
 
-    Raises :class:`ClosureError` when a bracket leaves the member set, i.e.
-    the input was not a fixpoint for this digamma.  A repeated nu yields the
-    same edges again and the identity none, so digamma needs no cleaning.
+    Raises :class:`~pauliaccess.closure.SetMismatchError` when a bracket
+    leaves the member set, i.e. the input was not a fixpoint for this
+    digamma.  A repeated nu yields the same edges again and the identity
+    none, so digamma needs no cleaning.
     """
     table = g.table()
     br = table.brackets(PauliTable.from_strings(digamma, g.n_qubits))
@@ -104,7 +105,7 @@ def build_graph(g: AccessibleSet, digamma: Sequence[PauliString]) -> AccessGraph
     if outside.size:
         om = table.string(br.member[outside[0]])
         nu = digamma[br.string[outside[0]]]
-        raise ClosureError(
+        raise SetMismatchError(
             f"bracket of {om} with {nu} lands outside the set "
             f"({phase_free_product(om, nu)}); input is not a fixpoint"
         )

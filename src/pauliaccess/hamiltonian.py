@@ -81,13 +81,10 @@ class MeasurementSpec:
     ) -> "MeasurementSpec":
         if not operators:
             raise ValueError("at least one measurement operator is required")
-        seen = {}
-        for op in operators:
-            if op.n_qubits != n_qubits:
-                raise ValueError("measurement operators disagree on qubit count")
-            for _, s in decompose(op).terms:
-                seen.setdefault((s.x_mask, s.z_mask), s)
-        return cls(n_qubits, tuple(operators), tuple(seen.values()))
+        if any(op.n_qubits != n_qubits for op in operators):
+            raise ValueError("measurement operators disagree on qubit count")
+        seen = dict.fromkeys(s for op in operators for _, s in decompose(op).terms)
+        return cls(n_qubits, tuple(operators), tuple(seen))
 
     @classmethod
     def from_texts(cls, texts: Sequence[str], n_qubits: int) -> "MeasurementSpec":

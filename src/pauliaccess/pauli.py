@@ -162,6 +162,12 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
 
+    @property
+    def key(self) -> int:
+        """The packed int ``x_mask | z_mask << n_qubits``, as
+        :meth:`PauliTable.keys` gives a row."""
+        return self.x_mask | self.z_mask << self.n_qubits
+
     def cell(self, site: int) -> str:
         """Letter at 1-based ``site``."""
         if not 1 <= site <= self.n_qubits:
@@ -237,24 +243,20 @@ class WeightedPauliSum:
         check_widths(self.strings(), self.n_qubits)
         seen = set()
         for _, s in self.terms:
-            key = (s.x_mask, s.z_mask)
-            if key in seen:
+            if s in seen:
                 raise ValueError(f"duplicate string {s} in sum")
-            seen.add(key)
+            seen.add(s)
 
     @classmethod
     def merged(
         cls, pairs: Iterable[tuple[float, PauliString]], n_qubits: int
     ) -> "WeightedPauliSum":
-        """Sum duplicate strings; keeps zero coefficients."""
-        acc: dict[tuple[int, int], list] = {}
+        """Sum duplicate strings; keeps zero coefficients, and each string's
+        first object and first coefficient as a float (so -0.0 stays)."""
+        acc: dict[PauliString, float] = {}
         for c, s in pairs:
-            key = (s.x_mask, s.z_mask)
-            if key in acc:
-                acc[key][0] += c
-            else:
-                acc[key] = [float(c), s]
-        return cls(n_qubits, tuple((c, s) for c, s in acc.values()))
+            acc[s] = acc[s] + c if s in acc else float(c)
+        return cls(n_qubits, tuple((c, s) for s, c in acc.items()))
 
     def strings(self) -> tuple[PauliString, ...]:
         return tuple(s for _, s in self.terms)
@@ -330,11 +332,8 @@ def canonical_digamma(strings: Iterable[PauliString]) -> list[PauliString]:
 
     The identity commutes with everything, so it never edges two members.
     """
-    out = {}
-    for s in strings:
-        if not s.is_identity:
-            out.setdefault((s.x_mask, s.z_mask), s)
-    return sorted(out.values(), key=lambda s: s.sort_key())
+    distinct = dict.fromkeys(s for s in strings if not s.is_identity)
+    return sorted(distinct, key=lambda s: s.sort_key())
 
 
 def apply_sequence(
@@ -445,7 +444,7 @@ class PauliTable:
     @classmethod
     def from_strings(cls, strings: Sequence[PauliString], n_qubits: int) -> "PauliTable":
         check_widths(strings, n_qubits)
-        return cls.from_keys([s.x_mask | s.z_mask << n_qubits for s in strings], n_qubits)
+        return cls.from_keys([s.key for s in strings], n_qubits)
 
     @classmethod
     def from_keys(cls, keys: Sequence[int], n_qubits: int) -> "PauliTable":

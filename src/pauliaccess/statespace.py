@@ -34,7 +34,7 @@ import numpy as np
 
 from ._fixedwidth import JSONText, dump_json, float_column, index_table, json_rows, json_texts
 from ._reprtext import CELLS, rows_text
-from .closure import AccessibleSet, ClosureError
+from .closure import AccessibleSet, ClosureError, SetMismatchError
 from .hamiltonian import HamiltonianSpec, MeasurementSpec
 from .oracle import validate_density_matrix
 from .pauli import _CHUNK_CELLS, DENSE_CAP, PauliTable, decompose
@@ -141,9 +141,9 @@ def build_model(
 ) -> StateSpaceModel:
     """Assemble A and C for an ordered accessible set.
 
-    Raises :class:`ClosureError` when a bracket or a measurement string falls
-    outside the set (the set was not generated for this Hamiltonian or
-    measurement), and ValueError for more than
+    Raises :class:`~pauliaccess.closure.SetMismatchError` when a bracket or a
+    measurement string falls outside the set (the set was not generated for
+    this Hamiltonian or measurement), and ValueError for more than
     :data:`~pauliaccess.validation.MAX_OUTPUTS` measurement operators, a
     model no loader would read back.
     """
@@ -157,7 +157,7 @@ def build_model(
     if outside.size:
         hm = terms[br.string[outside[0]]][1]
         oj = table.string(br.member[outside[0]])
-        raise ClosureError(
+        raise SetMismatchError(
             f"bracket of {hm} with member {oj} leaves the set; "
             "not a fixpoint for this Hamiltonian"
         )
@@ -176,7 +176,7 @@ def build_model(
         cols = table.find(PauliTable.from_strings([s for _, s in strings], g.n_qubits))
         for (coeff, s), col in zip(strings, cols.tolist()):
             if col < 0:
-                raise ClosureError(
+                raise SetMismatchError(
                     f"measurement string {s} is not in the accessible set"
                 )
             c_rows.append((r, col, coeff))

@@ -326,8 +326,45 @@ def test_graph_detects_non_fixpoint_set(tmp_path, capsys):
         )
     )
     code, _, err = run(capsys, "graph", "--set", str(set_path), "--chain", "2")
-    assert code == 3
-    assert "consistency" in err
+    assert code == 2
+    assert "not a fixpoint" in err
+
+
+def test_a_set_not_closed_under_the_hamiltonian_exits_2(tmp_path, capsys):
+    # the case (d) N = 3 set with member X2 written "X2X1", which reads as
+    # X1 X2: still unique and still in block k=2, but no longer closed.  The
+    # set-file fuzz test drew this file, and graph and model exited 3
+    path = tmp_path / "set.json"
+    assert run(capsys, "gen", "--chain", "3", "--measurement", "Y1 Z2", "--out", str(path))[0] == 0
+    data = json.loads(path.read_text())
+    assert data["members"][1] == "X2"
+    data["members"][1] = "X2X1"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "graph", "--set", str(path), "--chain", "3") == (
+        2, "", "error: bracket of Y1 Z2 with Y1 Y2 lands outside the set (X2); "
+        "input is not a fixpoint\n",
+    )
+    assert run(capsys, "model", "--set", str(path), "--chain", "3", "--measurement", "Y1 Z2") == (
+        2, "", "error: bracket of Y1 Y2 with member Y1 Z2 leaves the set; "
+        "not a fixpoint for this Hamiltonian\n",
+    )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("graph", "--set", "SET", "--chain", "5"), "Hamiltonian and set disagree on qubit count"),
+    (
+        ("model", "--set", "SET", "--chain", "5", "--measurement", "Y1 Z2"),
+        "qubit counts of set, Hamiltonian and measurement differ",
+    ),
+    (
+        ("model", "--set", "SET", "--chain", "4", "--measurement", "Z1"),
+        "measurement string Z1 is not in the accessible set",
+    ),
+])
+def test_a_set_that_does_not_fit_exits_2_with_one_line(case_d_n4_set, capsys, argv, message):
+    # SET is the case (d) N = 4 set
+    argv = [str(case_d_n4_set) if arg == "SET" else arg for arg in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_verify_suites_pass(capsys):
@@ -514,8 +551,8 @@ def test_lemma_simplicity_rejects_loops_and_repeated_pairs():
 
 
 def regenerates_member_by_member(g, dig):
-    keys = g.key_set()
-    return all(generate(dig, [m]).key_set() == keys for m in g.members)
+    keys = g.member_keys()
+    return all(generate(dig, [m]).member_keys() == keys for m in g.members)
 
 
 def test_lemma_regeneration_matches_per_member_closures():
@@ -678,6 +715,12 @@ MALFORMED = {
     "partition blocks leave a gap": ("set", lambda d: d["partition"][1].update(start=3)),
     "partition block with the wrong k": ("set", lambda d: d["partition"][0].update(k=1)),
     "partition short of the last member": ("set", lambda d: d["partition"][1].update(end=8)),
+    # the cores were read unchecked: gen writes [0, 2], one per block, each
+    # inside its block
+    "cores not a list": ("set", lambda d: d.update(cores=5)),
+    "cores one short": ("set", lambda d: d["cores"].__delitem__(-1)),
+    "core outside its block": ("set", lambda d: d.update(cores=[0, 1])),
+    "cores without a partition": ("set", lambda d: d.update(partition=None)),
     "model without A": ("model", lambda d: d.__delitem__("A")),
     "A index a boolean": ("model", lambda d: d["A"][0].__setitem__(0, False)),
     "A index a float": ("model", lambda d: d["A"][0].__setitem__(0, 0.0)),
@@ -705,6 +748,7 @@ MALFORMED = {
     # 10^9 rk4 steps: ran on without a budget
     "rk4 step tiny": ("config", lambda d: d.update(integrator="rk4", step=1e-9, times="0:1:0.5")),
     "rk4 empty time grid": ("config", lambda d: d.update(integrator="rk4", step=1.0, times="2:0:1")),
+    "rk4 step zero": ("config", lambda d: d.update(integrator="rk4", step=0.0, times="0:1:0.5")),
     # a stop before the start: int() truncated -1 and -0.5 steps to a
     # one-point grid at t = start, and -inf steps ended in an OverflowError
     "empty time grid, stop a step before start": ("config", lambda d: d.update(times="1:0:1")),
@@ -725,6 +769,7 @@ MALFORMED = {
     # read as no --chain at all, and as -1 couplings for 0 qubits
     "gen --chain 0": ("argv", ("gen", "--chain", "0", "--measurement", "X1")),
     "chain --n 0": ("argv", ("chain", "--n", "0", "--couplings", "1")),
+    "gen without a Hamiltonian": ("argv", ("gen", "--measurement", "Y1 Z2")),
 }
 
 #: text the error message must hold, for the cases that name what is wrong
@@ -736,6 +781,10 @@ MALFORMED_MESSAGES = {
     "partition blocks leave a gap": "partition start must be an integer in 2..2, got 3",
     "partition block with the wrong k": "members 0..1, not all of highest site 1",
     "partition short of the last member": "partition blocks end at member 8, not at 9",
+    "cores not a list": "cores must be a list of member indices",
+    "cores one short": "cores must have 2 entries, one per partition block",
+    "core outside its block": "core must be an integer in 2..8, got 1",
+    "cores without a partition": "cores need a partition, one core per block",
     "model without A": "model has no 'A' field",
     "A index a boolean": "A entry [False, ",
     "A index a float": "A entry [0.0, ",
@@ -762,6 +811,8 @@ MALFORMED_MESSAGES = {
     "config not UTF-8": "cannot read config",
     "gen --chain 0": "a chain needs at least 2 qubits",
     "chain --n 0": "a chain needs at least 2 qubits",
+    "rk4 step zero": "step must be positive",
+    "gen without a Hamiltonian": "provide --hamiltonian FILE or --chain N",
 }
 
 

@@ -21,7 +21,6 @@ from pauliaccess import (
 )
 from pauliaccess import closure
 from pauliaccess.closure import (
-    _dedupe_seeds,
     accessible_set_from_json,
     accessible_set_to_json,
 )
@@ -128,7 +127,7 @@ def per_candidate_reference(
     omega_dense = [p.to_matrix() for p in omega]
     dig_dense = [p.to_matrix() for p in dig]
 
-    members = _dedupe_seeds(seeds)
+    members = list(dict.fromkeys(seeds))
     member_dense = [p.to_matrix() for p in members]
     seen = {(s.x_mask, s.z_mask) for s in members}
     prov: list[Optional[tuple[int, PauliString]]] = [None] * len(members)
@@ -285,7 +284,7 @@ def all_pairs_generate(
     dig = canonical_digamma(digamma)
     dig_masks = [(s.x_mask, s.z_mask) for s in dig]
 
-    seed_list = _dedupe_seeds(seeds)
+    seed_list = list(dict.fromkeys(seeds))
     members: list[tuple[int, int]] = []
     prov: list[Optional[tuple[int, int]]] = []
     seen: dict[tuple[int, int], int] = {}
@@ -377,14 +376,14 @@ def test_lazy_set_answers_from_keys(string_count):
 def test_key_set_is_the_set_of_packed_keys():
     lazy = generate(*CASE_D_N6)
     want = set(lazy.packed_keys())
-    assert lazy.key_set() == want
-    assert lazy.key_set() is lazy.key_set()  # generate's own set, not a copy per call
+    assert lazy.member_keys() == want
+    assert lazy.member_keys() is lazy.member_keys()  # built once, not a copy per call
     for eager in (
         AccessibleSet(6, lazy.members, lazy.provenance),
         AccessibleSet(6, lazy.table(), lazy.provenance),
     ):
-        assert eager.key_set() == want
-        assert eager.key_set() is eager.key_set()
+        assert eager.member_keys() == want
+        assert eager.member_keys() is eager.member_keys()
 
 
 def test_lazy_members_decode_keys():
@@ -517,7 +516,7 @@ def test_one_walk_decides_regeneration_from_every_member(inputs, rnd):
     for i in rnd.sample(range(len(keys)), min(8, len(keys))):
         start = PauliString(n, keys[i] & full, keys[i] >> n)
         # the closure of member i alone is exactly the set
-        assert (closed and covered) == (generate(digamma, [start]).key_set() == set(keys))
+        assert (closed and covered) == (generate(digamma, [start]).member_keys() == set(keys))
         # member i reaches every member without leaving the set
         assert covered == (walk_within(digamma, start, set(keys)) == set(keys))
 
