@@ -64,6 +64,8 @@ from .pauli import (
 )
 from .statespace import (
     DENSE_DIM,
+    MAX_EXPM_TERMS,
+    MAX_RK4_STEPS,
     NormDriftError,
     SimulationUnstableError,
     build_model,
@@ -84,10 +86,6 @@ MAX_TIME_POINTS = 1_000_000
 
 #: most trials ``verify --suite identities`` may run, at about 150 us each
 MAX_TRIALS = 1_000_000
-
-#: most steps an rk4 run may take, about the last time over --step; each
-#: step is four products with A
-MAX_RK4_STEPS = 1_000_000
 
 #: common single-string measurement schemes on the chain, by case name
 CHAIN_CASES = {
@@ -627,7 +625,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, list]:
         "--integrator",
         choices=("expm", "rk4"),
         default="expm",
-        help=f"expm (exact; dense up to {DENSE_DIM} states, sparse above) or rk4",
+        help=(
+            f"expm (exact; dense up to {DENSE_DIM} states on a uniform grid, else one "
+            f"Chebyshev sweep over the sparse A of at most {MAX_EXPM_TERMS} terms) or rk4"
+        ),
     )
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--out", help="output path (default stdout)")

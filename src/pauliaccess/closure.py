@@ -204,10 +204,7 @@ class AccessibleSet:
         return self._member_keys
 
     def __contains__(self, s: PauliString) -> bool:
-        n = self.n_qubits
-        if (s.x_mask | s.z_mask) >> n:
-            return False
-        return s.x_mask | s.z_mask << n in self.member_keys()
+        return s.n_qubits == self.n_qubits and s.key in self.member_keys()
 
     def depths(self) -> np.ndarray:
         """Provenance chain length of every member, as int64.
@@ -257,16 +254,18 @@ class AccessibleSet:
 
 
 @functools.lru_cache(maxsize=64)
-def _closure_steps(n: int, digamma: tuple[PauliString, ...]):
+def _closure_steps(n: int, digamma_keys: tuple[int, ...]):
     """Canonical digamma of width n, prepared for :func:`generate`.
 
-    ``digamma`` is the raw digamma, of width n.  Returns the syndrome
-    terms ``(1 << j, dual of nu_j)``, used for the seeds, two maps keyed by
-    the lowest syndrome bit ``1 << j``: to the key of nu_j, and to
-    (syndrome row S_j, j), and the canonical digamma.  Every call with the
-    same arguments gets the same maps, so callers only read them.
+    ``digamma_keys`` are the packed keys of the raw digamma, of width n, so
+    a cache lookup hashes ints.  Returns the syndrome terms
+    ``(1 << j, dual of nu_j)``, used for the seeds, two maps keyed by the
+    lowest syndrome bit ``1 << j``: to the key of nu_j, and to (syndrome row
+    S_j, j), and the canonical digamma.  Every call with the same arguments
+    gets the same maps, so callers only read them.
     """
-    dig = canonical_digamma(digamma)
+    mask = (1 << n) - 1
+    dig = canonical_digamma(PauliString(n, key & mask, key >> n) for key in digamma_keys)
     # t anticommutes with nu exactly when key(t) & dual(nu) has odd popcount,
     # where key = x | z << n and dual = z | x << n
     terms = tuple((1 << j, s.z_mask | s.x_mask << n) for j, s in enumerate(dig))
@@ -303,7 +302,7 @@ def generate(
     n = seeds[0].n_qubits
     check_widths(seeds, n)
     check_widths(digamma, n)
-    terms, step_keys, step_rows, dig = _closure_steps(n, tuple(digamma))
+    terms, step_keys, step_rows, dig = _closure_steps(n, tuple(s.key for s in digamma))
 
     budget = MAX_MEMBERS
     keys = list(dict.fromkeys(s.key for s in seeds))
@@ -350,7 +349,7 @@ def _regenerates(n: int, digamma: Sequence[PauliString], keys: Sequence[int]):
     every key, and otherwise none does.  A single key then closes to exactly
     ``keys`` when both hold.  Time is O(len(keys) x |digamma|).
     """
-    terms, step_keys, step_rows, _ = _closure_steps(n, tuple(digamma))
+    terms, step_keys, step_rows, _ = _closure_steps(n, tuple(s.key for s in digamma))
     walk = list(keys[:1])
     syns = [_syndrome(t, terms) for t in walk]
     # per key, whether the walk has visited it; a child outside keys gets None

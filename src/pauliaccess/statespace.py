@@ -12,11 +12,13 @@ A is sparse, so the integrators pick their representation of it from the
 state dimension and, for ``expm``, the time grid: up to :data:`DENSE_DIM`
 states A is a dense matrix (Pade scaling-and-squaring for ``expm`` on a
 uniform grid, dense products for ``rk4``), and above it, or on a non-uniform
-grid, a sparse one (``scipy.sparse.linalg.expm_multiply`` for ``expm``,
-sparse products for ``rk4``).  Neither integrator has a size cap.
+grid, a sparse one (one Chebyshev-Bessel sweep for ``expm`` that gives every
+time point, sparse products for ``rk4``).  Neither integrator has a size
+cap.  Both cap their products with A: ``rk4`` at :data:`MAX_RK4_STEPS`
+steps of four, the sweep at :data:`MAX_EXPM_TERMS` terms of one.
 
 scipy is needed only to simulate, and each path imports what it calls: the
-sparse A (``rk4`` above :data:`DENSE_DIM`, and ``expm_multiply``) loads
+sparse A (``rk4`` above :data:`DENSE_DIM`, and the sweep) loads
 ``scipy.sparse``, and the dense ``expm`` loads ``scipy.linalg``.  Building
 sets, graphs and models, and a dense ``rk4``, never load scipy.
 """
@@ -24,6 +26,7 @@ sets, graphs and models, and a dense ``rk4``, never load scipy.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -62,6 +65,8 @@ __all__ = [
     "trajectory_to_csv",
     "BLOCH_KETS",
     "DENSE_DIM",
+    "MAX_EXPM_TERMS",
+    "MAX_RK4_STEPS",
 ]
 
 MODEL_SCHEMA_ID = "pauli-access-model/1"
@@ -69,6 +74,14 @@ MODEL_SCHEMA_ID = "pauli-access-model/1"
 #: largest state dimension whose A is a dense matrix; above it both
 #: integrators work on the sparse A
 DENSE_DIM = 512
+
+#: most steps an rk4 run may take, about the last time over its step; each
+#: step is four products with A
+MAX_RK4_STEPS = 1_000_000
+
+#: most Chebyshev terms, each one product with A, that a sparse ``expm``
+#: sweep may take: the products rk4's own cap allows
+MAX_EXPM_TERMS = 4 * MAX_RK4_STEPS
 
 #: single-qubit kets and their (x, y, z) Bloch vectors
 BLOCH_KETS = {
@@ -292,10 +305,14 @@ def simulate_reduced(
     when max |norm(x(t)) - norm(x0)| exceeds 1e-10 (1 + len(times))
     max(1, norm(x0)); rk4 keeps its 10x divergence guard.  Both take A dense
     up to :data:`DENSE_DIM` states and sparse above it: ``expm`` then
-    switches from scaling-and-squaring on the dense A to ``expm_multiply``
-    on the sparse A (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011),
-    which it also uses on a grid that is not uniform at any size.  There is
-    no size cap.
+    switches from scaling-and-squaring on the dense A to one Chebyshev-Bessel
+    sweep on the sparse A, which it also uses on a grid that is not uniform
+    at any size.  The sweep sums x(t) = J_0(rho t) u_0 + 2 sum_k J_k(rho t)
+    u_k over K real vectors u_k, each one product with A from the two
+    before, where rho is the largest row sum of |A| and K the smallest
+    K >= rho t_max with 4 (rho t_max / 2)^K / K! <= 1e-16.  When K exceeds
+    :data:`MAX_EXPM_TERMS` it raises ValueError before anything runs.
+    There is no size cap.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or len(t) == 0:
@@ -344,9 +361,9 @@ def _run_expm(model: StateSpaceModel, x0: np.ndarray, t: np.ndarray) -> np.ndarr
     steps = np.diff(t)
     uniform = len(t) > 2 and np.allclose(steps, steps[0], rtol=0, atol=1e-12)
     if model.dim > DENSE_DIM or not uniform:
-        # a non-uniform grid would take one dense expm per point, far more
-        # than stepping with expm_multiply at any dimension
-        return _run_expm_multiply(model.a_sparse(), x0, t, uniform)
+        # a non-uniform grid would take one dense expm per point, while one
+        # Chebyshev sweep serves every point of any grid
+        return _run_chebyshev(model, x0, t)
     import scipy.linalg
 
     a = model.a_dense()
@@ -360,29 +377,148 @@ def _run_expm(model: StateSpaceModel, x0: np.ndarray, t: np.ndarray) -> np.ndarr
     return states
 
 
-def _run_expm_multiply(
-    a: scipy.sparse.csr_matrix, x0: np.ndarray, t: np.ndarray, uniform: bool
-) -> np.ndarray:
-    """exp(A t) x0 at each time, without forming exp(A t)."""
-    # scipy is imported inside the one path that calls it, never at the top:
-    # importing it costs more than the rest of the package does
-    from scipy.sparse.linalg import expm_multiply
+def _run_chebyshev(model: StateSpaceModel, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(A t) x0 at each time, from the Chebyshev-Bessel series of
+    :func:`_sweep` (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).
 
-    if uniform and t[-1] > t[0]:
-        # the interval call sizes its Taylor steps for stop - start alone and
-        # applies them to start too, so it must start at 0: x0 reaches t[0]
-        # by a call of its own
-        x = expm_multiply(a * t[0], x0) if t[0] != 0.0 else x0
-        return expm_multiply(a, x, start=0.0, stop=t[-1] - t[0], num=len(t), endpoint=True)
-    # any other grid: step from point to point, starting from x0 at t = 0
-    states = np.empty((len(t), len(x0)))
-    x, t_cur = x0, 0.0
-    for i, ti in enumerate(t):
-        if ti != t_cur:
-            x = expm_multiply(a * (ti - t_cur), x)
-            t_cur = ti
-        states[i] = x
+    rho is the largest row sum of |A|, which bounds the spectral radius.
+    The grid is cut into runs of points whose weights fit in
+    ``_CHUNK_CELLS`` values; each run is one sweep, from the state at the
+    last point of the run before (x0 at t = 0 for the first).  A point
+    too far for even a run of one is reached through unrecorded stops.
+    Raises ValueError, before any state is allocated, when one sweep to
+    the last time would take more than :data:`MAX_EXPM_TERMS` terms.
+    """
+    rows = model.a_index[:, 0]
+    rho = float(np.bincount(rows, np.abs(model.a_values), model.dim).max(initial=0.0))
+    z = rho * float(t[-1])
+    k = _n_terms(z) if z <= MAX_EXPM_TERMS else None  # K >= z
+    if k is None or k > MAX_EXPM_TERMS:
+        need = k or f"at least {z:.4g}"
+        raise ValueError(
+            f"expm to t = {float(t[-1])!r} needs {need} Chebyshev terms, each a product "
+            f"with A, past the cap of {MAX_EXPM_TERMS} (the products of "
+            f"{MAX_RK4_STEPS} rk4 steps); ask for an earlier last time"
+        )
+    states = np.empty((len(t), model.dim))
+    if rho == 0.0:
+        states[:] = x0
+        return states
+    a = model.a_sparse() * (2.0 / rho)
+    base, x, lo = 0.0, x0, 0
+    while lo < len(t):
+        hi = _run_end(t, lo, base, rho)
+        if hi == lo:
+            # stop on the way: rho dt = _CHUNK_CELLS / 4 takes fewer than
+            # _CHUNK_CELLS terms
+            span = min(_CHUNK_CELLS / (4.0 * rho), float(t[lo]) - base)
+            x = _sweep(a, x, _weights(np.array([rho * span])), np.empty((1, model.dim)))[0]
+            base = min(base + span, float(t[lo]))
+            continue
+        _sweep(a, x, _weights(rho * (t[lo:hi] - base)), states[lo:hi])
+        base, x, lo = float(t[hi - 1]), states[hi - 1], hi
     return states
+
+
+def _n_terms(z: float) -> int:
+    """Smallest K >= z with 4 (z/2)^K / K! <= 1e-16.
+
+    As |J_k(z)| <= (z/2)^k / k!, and the bound at least halves from one k
+    to the next once k >= z, the series' terms from K on add up to less
+    than 1e-16 times the norm of x0.
+    """
+    if z == 0.0:
+        return 1
+
+    def small(k: int) -> bool:
+        return k * math.log(z / 2) - math.lgamma(k + 1) <= math.log(1e-16 / 4)
+
+    # the bound falls with k from k >= z on: double, then bisect
+    lo = hi = max(1, math.ceil(z))
+    while not small(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if small(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _run_end(t: np.ndarray, lo: int, base: float, rho: float) -> int:
+    """The largest hi such that the weights of points lo..hi-1, counted from
+    the time base, fit in ``_CHUNK_CELLS`` values; lo if none do."""
+
+    def fits(hi: int) -> bool:
+        return _n_terms(rho * (float(t[hi - 1]) - base)) * (hi - lo) <= _CHUNK_CELLS
+
+    if fits(len(t)):
+        return len(t)
+    good, bad = lo, len(t)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if fits(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+def _weights(z: np.ndarray) -> np.ndarray:
+    """The series weights J_0(z), 2 J_1(z), 2 J_2(z), ... for each z, as a
+    (K, len(z)) array with K = :func:`_n_terms` of the largest z.
+
+    exp(i z cos s) = sum_k i^k J_k(z) e^{iks} (Jacobi-Anger), so one FFT
+    of 2K samples over s gives i^k J_k(z); the terms past K that fold onto
+    k < K are below the series' cut.  The FFTs run on chunks of columns.
+    """
+    k = _n_terms(float(z.max()))
+    cos = np.cos(np.pi * np.arange(2 * k) / k)
+    # J_k(z) is the real part of i^-k times the coefficient k
+    phase = np.array([1, -1j, -1, 1j])[np.arange(k) % 4] / (2 * k)
+    w = np.empty((k, len(z)))
+    # 2K complex samples per point: at most _CHUNK_CELLS / 2 per chunk
+    step = max(1, _CHUNK_CELLS // (4 * k))
+    for lo in range(0, len(z), step):
+        coeffs = np.fft.fft(np.exp(np.multiply.outer(cos, 1j * z[lo : lo + step])), axis=0)
+        w[:, lo : lo + step] = (coeffs[:k] * phase[:, None]).real
+    w[1:] *= 2.0
+    return w
+
+
+def _sweep(
+    a2: scipy.sparse.csr_matrix, x: np.ndarray, w: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Set row j of ``out`` to sum_k w[k, j] u_k for each column j of w, and
+    return ``out``; u_0 = x, u_1 = (a2 / 2) x and u_{k+1} = a2 u_k + u_{k-1}.
+
+    With a2 = 2A / rho for an antisymmetric A, u_k is i^k T_k(-iA / rho) x,
+    so the sum is exp(A t_j) x for w the weights of z_j = rho t_j.  Every
+    u_k is real with norm at most norm(x).  The u_k are made in chunks of
+    rows, after the two that end the chunk before, and the products with w
+    are taken on chunks of points, so no buffer exceeds ``_CHUNK_CELLS``
+    values by more than two rows.
+    """
+    k, cols = w.shape
+    dim = len(x)
+    m = max(1, _CHUNK_CELLS // dim)
+    out[:] = 0.0
+    u = np.empty((m + 2, dim))
+    for k0 in range(0, k, m):
+        n = min(m, k - k0)
+        for i in range(2, n + 2):
+            j = k0 + i - 2  # the index of the term u[i] holds
+            if j == 0:
+                u[i] = x
+            elif j == 1:
+                u[i] = 0.5 * (a2 @ u[i - 1])
+            else:
+                np.add(a2 @ u[i - 1], u[i - 2], out=u[i])
+        for c in range(0, cols, m):
+            out[c : c + m] += w[k0 : k0 + n, c : c + m].T @ u[2 : n + 2]
+        u[:2] = u[n : n + 2]
+    return out
 
 
 def _run_rk4(

@@ -408,6 +408,7 @@ stages = {
         ["model", "--set", out + "/set11.json", *n11, "--out", out + "/model11.json"],
         simulate("/model11.json", ",".join("0" * 11), "--integrator", "rk4", "--step", "0.01"),
     ],
+    "sparse expm": [simulate("/model11.json", ",".join("0" * 11))],
 }
 report = {}
 for stage, commands in stages.items():
@@ -434,6 +435,7 @@ def test_only_simulate_loads_scipy(tmp_path):
     dense = stages["dense expm"]["scipy"]
     assert "scipy.linalg" in dense and not any(m.startswith("scipy.sparse") for m in dense)
     assert "scipy.sparse" in stages["sparse rk4"]["scipy"]
+    assert not any(m.startswith("scipy.sparse.linalg") for m in stages["sparse expm"]["scipy"])
 
 
 def limit_address_space():
@@ -749,6 +751,8 @@ MALFORMED = {
     "rk4 step tiny": ("config", lambda d: d.update(integrator="rk4", step=1e-9, times="0:1:0.5")),
     "rk4 empty time grid": ("config", lambda d: d.update(integrator="rk4", step=1.0, times="2:0:1")),
     "rk4 step zero": ("config", lambda d: d.update(integrator="rk4", step=0.0, times="0:1:0.5")),
+    # two points take the sparse expm, which stepped on toward t = 10^9
+    "expm far horizon": ("config", lambda d: d.update(times="0:1e9:1e9")),
     # a stop before the start: int() truncated -1 and -0.5 steps to a
     # one-point grid at t = start, and -inf steps ended in an OverflowError
     "empty time grid, stop a step before start": ("config", lambda d: d.update(times="1:0:1")),
@@ -812,6 +816,7 @@ MALFORMED_MESSAGES = {
     "gen --chain 0": "a chain needs at least 2 qubits",
     "chain --n 0": "a chain needs at least 2 qubits",
     "rk4 step zero": "step must be positive",
+    "expm far horizon": "Chebyshev terms, each a product with A, past the cap of 4000000",
     "gen without a Hamiltonian": "provide --hamiltonian FILE or --chain N",
 }
 

@@ -373,6 +373,15 @@ def test_lazy_set_answers_from_keys(string_count):
     assert string_count[0] == 0
 
 
+def test_membership_asks_for_the_set_width():
+    # Y1 Z2 is a member at N = 3; its masks fit 3 sites, but at N = 4 it is
+    # another string
+    g = generate(exchange_digamma(3), [parse_term("Y1 Z2", 3)])
+    assert parse_term("Y1 Z2", 3) in g
+    assert parse_term("Y1 Z2", 4) not in g
+    assert parse_term("Y1 Z2", 4) not in g.members
+
+
 def test_key_set_is_the_set_of_packed_keys():
     lazy = generate(*CASE_D_N6)
     want = set(lazy.packed_keys())

@@ -383,13 +383,13 @@ def chain_f(n):
     return model, x0 / np.linalg.norm(x0), {}
 
 
-def assert_matches_dense_expm(model, x0, props, times):
+def assert_matches_dense_expm(model, x0, props, times, tol=1e-12):
     """simulate_reduced's expm states against dense expm(A t) x0 per point."""
     got = simulate_reduced(model, x0, times).states
     for t, x in zip(times, got):
         if t not in props:
             props[t] = scipy.linalg.expm(model.a_dense() * t)
-        assert np.max(np.abs(x - props[t] @ x0)) <= 1e-12
+        assert np.max(np.abs(x - props[t] @ x0)) <= tol
 
 
 @pytest.fixture(scope="module")
@@ -415,7 +415,7 @@ def chain_f_n8():
 )
 def test_expm_above_dense_dim_matches_dense_route(chain_f_n8, times):
     model, x0, props = chain_f_n8
-    assert model.dim > DENSE_DIM  # the sparse expm_multiply path
+    assert model.dim > DENSE_DIM  # the Chebyshev sweep on the sparse A
     assert_matches_dense_expm(model, x0, props, times)
 
 
@@ -429,8 +429,63 @@ def test_expm_above_dense_dim_matches_dense_route(chain_f_n8, times):
 )
 def test_expm_on_non_uniform_grid_below_dense_dim(chain_f_n7, times):
     model, x0, props = chain_f_n7
-    assert model.dim <= DENSE_DIM  # stepped with expm_multiply all the same
+    assert model.dim <= DENSE_DIM  # the Chebyshev sweep all the same
     assert_matches_dense_expm(model, x0, props, times)
+
+
+def test_expm_to_a_far_time_above_dense_dim(chain_f_n8):
+    # rho t = 2e4 at t = 1000: one sweep of about 27 000 terms
+    model, x0, props = chain_f_n8
+    assert_matches_dense_expm(model, x0, props, [0.0, 1.0, 250.0, 999.0, 1000.0], tol=1e-9)
+
+
+def test_expm_of_an_all_zero_a_is_x0():
+    # Z1 Z2 commutes with the chain's every term: dim 1, A = 0, rho = 0
+    ordered, spec, meas, _ = ordered_pipeline(2, "Z1 Z2")
+    model = build_model(ordered, spec, meas)
+    assert model.dim == 1 and len(model.a_values) == 0
+    x0 = np.array([0.75])
+    times = [0.0, 0.3, 2.0, 1e9]  # non-uniform; no term count to cap
+    assert np.array_equal(simulate_reduced(model, x0, times).states, np.full((4, 1), 0.75))
+
+
+def test_expm_far_horizon_refused_before_it_runs():
+    model, g = model_case_b2()  # rho = 4
+    x0 = initial_state_vector("0,1", g)
+    with pytest.raises(ValueError, match=r"needs \d+ Chebyshev terms.* past the cap of 4000000"):
+        simulate_reduced(model, x0, [0.0, 1e6])
+    with pytest.raises(ValueError, match=r"needs at least 4e\+09 Chebyshev terms"):
+        simulate_reduced(model, x0, [0.0, 1e9])
+
+
+@pytest.mark.parametrize("chunk_cells", [64, 600], ids=["stops-between-points", "runs"])
+def test_expm_in_runs_and_stops_matches_one_sweep(chain_f_n7, chunk_cells):
+    # small budgets cut the grid into runs of points and, where one point's
+    # weights do not fit, reach it by stops between points
+    model, x0, props = chain_f_n7
+    times = [0.0, 0.1, 0.5, 3.0, 3.0, 10.0, 10.5, 12.0]
+    want = simulate_reduced(model, x0, times).states
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statespace, "_CHUNK_CELLS", chunk_cells)
+        got = simulate_reduced(model, x0, times).states
+    assert np.abs(got - want).max() <= 1e-12
+    assert_matches_dense_expm(model, x0, props, times)
+
+
+def test_expm_sweep_holds_no_terms_by_dim_buffer():
+    # case (d) at N = 30: dim 13 050, rho = 12 and 195 terms to t = 10; the
+    # 195 x dim terms alone would take 20 MB
+    ordered, spec, meas, _ = ordered_pipeline(30, "Y1 Z2")
+    model = build_model(ordered, spec, meas)
+    x0 = initial_state_vector(",".join("+" * 30), ordered)
+    times = np.linspace(0.0, 10.0, 101)
+    tracemalloc.start()
+    try:
+        result = simulate_reduced(model, x0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= result.states.nbytes + (8 << 20)
 
 
 def test_simulate_rejects_bad_times():
@@ -457,7 +512,7 @@ def not_antisymmetric(model):
 
 @pytest.mark.parametrize("times", [
     [0.0, 0.25, 0.5],  # uniform: dense expm
-    [0.0, 0.1, 0.5],  # non-uniform: expm_multiply
+    [0.0, 0.1, 0.5],  # non-uniform: the Chebyshev sweep
 ])
 def test_expm_refuses_a_drifting_norm(times):
     model, _ = model_case_b2()
