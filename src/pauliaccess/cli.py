@@ -737,6 +737,23 @@ def _attach_dash_values(argv: list, subparsers: list) -> list:
     return out
 
 
+def _refuse_dash_values(args, subparsers: list) -> None:
+    """Exit 2 where an option's value was "--" alone.
+
+    argparse drops a "--" given as a value (``--times=--``, or ``--times --``
+    once attached), so the option holds an empty list, or an append option
+    one more empty list, in place of its text.
+    """
+    sub = next(sub for sub in subparsers if sub.prog.rsplit(" ", 1)[-1] == args.command)
+    for action in sub._actions:
+        value = getattr(args, action.dest, None)
+        dropped = value == [] if isinstance(action, argparse._StoreAction) else (
+            isinstance(action, argparse._AppendAction) and [] in (value or [])
+        )
+        if dropped:
+            sub.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+
+
 def _option(sub: argparse.ArgumentParser, token: str) -> Optional[argparse.Action]:
     """The action of ``sub`` that ``token`` names: one of its option strings,
     or a prefix of exactly one long option string."""
@@ -779,6 +796,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sub.set_defaults(config_values=values, **dict.fromkeys(values))
 
     args = parser.parse_args(argv)
+    _refuse_dash_values(args, subparsers)
     for dest, value in getattr(args, "config_values", {}).items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)

@@ -101,6 +101,22 @@ def test_a_value_starting_with_a_dash_follows_its_option(tmp_path, capsys):
     assert code == 2 and "argument --couplings: expected one argument" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "m.json", "--times=--"],
+    ["simulate", "--model", "m.json", "--times", "--"],
+    ["simulate", "--model", "m.json", "--step=--"],
+    ["gen", "--chain", "3", "--measurement", "Y1 Z2", "--couplings=--"],
+    ["gen", "--chain", "3", "--measurement=--"],
+])
+def test_a_lone_double_dash_value_exits_2(argv):
+    # argparse dropped the "--" and left an empty list, which
+    # _parse_times split as a str and failed with an AttributeError
+    code, err = run_quietly(argv)
+    option = next(arg for arg in reversed(argv) if arg.startswith("--") and arg != "--").split("=")[0]
+    assert code == 2 and f"argument {option}: expected one argument" in err, (code, err)
+    assert "Traceback" not in err
+
+
 @pytest.fixture
 def case_d_n4_set(tmp_path, capsys):
     path = tmp_path / "set.json"
