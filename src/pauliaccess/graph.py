@@ -50,9 +50,10 @@ class AccessGraph:
 
     ``table`` holds the members packed, one vertex per row.  Edge e joins
     ``ends[e] = (u, v)``, u < v, and is labeled by its edging string
-    ``digamma[label_index[e]]``; edges are stored once per unordered pair,
-    sorted by (u, v).  The ``edges`` triplets and the adjacency matrix are
-    derived on demand rather than stored.
+    ``nu = digamma[label_index[e]]``, with [nu, O_u] = i * sign[e] * O_v
+    and sign[e] = +/-2 (None in a graph not from :func:`build_graph`);
+    edges are stored once per unordered pair, sorted by (u, v).  The
+    ``edges`` triplets and the adjacency matrix are derived on demand.
     """
 
     n_qubits: int
@@ -60,6 +61,7 @@ class AccessGraph:
     ends: np.ndarray = field(repr=False)
     label_index: np.ndarray = field(repr=False)
     digamma: tuple[PauliString, ...] = field(repr=False)
+    sign: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.table)
@@ -94,10 +96,10 @@ class KFinitePartition:
 def build_graph(g: AccessibleSet, digamma: Sequence[PauliString]) -> AccessGraph:
     """Edge (m, n, nu) for every bracket of a member with nu landing on another.
 
-    Raises :class:`~pauliaccess.closure.SetMismatchError` when a bracket
-    leaves the member set, i.e. the input was not a fixpoint for this
-    digamma.  A repeated nu yields the same edges again and the identity
-    none, so digamma needs no cleaning.
+    The one bracket sweep, which the model's A is read off.  Raises
+    :class:`~pauliaccess.closure.SetMismatchError` when a bracket leaves the
+    member set, i.e. the input was not a fixpoint for this digamma.  A
+    repeated nu yields the same edges again and the identity none.
     """
     table = g.table()
     br = table.brackets(PauliTable.from_strings(digamma, g.n_qubits))
@@ -109,13 +111,15 @@ def build_graph(g: AccessibleSet, digamma: Sequence[PauliString]) -> AccessGraph
             f"bracket of {om} with {nu} lands outside the set "
             f"({phase_free_product(om, nu)}); input is not a fixpoint"
         )
-    # nu is the mask XOR of its two endpoints, so both directions of an edge
-    # carry the same label
-    size = len(g)
-    key = np.minimum(br.member, br.target) * size + np.maximum(br.member, br.target)
-    key, first = np.unique(key, return_index=True)
-    ends = np.stack((key // size, key % size), axis=1)
-    return AccessGraph(g.n_qubits, table, ends, br.string[first], tuple(digamma))
+    # nu is the mask XOR of its two endpoints, so an edge is swept once from
+    # each end with the same label: keep the sweeps from the lower end, and
+    # of a repeated nu the first
+    up = np.flatnonzero(br.member < br.target)
+    key = br.member[up] * len(g) + br.target[up]
+    order = np.argsort(key, kind="stable")
+    pick = up[order[np.diff(key[order], prepend=-1) != 0]]
+    ends = np.stack((br.member[pick], br.target[pick]), axis=1)
+    return AccessGraph(g.n_qubits, table, ends, br.string[pick], tuple(digamma), br.sign[pick])
 
 
 def adjacency_matrix(graph: AccessGraph) -> np.ndarray:

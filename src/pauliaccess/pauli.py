@@ -107,6 +107,12 @@ def _reverse_bits(v: int, n: int) -> int:
     return r
 
 
+@functools.lru_cache(maxsize=None)
+def _bit_reversal(n: int) -> np.ndarray:
+    """:func:`_reverse_bits` of every n-bit mask, indexed by the mask."""
+    return np.array([_reverse_bits(v, n) for v in range(1 << n)], dtype=np.int64)
+
+
 def _signed_permutation(s: "PauliString") -> tuple[np.ndarray, np.ndarray]:
     """Column and value of the one nonzero in each row of ``s.to_matrix()``."""
     # with x, z in dense-index bit order, row r holds
@@ -570,18 +576,14 @@ class PauliTable:
 
         P has one nonzero per row c, at column c ^ x, so
         Tr(P M) = i^pc(x&z) * sum_c (-1)^pc(z&c) * M[c, c^x], with the masks
-        x, z in dense-index bit order (site 1 at the high bit).  The sum runs
-        in row chunks so the temporaries stay at a few MB.
+        x, z in dense-index bit order (site 1 at the high bit), one lookup
+        each.  The sum runs in row chunks so the temporaries stay at a few MB.
         """
         dim = 1 << self.n_qubits
         if mat.shape != (dim, dim):
             raise DimensionMismatchError(f"matrix shape {mat.shape}, expected {(dim, dim)}")
-        codes = self.cell_codes()
-        zbits = codes >> 1
-        xbits = (codes & 1) ^ zbits
-        # dense indices put site 1 at the high bit
-        weights = 1 << np.arange(self.n_qubits - 1, -1, -1, dtype=np.int64)
-        x, z = xbits @ weights, zbits @ weights
+        reverse = _bit_reversal(self.n_qubits)
+        x, z = reverse[self.x[:, 0]], reverse[self.z[:, 0]]
         cols = np.arange(dim)
         sums = np.empty(len(self), dtype=complex)
         step = max(1, _CHUNK_CELLS // dim)

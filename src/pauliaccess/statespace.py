@@ -5,8 +5,9 @@ gives dx_j/dt = sum_m h_m <i [H_m, O_j]>; expanding each commutator back in
 the accessible set yields the real matrix A with x' = A x.  Because the set
 is closed under bracketing, the constant-forcing slot B is identically zero;
 the model JSON keeps an empty ``"B"`` list for format fidelity.
-A is antisymmetric by construction: entries are -h*c with [H_m, O_j] = i*c*R
-and c = +/-2, so the flow is orthogonal and norms are conserved.
+A is read off the access graph: A_jl = -h_m*c on the edge j-l labeled H_m,
+where [H_m, O_j] = i*c*O_l with c = +/-2.  The bracket from l has sign -c, so
+A is antisymmetric by construction: the flow is orthogonal and keeps norms.
 
 A is sparse, so the integrators pick their representation of it from the
 state dimension and, for ``expm``, the time grid: up to :data:`DENSE_DIM`
@@ -31,14 +32,15 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from ._fixedwidth import JSONText, dump_json, float_column, index_table, json_rows, json_texts
 from ._reprtext import CELLS, rows_text
 from .closure import AccessibleSet, ClosureError, SetMismatchError
-from .hamiltonian import HamiltonianSpec, MeasurementSpec
+from .graph import build_graph
+from .hamiltonian import HamiltonianSpec, MeasurementSpec, decomposed_digamma
 from .oracle import validate_density_matrix
 from .pauli import _CHUNK_CELLS, DENSE_CAP, PauliTable, decompose
 from .validation import (
@@ -110,8 +112,7 @@ class StateSpaceModel:
     ``a_values[k]`` at ``a_index[k] = (row, col)``, sorted by (row, col) in
     a built model and in file order in a loaded one; C's are ``c_values``
     at ``c_index``, its rows the raw measurements expanded in the state
-    ordering.  ``a_terms[k]`` is the Hamiltonian term that produced A entry
-    k, None for a loaded model.
+    ordering.
     """
 
     table: PauliTable
@@ -120,7 +121,6 @@ class StateSpaceModel:
     c_index: np.ndarray
     c_values: np.ndarray
     n_outputs: int
-    a_terms: Optional[np.ndarray] = None
 
     @property
     def n_qubits(self) -> int:
@@ -154,52 +154,46 @@ def build_model(
 ) -> StateSpaceModel:
     """Assemble A and C for an ordered accessible set.
 
+    Edge (u, v) of ``build_graph(g, decomposed_digamma(spec))`` with sign s
+    and label coefficient h != 0 gives A[u, v] = -h*s and A[v, u] = h*s.
     Raises :class:`~pauliaccess.closure.SetMismatchError` when a bracket or a
     measurement string falls outside the set (the set was not generated for
     this Hamiltonian or measurement), and ValueError for more than
     :data:`~pauliaccess.validation.MAX_OUTPUTS` measurement operators, a
-    model no loader would read back.
+    model no loader would read back, or an A or C value past the float range.
     """
     if spec.n_qubits != g.n_qubits or meas.n_qubits != g.n_qubits:
         raise ValueError("qubit counts of set, Hamiltonian and measurement differ")
     json_int(len(meas.operators), "n_outputs", hi=MAX_OUTPUTS)
-    table = g.table()
-    terms = spec.terms.terms
-    br = table.brackets(PauliTable.from_strings([s for _, s in terms], g.n_qubits))
-    outside = np.flatnonzero(br.target < 0)
-    if outside.size:
-        hm = terms[br.string[outside[0]]][1]
-        oj = table.string(br.member[outside[0]])
-        raise SetMismatchError(
-            f"bracket of {hm} with member {oj} leaves the set; "
-            "not a fixpoint for this Hamiltonian"
-        )
-    # the terms are distinct strings, so each (j, l) gets at most one term:
-    # l's string is O_j times H_m
-    h = np.array([c for c, _ in terms], dtype=float)
-    values = -h[br.string] * br.sign
-    keep = np.flatnonzero(values != 0.0)
-    keep = keep[np.lexsort((br.target[keep], br.member[keep]))]
-    a_index = np.stack((br.member[keep], br.target[keep]), axis=1)
-    _check_band(table, a_index, [s for _, s in terms])
+    graph = build_graph(g, decomposed_digamma(spec))
+    by_string = {s: c for c, s in spec.terms.terms}
+    h = np.array([by_string[s] for s in graph.digamma], dtype=float)
+    with np.errstate(over="ignore"):
+        up = -h[graph.label_index] * graph.sign
+    keep = np.flatnonzero(up != 0.0)
+    u, v = graph.ends[keep].T
+    a_rows, a_cols = np.concatenate((u, v)), np.concatenate((v, u))
+    order = np.argsort(a_rows * len(g) + a_cols)
+    a_index = np.stack((a_rows[order], a_cols[order]), axis=1)
+    a_values = np.concatenate((up[keep], -up[keep]))[order]
+    _check_band(graph.table, a_index, graph.digamma)
 
     c_rows = []
     for r, op in enumerate(meas.operators):
         strings = decompose(op).terms
-        cols = table.find(PauliTable.from_strings([s for _, s in strings], g.n_qubits))
+        cols = graph.table.find(PauliTable.from_strings([s for _, s in strings], g.n_qubits))
         for (coeff, s), col in zip(strings, cols.tolist()):
             if col < 0:
-                raise SetMismatchError(
-                    f"measurement string {s} is not in the accessible set"
-                )
+                raise SetMismatchError(f"measurement string {s} is not in the accessible set")
             c_rows.append((r, col, coeff))
     c_rows.sort()
     c_index = np.array([e[:2] for e in c_rows], dtype=np.int64).reshape(-1, 2)
     c_values = np.array([e[2] for e in c_rows], dtype=float)
+    for name, values in (("A", a_values), ("C", c_values)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} holds a value past the float range")
 
-    return StateSpaceModel(
-        table, a_index, values[keep], c_index, c_values, len(meas.operators), br.string[keep]
-    )
+    return StateSpaceModel(graph.table, a_index, a_values, c_index, c_values, len(meas.operators))
 
 
 def _check_band(table: PauliTable, a_index: np.ndarray, terms) -> None:
@@ -532,14 +526,11 @@ def _run_rk4(
     norm0 = float(np.linalg.norm(x0))
     guard = max(10.0 * norm0, 1e-6)
 
-    def rhs(x):
-        return a @ x
-
     def rk4_step(x, h):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
+        k1 = a @ x
+        k2 = a @ (x + 0.5 * h * k1)
+        k3 = a @ (x + 0.5 * h * k2)
+        k4 = a @ (x + h * k3)
         return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     states = np.empty((len(t), model.dim))

@@ -361,8 +361,8 @@ def test_a_set_not_closed_under_the_hamiltonian_exits_2(tmp_path, capsys):
         "input is not a fixpoint\n",
     )
     assert run(capsys, "model", "--set", str(path), "--chain", "3", "--measurement", "Y1 Z2") == (
-        2, "", "error: bracket of Y1 Y2 with member Y1 Z2 leaves the set; "
-        "not a fixpoint for this Hamiltonian\n",
+        2, "", "error: bracket of Y1 Z2 with Y1 Y2 lands outside the set (X2); "
+        "input is not a fixpoint\n",
     )
 
 
@@ -790,6 +790,17 @@ MALFORMED = {
     "gen --chain 0": ("argv", ("gen", "--chain", "0", "--measurement", "X1")),
     "chain --n 0": ("argv", ("chain", "--n", "0", "--couplings", "1")),
     "gen without a Hamiltonian": ("argv", ("gen", "--measurement", "Y1 Z2")),
+    # SET is the generated set.  -h * 2 overflowed, and the model wrote
+    # Infinity into A after a RuntimeWarning; simulate then refused the file
+    "model A value overflows": (
+        "argv", ("model", "--set", "SET", "--chain", "3", "--couplings", "1e308,1e308",
+                 "--measurement", "Y1 Z2"),
+    ),
+    # the merged measurement coefficient overflowed into C
+    "model C value overflows": (
+        "argv", ("model", "--set", "SET", "--chain", "3",
+                 "--measurement", "1e308 * Y1 Z2 + 1e308 * Y1 Z2"),
+    ),
 }
 
 #: text the error message must hold, for the cases that name what is wrong
@@ -834,6 +845,8 @@ MALFORMED_MESSAGES = {
     "rk4 step zero": "step must be positive",
     "expm far horizon": "Chebyshev terms, each a product with A, past the cap of 4000000",
     "gen without a Hamiltonian": "provide --hamiltonian FILE or --chain N",
+    "model A value overflows": "A holds a value past the float range",
+    "model C value overflows": "C holds a value past the float range",
 }
 
 
@@ -867,7 +880,8 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
         edited = edit(data)
         paths[kind].write_text(json.dumps(data if edited is None else edited))
     simulate = ("simulate", *model_arg, "--rho0", "i+,0,0")
-    argv = edit if kind == "argv" else {
+    set_path = str(paths["set"])
+    argv = [set_path if arg == "SET" else arg for arg in edit] if kind == "argv" else {
         "set": ("graph", *set_arg, "--chain", "3"),
         "model": (*simulate, "--times", "0:1:0.5"),
         "spec": ("gen", "--hamiltonian", str(paths["spec"]), "--measurement", "Y1 Z2"),

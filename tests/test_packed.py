@@ -342,20 +342,22 @@ def test_graph_and_model_match_pair_loops_at_n70():
 
 @st.composite
 def wide_sparse_cases(draw):
-    """A few weighted strings of weight 1 to 3 and one or two seeds, on 63 to
-    130 qubits.  The sites come from a pool at the ends and at the 64-bit
-    word edges, so that the strings overlap and reach across words.  Every
-    member is a seed times a product of distinct Hamiltonian strings, so at
-    most 9 terms keep a set under 2 * 2^9 = 1024 members."""
+    """A few weighted strings of weight 1 to 3, at times the identity or a
+    0.0 coefficient among them, and one or two seeds, on 63 to 130 qubits.
+    The sites come from a pool at the ends and at the 64-bit word edges, so
+    that the strings overlap and reach across words.  Every member is a seed
+    times a product of distinct Hamiltonian strings, so at most 9 terms keep
+    a set under 2 * 2^9 = 1024 members."""
     n = draw(st.sampled_from((63, 64, 65, 66, 130)))
     site = st.sampled_from([s for s in (1, 2, 3, 62, 63, 64, 65, 66, 67, 128, 129, 130) if s <= n])
 
-    def sparse():
-        cells = st.dictionaries(site, st.sampled_from("XYZ"), min_size=1, max_size=3)
+    def sparse(min_size=1):
+        cells = st.dictionaries(site, st.sampled_from("XYZ"), min_size=min_size, max_size=3)
         return cells.map(lambda c: PauliString.from_cells(n, c))
 
-    coeff = st.floats(0.05, 2.0) | st.floats(-2.0, -0.05)
-    terms = draw(st.lists(st.tuples(coeff, sparse()), min_size=1, max_size=9, unique_by=lambda t: t[1]))
+    coeff = st.floats(0.05, 2.0) | st.floats(-2.0, -0.05) | st.just(0.0)
+    term = st.tuples(coeff, sparse(min_size=0))
+    terms = draw(st.lists(term, min_size=1, max_size=9, unique_by=lambda t: t[1]))
     seeds = draw(st.lists(sparse(), min_size=1, max_size=2, unique_by=lambda s: s.to_text()))
     return n, terms, seeds
 
@@ -371,6 +373,7 @@ def test_graph_and_model_match_pair_loops_on_wide_sparse_hamiltonians(case):
     assert len(g) <= 2 * 2 ** len(terms)
     edges, a = pair_loop_edges_and_a(g, spec, digamma)
     assert build_graph(g, digamma).edges == edges
+    assert build_graph(g, digamma + digamma[::-1]).edges == edges
     assert build_model(g, spec, meas).a_entries == a
 
 

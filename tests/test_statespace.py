@@ -252,9 +252,11 @@ def test_scaling_linearity_and_permutation_similarity():
 def test_coupling_provenance_tracks_terms():
     model, g = model_case_b2()
     spec = build_exchange_chain(2, [1.0])
-    for (j, l), m in zip(model.a_index.tolist(), model.a_terms.tolist()):
+    graph = build_graph(g, decomposed_digamma(spec))
+    label = {(u, v): nu for u, v, nu in graph.edges}
+    for j, l in model.a_index.tolist():
         assert model.a_dense()[j, l] != 0.0
-        assert bracket(spec.terms.terms[m][1], g.members[j]) is not None
+        assert bracket(label[min(j, l), max(j, l)], g.members[j]) is not None
 
 
 # ---------------------------------------------------------------------------
