@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from collections import Counter
 from contextlib import nullcontext
@@ -65,7 +66,6 @@ from .pauli import (
 from .statespace import (
     DENSE_DIM,
     MAX_EXPM_TERMS,
-    MAX_RK4_STEPS,
     NormDriftError,
     SimulationUnstableError,
     build_model,
@@ -276,12 +276,6 @@ def cmd_simulate(args) -> int:
     times = _parse_times(args.times)
     if not math.isfinite(args.step):
         raise ValueError(f"--step takes a finite number, got {args.step!r}")
-    t_end = float(times.max(initial=0.0))  # an empty grid is refused below
-    if args.integrator == "rk4" and args.step > 0 and t_end / args.step > MAX_RK4_STEPS:
-        raise ValueError(
-            f"--step {args.step!r} asks for more than {MAX_RK4_STEPS} rk4 steps "
-            f"to reach t = {t_end!r}"
-        )
     if args.rho0_file:
         x0_source = _read_rho0(args.rho0_file)
     else:
@@ -573,12 +567,33 @@ def _add_measurement_source(sub) -> None:
     sub.add_argument("--measurement-file", help="measurement spec JSON file")
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: a value may start with "-", and "--" is none.
+
+    argparse reads a token that starts with one dash and names none of the
+    parser's options, in full or as a unique prefix, as a value, as it reads
+    ``-3``; so ``--couplings -1,1`` and ``--rho0 -,0`` follow their options.
+    The rule holds while no option string looks like a negative number.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[^-]")
+
+    def _get_values(self, action, arg_strings):
+        # argparse drops a "--" given as an option's value (``--times=--``)
+        # and leaves the option an empty list
+        if action.option_strings and arg_strings == ["--"]:
+            self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, list]:
     parser = argparse.ArgumentParser(
         prog="pauli-access",
         description="Accessible sets, labeled graphs and reduced models for qubit networks",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     created = []
 
     p = subs.add_parser("chain", help="emit an exchange-chain Hamiltonian spec")
@@ -714,59 +729,6 @@ def _stage(exc: BaseException) -> str:
     return stage
 
 
-def _attach_dash_values(argv: list, subparsers: list) -> list:
-    """``--opt VALUE`` as ``--opt=VALUE`` where VALUE starts with "-".
-
-    argparse reads such a value (``--couplings -1,1``, ``--rho0 -,0``) as an
-    unknown option and refuses it; a token that names an option stays apart.
-    Options are those of the subcommand the first plain token names, and, as
-    argparse allows, a unique prefix of one of them names it (``--coup``).
-    """
-    parsers = {sub.prog.rsplit(" ", 1)[-1]: sub for sub in subparsers}
-    sub = parsers.get(next((arg for arg in argv if arg[:1] != "-"), None))
-    if sub is None:
-        return argv
-    out = []
-    for arg in argv:
-        option = _option(sub, out[-1]) if out else None
-        takes_value = option is not None and option.nargs is None
-        if takes_value and arg[:1] == "-" and _option(sub, arg) is None:
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
-
-
-def _refuse_dash_values(args, subparsers: list) -> None:
-    """Exit 2 where an option's value was "--" alone.
-
-    argparse drops a "--" given as a value (``--times=--``, or ``--times --``
-    once attached), so the option holds an empty list, or an append option
-    one more empty list, in place of its text.
-    """
-    sub = next(sub for sub in subparsers if sub.prog.rsplit(" ", 1)[-1] == args.command)
-    for action in sub._actions:
-        value = getattr(args, action.dest, None)
-        dropped = value == [] if isinstance(action, argparse._StoreAction) else (
-            isinstance(action, argparse._AppendAction) and [] in (value or [])
-        )
-        if dropped:
-            sub.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
-
-
-def _option(sub: argparse.ArgumentParser, token: str) -> Optional[argparse.Action]:
-    """The action of ``sub`` that ``token`` names: one of its option strings,
-    or a prefix of exactly one long option string."""
-    actions = sub._option_string_actions
-    if token in actions:
-        return actions[token]
-    if token[:2] == "--":
-        hits = [action for option, action in actions.items() if option.startswith(token)]
-        if len(hits) == 1:
-            return hits[0]
-    return None
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
 
@@ -784,7 +746,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         del argv[i : i + 2]
 
     parser, subparsers = build_parser()
-    argv = _attach_dash_values(argv, subparsers)
     try:
         defaults = _config_defaults(config, subparsers)
     except ValueError as exc:
@@ -796,7 +757,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sub.set_defaults(config_values=values, **dict.fromkeys(values))
 
     args = parser.parse_args(argv)
-    _refuse_dash_values(args, subparsers)
     for dest, value in getattr(args, "config_values", {}).items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)

@@ -159,7 +159,7 @@ def _component_labels(graph: AccessGraph) -> np.ndarray:
 
 
 def is_connected(graph: AccessGraph) -> bool:
-    return len(connected_components(graph)) <= 1
+    return _component_labels(graph).max(initial=0) == 0
 
 
 def partition_k_finite(g: AccessibleSet) -> KFinitePartition:

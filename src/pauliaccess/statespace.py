@@ -17,6 +17,8 @@ grid, a sparse one (one Chebyshev-Bessel sweep for ``expm`` that gives every
 time point, sparse products for ``rk4``).  Neither integrator has a size
 cap.  Both cap their products with A: ``rk4`` at :data:`MAX_RK4_STEPS`
 steps of four, the sweep at :data:`MAX_EXPM_TERMS` terms of one.
+:func:`simulate_reduced` refuses a run past its integrator's cap, and a
+time that is not finite, before it allocates a state.
 
 scipy is needed only to simulate, and each path imports what it calls: the
 sparse A (``rk4`` above :data:`DENSE_DIM`, and the sweep) loads
@@ -305,12 +307,15 @@ def simulate_reduced(
     u_k over K real vectors u_k, each one product with A from the two
     before, where rho is the largest row sum of |A| and K the smallest
     K >= rho t_max with 4 (rho t_max / 2)^K / K! <= 1e-16.  When K exceeds
-    :data:`MAX_EXPM_TERMS` it raises ValueError before anything runs.
-    There is no size cap.
+    :data:`MAX_EXPM_TERMS` it raises ValueError before anything runs, and so
+    does ``rk4`` when t_max / step exceeds :data:`MAX_RK4_STEPS`.  Times
+    must be finite, sorted and nonnegative.  There is no size cap.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or len(t) == 0:
         raise ValueError("times must be a nonempty 1-D sequence")
+    if not np.isfinite(t).all():
+        raise ValueError("times must be finite")
     if (np.diff(t) < 0).any() or t[0] < 0:
         raise ValueError("times must be sorted and nonnegative")
     x0 = np.asarray(x0, dtype=float)
@@ -519,9 +524,17 @@ def _run_rk4(
     model: StateSpaceModel, x0: np.ndarray, t: np.ndarray, step: float
 ) -> np.ndarray:
     """Fixed-step RK4 from x0 at t = 0, on the dense A up to :data:`DENSE_DIM`
-    states and on the sparse A above it."""
-    if step <= 0:
+    states and on the sparse A above it.  Raises ValueError, before anything
+    is allocated, when the last time over the step exceeds
+    :data:`MAX_RK4_STEPS`."""
+    if not step > 0:
         raise ValueError("step must be positive")
+    t_last = float(t[-1])
+    if t_last / step > MAX_RK4_STEPS:
+        raise ValueError(
+            f"--step {step!r} asks for more than {MAX_RK4_STEPS} rk4 steps "
+            f"to reach t = {t_last!r}"
+        )
     a = model.a_dense() if model.dim <= DENSE_DIM else model.a_sparse()
     norm0 = float(np.linalg.norm(x0))
     guard = max(10.0 * norm0, 1e-6)

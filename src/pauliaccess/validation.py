@@ -20,7 +20,7 @@ _ITEM_NAMES = {str: "operator texts", dict: "objects", list: "lists"}
 MAX_QUBITS = 4096
 
 #: most outputs (measurement operators) a model may have.  ``simulate``
-#: allocates a dense n_outputs x dim C and a times x n_outputs output array,
+#: reads only C's nonzeros but allocates a times x n_outputs output array,
 #: and a zero measurement is an output row with no C entries, so a model
 #: file's size does not bound the count.
 MAX_OUTPUTS = 4096

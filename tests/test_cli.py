@@ -107,6 +107,8 @@ def test_a_value_starting_with_a_dash_follows_its_option(tmp_path, capsys):
     ["simulate", "--model", "m.json", "--step=--"],
     ["gen", "--chain", "3", "--measurement", "Y1 Z2", "--couplings=--"],
     ["gen", "--chain", "3", "--measurement=--"],
+    ["gen", "--chain", "3", "--measurement", "--"],
+    ["simulate", "--model", "m.json", "--step", "--"],
 ])
 def test_a_lone_double_dash_value_exits_2(argv):
     # argparse dropped the "--" and left an empty list, which
@@ -115,6 +117,19 @@ def test_a_lone_double_dash_value_exits_2(argv):
     option = next(arg for arg in reversed(argv) if arg.startswith("--") and arg != "--").split("=")[0]
     assert code == 2 and f"argument {option}: expected one argument" in err, (code, err)
     assert "Traceback" not in err
+
+
+def test_subcommands_have_no_option_that_looks_like_a_negative_number():
+    # such an option makes argparse read every "-..." token as an option, so
+    # "--couplings -1,1" would lose its value again
+    _, subparsers = cli.build_parser()
+    assert subparsers and all(sub._has_negative_number_optionals == [] for sub in subparsers)
+
+
+def test_an_unknown_option_before_the_subcommand_exits_2():
+    # the top-level parser still reads "-x" as an option, not as a command
+    code, err = run_quietly(["-x"])
+    assert code == 2 and "the following arguments are required: command" in err
 
 
 @pytest.fixture

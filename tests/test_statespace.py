@@ -499,6 +499,29 @@ def test_simulate_rejects_bad_times():
         simulate_reduced(model, x0, [-1.0, 0.5])
 
 
+@pytest.mark.parametrize("integrator", ["expm", "rk4"])
+@pytest.mark.parametrize("last", [math.nan, math.inf])
+def test_simulate_rejects_non_finite_times(integrator, last):
+    # rk4 failed converting NaN to an int, or with an OverflowError on inf;
+    # expm asked for "at least nan Chebyshev terms"
+    ordered, spec, meas, _ = ordered_pipeline(3, "Y1 Z2")
+    model = build_model(ordered, spec, meas)
+    x0 = initial_state_vector("0,1,0", ordered)
+    with pytest.raises(ValueError, match="times must be finite"):
+        simulate_reduced(model, x0, [0.0, last], integrator=integrator, step=0.01)
+
+
+def test_rk4_step_cap_holds_in_the_library(monkeypatch):
+    # only the CLI checked the cap: the library ran all 100 steps
+    ordered, spec, meas, _ = ordered_pipeline(3, "Y1 Z2")
+    model = build_model(ordered, spec, meas)
+    x0 = initial_state_vector("0,1,0", ordered)
+    monkeypatch.setattr(statespace, "MAX_RK4_STEPS", 10)
+    message = r"--step 0\.01 asks for more than 10 rk4 steps to reach t = 1\.0"
+    with pytest.raises(ValueError, match=message):
+        simulate_reduced(model, x0, [0.0, 1.0], "rk4", step=0.01)
+
+
 def test_simulate_flags_unstable_step():
     model, g = model_case_b2(h=50.0)
     x0 = initial_state_vector("0,1", g)
