@@ -595,6 +595,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, list]:
     )
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     created = []
+    parser.add_argument(
+        "--config", action=_ConfigAction, subparsers=created, metavar="FILE",
+        help="JSON object of option values for the subcommand; flags win",
+    )
 
     p = subs.add_parser("chain", help="emit an exchange-chain Hamiltonian spec")
     p.add_argument("--n", type=int, required=True)
@@ -671,6 +675,39 @@ def build_parser() -> tuple[argparse.ArgumentParser, list]:
     return parser, created
 
 
+class _ConfigError(ValueError):
+    """A --config file that cannot be read, or a value no option accepts."""
+
+
+class _ConfigAction(argparse.Action):
+    """``--config FILE``: the file's values become the subcommands' defaults.
+
+    argparse runs this action where it meets the option, before the
+    subcommand's parser starts, so the defaults are in place when it does.
+    A key that names a required option satisfies it.
+    """
+
+    def __init__(self, option_strings, dest, subparsers: list, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.subparsers = subparsers
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise _ConfigError("--config given more than once")
+        try:
+            config = json.loads(Path(path).read_text())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise _ConfigError(f"cannot read config: {exc}") from None
+        for sub, values in _config_defaults(config, self.subparsers).items():
+            for action in sub._actions:
+                if action.dest in values:
+                    action.required = False
+            # the options start as None, so a flag given on the command line
+            # (a repeatable one included) is told apart from the config value
+            sub.set_defaults(config_values=values, **dict.fromkeys(values))
+        setattr(namespace, self.dest, path)
+
+
 def _config_defaults(config, subparsers: list) -> dict:
     """Per subcommand parser, the --config values its options accept.
 
@@ -679,7 +716,7 @@ def _config_defaults(config, subparsers: list) -> dict:
     no subcommand's option accepts is an input error naming the key.
     """
     if not isinstance(config, dict):
-        raise ValueError("config must be a JSON object of option values")
+        raise _ConfigError("config must be a JSON object of option values")
     defaults: dict = {sub: {} for sub in subparsers}
     for key, value in config.items():
         dest = key.replace("-", "_")
@@ -692,7 +729,7 @@ def _config_defaults(config, subparsers: list) -> dict:
                     except ValueError as exc:
                         error = f"config key {key!r}: {exc}"
         if not any(dest in values for values in defaults.values()):
-            raise ValueError(error)
+            raise _ConfigError(error)
     return defaults
 
 
@@ -730,33 +767,12 @@ def _stage(exc: BaseException) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-
-    config = {}
-    if "--config" in argv:
-        i = argv.index("--config")
-        if i + 1 >= len(argv):
-            print("error: --config requires a path", file=sys.stderr)
-            return EXIT_INPUT
-        try:
-            config = json.loads(Path(argv[i + 1]).read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        del argv[i : i + 2]
-
-    parser, subparsers = build_parser()
+    parser, _ = build_parser()
     try:
-        defaults = _config_defaults(config, subparsers)
-    except ValueError as exc:
+        args = parser.parse_args(argv)
+    except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    for sub, values in defaults.items():
-        # the options start as None, so a flag given on the command line
-        # (a repeatable one included) is told apart from the config value
-        sub.set_defaults(config_values=values, **dict.fromkeys(values))
-
-    args = parser.parse_args(argv)
     for dest, value in getattr(args, "config_values", {}).items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)

@@ -133,20 +133,20 @@ def adjacency_matrix(graph: AccessGraph) -> np.ndarray:
 
 def connected_components(graph: AccessGraph) -> list[list[int]]:
     """Vertex components, each ascending, ordered by smallest vertex."""
-    labels = _component_labels(graph)
+    labels = _component_labels(len(graph), *graph.ends.T)
     by_label = np.argsort(labels, kind="stable").tolist()
     bounds = np.cumsum(np.bincount(labels)).tolist()
     return [by_label[a:b] for a, b in zip([0, *bounds], bounds)]
 
 
-def _component_labels(graph: AccessGraph) -> np.ndarray:
-    """Component number of each vertex, numbered by smallest vertex."""
+def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Component number of each of n vertices joined by the edges (u[e], v[e]),
+    numbered by smallest vertex."""
     # each vertex points at a smaller or equal one; a root points at itself.
     # Each round hooks the larger root of every edge onto the smaller one,
     # then follows pointers until each vertex points at its root, so every
     # component ends as one tree rooted at its smallest vertex
-    root = np.arange(len(graph))
-    u, v = graph.ends.T
+    root = np.arange(n)
     while True:
         ru, rv = root[u], root[v]
         split = ru != rv
@@ -155,11 +155,12 @@ def _component_labels(graph: AccessGraph) -> np.ndarray:
         np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
         while (root[root] != root).any():
             root = root[root]
-    return np.unique(root, return_inverse=True)[1]
+    # the roots, ascending, numbered 0, 1, ...
+    return (np.cumsum(root == np.arange(n)) - 1)[root]
 
 
 def is_connected(graph: AccessGraph) -> bool:
-    return _component_labels(graph).max(initial=0) == 0
+    return _component_labels(len(graph), *graph.ends.T).max(initial=0) == 0
 
 
 def partition_k_finite(g: AccessibleSet) -> KFinitePartition:
@@ -191,7 +192,7 @@ def order_members(
     member permutation.
     """
     rank = g.table().canonical_ranks()
-    labels = _component_labels(graph)
+    labels = _component_labels(len(graph), *graph.ends.T)
     first = np.full(labels.max(initial=-1) + 1, len(g))
     np.minimum.at(first, labels, rank)
     comp_pos = np.argsort(np.argsort(first))  # components by smallest rank

@@ -356,9 +356,17 @@ def _outputs(model: StateSpaceModel, states: np.ndarray) -> np.ndarray:
     return out
 
 
+def _is_uniform(steps: np.ndarray) -> bool:
+    """np.allclose(steps, steps[0], rtol=0, atol=1e-12) from three scalars:
+    rounding is monotone, so the largest |step - steps[0]| is hi - first or
+    first - lo; an infinite first step passes only if every step equals it."""
+    first, lo, hi = float(steps[0]), float(steps.min()), float(steps.max())
+    return (hi - first <= 1e-12 and first - lo <= 1e-12) or lo == hi == first
+
+
 def _run_expm(model: StateSpaceModel, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
     steps = np.diff(t)
-    uniform = len(t) > 2 and np.allclose(steps, steps[0], rtol=0, atol=1e-12)
+    uniform = len(t) > 2 and _is_uniform(steps)
     if model.dim > DENSE_DIM or not uniform:
         # a non-uniform grid would take one dense expm per point, while one
         # Chebyshev sweep serves every point of any grid

@@ -687,6 +687,59 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert len(stdout.strip().split("\n")) == 4  # header + t=0,0.5,1.0
 
 
+@pytest.fixture
+def n3_config(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 3}))
+    return path
+
+
+def test_config_with_an_equals_sign(n3_config, capsys):
+    spaced = run(capsys, "--config", str(n3_config), "chain", "--couplings", "1,2")
+    attached = run(capsys, f"--config={n3_config}", "chain", "--couplings", "1,2")
+    assert spaced[0] == 0 and attached == spaced
+
+
+def test_config_satisfies_a_required_option(n3_config, capsys):
+    # --n is required; the config's value counts, and the command line wins
+    for flags in ((), ("--n", "4")):
+        want = run(capsys, "chain", *(flags or ("--n", "3")))
+        assert want[0] == 0
+        assert run(capsys, "--config", str(n3_config), "chain", *flags) == want
+
+
+def test_config_supplies_a_required_path(tmp_path, capsys):
+    set_path, model_path = tmp_path / "set.json", tmp_path / "model.json"
+    run(capsys, "gen", "--chain", "2", "--measurement", "Z1", "--out", str(set_path))
+    run(capsys, "model", "--set", str(set_path), "--chain", "2",
+        "--measurement", "Z1", "--out", str(model_path))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": str(model_path), "times": "0:1:0.5", "rho0": "0,1"}))
+    code, stdout, _ = run(capsys, "--config", str(cfg), "simulate")
+    assert code == 0 and stdout == run(
+        capsys, "simulate", "--model", str(model_path), "--times", "0:1:0.5", "--rho0", "0,1"
+    )[1]
+
+
+def test_a_config_token_that_is_a_value_stays_a_value(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "chain", "--n", "3", "--out=--config")[0] == 0
+    assert (tmp_path / "--config").read_text() == run(capsys, "chain", "--n", "3")[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chain", "--config", "CFG", "--n", "3"], "unrecognized arguments: --config CFG"),
+    (["chain", "--n", "3", "--config", "CFG"], "unrecognized arguments: --config CFG"),
+    (["--config", "CFG", "--config", "CFG", "chain"], "error: --config given more than once"),
+    (["--config"], "argument --config: expected one argument"),
+    (["--config", "CFG.missing", "chain"], "error: cannot read config"),
+], ids=["after the subcommand", "at the end", "twice", "no path", "no file"])
+def test_config_misplaced_or_unreadable_exits_2(n3_config, argv, message):
+    code, err = run_quietly([arg.replace("CFG", str(n3_config)) for arg in argv])
+    assert code == 2 and message.replace("CFG", str(n3_config)) in err, err
+    assert "Traceback" not in err
+
+
 def test_text_format_output(capsys):
     code, stdout, err = run(
         capsys, "gen", "--chain", "3", "--measurement", "X1", "--format", "text",

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -218,7 +219,7 @@ def test_evolve_expectation_diagonalises_in_the_dtype_of_h(terms, dtype):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "eigh", lambda a: seen.append(a.dtype) or eigh(a))
         got = evolve_expectation(spec, meas, rho, [0.0, 0.4, 1.3])
-    assert seen == [dtype]
+    assert seen and all(d == dtype for d in seen)
     expected = dense_ref.evolve_per_point(spec, meas, rho, [0.0, 0.4, 1.3])
     assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -244,6 +245,100 @@ def test_evolve_expectation_matches_per_point_on_chain_and_heisenberg():
         got = evolve_expectation(spec, meas, rho, times)
         expected = dense_ref.evolve_per_point(spec, meas, rho, times)
         assert np.max(np.abs(got - expected)) < 1e-12, label
+
+
+#: Hamiltonians by the blocks of their nonzero pattern: the term on sites
+#: k, k + 1 with coupling j, the term on site k with field g, and the
+#: expected block sizes at width n
+BLOCK_KINDS = {
+    # hopping and Z fields keep the excitation number: blocks of C(n, k)
+    "exchange with fields": (
+        lambda j, k: f"{j}*X{k} X{k + 1} + {j}*Y{k} Y{k + 1}",
+        lambda g, k: f"{g}*Z{k}",
+        lambda n: [math.comb(n, k) for k in range(n + 1)],
+    ),
+    # XX and YY of unequal weight keep only the parity: two equal blocks
+    "anisotropic XY": (
+        lambda j, k: f"{j}*X{k} X{k + 1} + {j / 3}*Y{k} Y{k + 1}",
+        lambda g, k: f"{g}*Z{k}",
+        lambda n: [1 << (n - 1)] * 2,
+    ),
+    "diagonal": (
+        lambda j, k: f"{j}*Z{k} Z{k + 1}",
+        lambda g, k: f"{g}*Z{k}",
+        lambda n: [1] * (1 << n),
+    ),
+    # a transverse field joins every basis state
+    "connected": (
+        lambda j, k: f"{j}*Z{k} Z{k + 1}",
+        lambda g, k: f"{g}*X{k}",
+        lambda n: [1 << n],
+    ),
+    # the antisymmetric exchange X Y - Y X is imaginary and keeps the
+    # excitation number
+    "complex with blocks": (
+        lambda j, k: f"{j}*X{k} Y{k + 1} + {-j}*Y{k} X{k + 1}",
+        lambda g, k: f"{g}*Z{k}",
+        lambda n: [math.comb(n, k) for k in range(n + 1)],
+    ),
+}
+
+
+@st.composite
+def block_cases(draw):
+    """(kind, spec, meas, rho, times) at N <= 5 on a Hamiltonian of each
+    block structure.  The measurement's matrix is real (no odd-Y string),
+    imaginary (odd-Y strings only) or both, and spans several blocks; rho is
+    real or complex (a density matrix has a real diagonal, so the part that
+    may be all zero is its imaginary one)."""
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(sorted(BLOCK_KINDS)))
+    weights = st.floats(0.2, 1.5)
+    pair, site, _ = BLOCK_KINDS[kind]
+    terms = [pair(draw(weights), k) for k in range(1, n)]
+    terms += [site(draw(weights), k) for k in range(1, n + 1)]
+    spec = parse_hamiltonian(" + ".join(terms), n)
+    part = draw(st.sampled_from(["real", "imaginary", "both"]))
+    picked = {"real": lambda s: not odd_y(s), "imaginary": odd_y, "both": lambda s: True}[part]
+    ms = draw(st.lists(strings_at(n).filter(picked), min_size=1, max_size=3,
+                       unique_by=lambda s: (s.x_mask, s.z_mask)))
+    if part == "both":
+        ms = [PauliString.from_text("Y1", n), PauliString.from_text("X1", n), *ms[:1]]
+        ms = list(dict.fromkeys(ms))
+    meas = WeightedPauliSum(n, tuple((draw(weights), s) for s in ms))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        rho = mixed_rho(n, seed)
+    else:
+        a = np.random.default_rng(seed).normal(size=(1 << n, 1 << n))
+        rho = a @ a.T / np.trace(a @ a.T)
+    times = draw(st.lists(st.floats(0, 5), max_size=12))
+    return kind, spec, meas, rho, times
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(block_cases())
+def test_block_oracle_matches_per_point_kron_route(case):
+    kind, spec, meas, rho, times = case
+    h = spec.terms.to_matrix()
+    _, runs = oracle._blocks(h.real if not h.imag.any() else h)
+    sizes = [size for size, count in runs for _ in range(count)]
+    assert sorted(sizes) == sorted(BLOCK_KINDS[kind][2](spec.n_qubits))
+    got = evolve_expectation(spec, meas, rho, times)
+    expected = dense_ref.evolve_per_point(spec, meas, rho, times)
+    assert got.shape == (len(times),)
+    assert np.max(np.abs(got - expected), initial=0.0) < 1e-12
+
+
+def test_block_oracle_all_z_closed_form():
+    # every basis state is its own block; <X1>(t) from |+>|0...> precesses
+    # at twice the field on site 1
+    n, field = 6, 0.7
+    spec = parse_hamiltonian(" + ".join([f"{field}*Z1"] + [f"0.3*Z{k}" for k in range(2, n + 1)]), n)
+    rho = product_rho(["+"] + ["0"] * (n - 1))
+    times = np.linspace(0.0, 10.0, 51)
+    got = evolve_expectation(spec, parse_sum("X1", n), rho, times)
+    assert np.max(np.abs(got - np.cos(2 * field * times))) < 1e-12
 
 
 def test_evolve_expectation_refuses_a_measurement_of_another_width():
@@ -393,15 +488,84 @@ def test_density_matrix_psd_rule_agrees_with_eigenvalues(n, seed, real, offset):
     assert accepted == (lam >= -1e-10)
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
+    offset=st.one_of(st.floats(-1e-9, 1e-9), st.floats(-1.0, 1.0)),
+)
+def test_density_matrix_psd_check_agrees_with_numpy_cholesky(n, seed, real, offset):
+    # the reference is the rule as numpy states it: a Cholesky factor of
+    # rho + 1e-10 I exists; the check must give its verdict at dims 2-1024
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    lam_min = min(-1e-10 + offset, 1.0 / dim)
+    rest = rng.dirichlet(np.ones(dim - 1)) * (1.0 - lam_min)
+    rho = density_with_spectrum(rng, [lam_min, *rest], real)
+    assume(abs(np.linalg.eigvalsh(rho).min() + 1e-10) >= 1e-12)
+    try:
+        np.linalg.cholesky((rho.real if real else rho) + 1e-10 * np.eye(dim))
+        expected = True
+    except np.linalg.LinAlgError:
+        expected = False
+    try:
+        validate_density_matrix(rho, n)
+        accepted = True
+    except ValueError as exc:
+        assert "not positive semidefinite" in str(exc)
+        accepted = False
+    assert accepted == expected
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_density_matrix_hermitian_up_to_the_tolerance(real):
+    # an inexactly Hermitian rho is judged by np.allclose(rho, rho^dag,
+    # atol=1e-10) and its default rtol of 1e-5
+    rho = density_with_spectrum(np.random.default_rng(6), [0.4, 0.3, 0.2, 0.1], real)
+    for skew, accepted in ((1e-12, True), (1e-4, False)):
+        bent = rho.copy()
+        bent[0, 1] += skew
+        assert not np.array_equal(bent, bent.conj().T)
+        if accepted:
+            assert np.array_equal(validate_density_matrix(bent, 2), bent.astype(complex))
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                validate_density_matrix(bent, 2)
+
+
+#: (size, count) runs of a block-diagonal V on 9 basis states
+ROTATION_RUNS = ((1, 2), (2, 2), (3, 1))
+
+
+def block_stacks(rng, real):
+    return [
+        np.stack([random_unitary(rng, size, real) for _ in range(count)])
+        for size, count in ROTATION_RUNS
+    ]
+
+
 @pytest.mark.parametrize("part", ["real", "imaginary", "complex", "zero"])
 def test_rotate_real_matches_the_full_product(part):
     rng = np.random.default_rng(11)
-    v = random_unitary(rng, 8, real=True)
-    re, im = rng.normal(size=(2, 8, 8))
+    order = rng.permutation(9)
+    vs = block_stacks(rng, real=True)
+    v = scipy.linalg.block_diag(*(block for stack in vs for block in stack))
+    re, im = rng.normal(size=(2, 9, 9))
     a = {"real": re + 0j, "imaginary": 1j * im, "complex": re + 1j * im, "zero": 0j * re}[part]
-    got = oracle._rotate_real(v, a)
-    assert np.allclose(got, v.T @ a @ v, rtol=0, atol=1e-12)
+    got = oracle._rotate(order, vs, a)
+    assert np.allclose(got, v.T @ a[np.ix_(order, order)] @ v, rtol=0, atol=1e-12)
     assert got.dtype == (np.float64 if part in ("real", "zero") else np.complex128)
+
+
+def test_rotate_complex_blocks_matches_the_full_product():
+    rng = np.random.default_rng(12)
+    order = rng.permutation(9)
+    vs = block_stacks(rng, real=False)
+    v = scipy.linalg.block_diag(*(block for stack in vs for block in stack))
+    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    got = oracle._rotate(order, vs, a)
+    assert np.allclose(got, v.conj().T @ a[np.ix_(order, order)] @ v, rtol=0, atol=1e-12)
 
 
 def test_propagator_unitary():

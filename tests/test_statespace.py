@@ -435,6 +435,40 @@ def test_expm_on_non_uniform_grid_below_dense_dim(chain_f_n7, times):
     assert_matches_dense_expm(model, x0, props, times)
 
 
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        [0.0, 0.5, 1.0, 1.5],
+        [0.0, 0.1, 0.2, 0.30000000000000004],  # steps equal up to rounding
+        [0.0, 1.0, 2.0 + 1e-12, 3.0],  # a step off by the tolerance
+        [0.0, 1.0, 2.0 + 3e-12, 3.0],  # and past it
+        [0.0, 1.0, 2.0 - 3e-12, 3.0],
+        [0.0, 1.0, 1.5, 2.0],  # the first step is the longest
+        [0.0, 1.0, 2.0 - 3e-12, 3.0 - 6e-12],  # and by just past the tolerance
+        [1.0, 1.0, 1.0],  # zero steps
+        [0.0, 1e-300, 2e-300],
+        [5.0, 4.0, 3.0],  # negative steps
+        [-1.5e308, 1.5e308, 1.5e308],  # the first step overflows to inf
+        [0.0, 1.0, 1.5e308, -1.5e308],  # the last step overflows to -inf
+        [-1.5e308, 1.5e308, -1.5e308, 1.5e308],  # inf, -inf, inf
+        [-1.5e308, 1.5e308, INF],  # two inf steps
+        [-INF, 0.0, INF],
+        [0.0, 1e308, INF],  # a finite step, then inf
+        [0.0, 1.0, INF, INF],  # an inf step, then nan
+    ],
+)
+def test_uniform_grid_test_gives_the_allclose_verdict(times):
+    # _run_expm's test for one step across the grid, against the rule it
+    # replaces, on grids simulate_reduced would refuse as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(np.array(times))
+        expected = bool(np.allclose(steps, steps[0], rtol=0, atol=1e-12))
+    assert statespace._is_uniform(steps) == expected
+
+
 def test_expm_to_a_far_time_above_dense_dim(chain_f_n8):
     # rho t = 2e4 at t = 1000: one sweep of about 27 000 terms
     model, x0, props = chain_f_n8
