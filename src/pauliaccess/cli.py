@@ -274,8 +274,6 @@ def cmd_model(args) -> int:
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     times = _parse_times(args.times)
-    if not math.isfinite(args.step):
-        raise ValueError(f"--step takes a finite number, got {args.step!r}")
     if args.rho0_file:
         x0_source = _read_rho0(args.rho0_file)
     else:
@@ -385,13 +383,6 @@ def _is_simple(gr) -> bool:
     return bool((lo != hi).all() and (pairs[1:] != pairs[:-1]).all())
 
 
-def _regenerates_from_every_member(g, digamma) -> bool:
-    """Whether the closure of each single member of g is exactly g: no
-    member's child falls outside g, and every member reaches all of g."""
-    closed, covered = _regenerates(g.n_qubits, digamma, g.packed_keys())
-    return closed and covered
-
-
 def _suite_lemmas(lo: int, hi: int):
     for n in range(max(2, lo), hi + 1):
         digamma = exchange_digamma(n)
@@ -413,7 +404,9 @@ def _suite_lemmas(lo: int, hi: int):
                 )
             )
             connected = is_connected(gr)
-            regen = _regenerates_from_every_member(g, digamma)
+            # the closure of each single member is exactly g: no member's
+            # child falls outside g, and every member reaches all of g
+            regen = all(_regenerates(n, digamma, g.packed_keys()))
             ok = simple and symmetric and connected and regen
             detail = "" if ok else (
                 f" (simple={simple}, symmetric={symmetric},"

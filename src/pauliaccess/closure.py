@@ -116,24 +116,12 @@ class AccessibleSet:
         partition: Optional[tuple[tuple[int, int, int], ...]] = None,
         cores: Optional[tuple[int, ...]] = None,
     ):
-        self.n_qubits = n_qubits
         if not isinstance(members, PauliTable):
             members = PauliTable.from_strings(members, n_qubits)
-        self._table = members
         index = {s: i for i, s in enumerate(dict.fromkeys(p[1] for p in provenance if p))}
-        # (parent, label, labels): two int64 arrays and a tuple of strings
-        self._forest = (
-            np.array([-1 if p is None else p[0] for p in provenance], dtype=np.int64),
-            np.array([-1 if p is None else index[p[1]] for p in provenance], dtype=np.int64),
-            tuple(index),
-        )
-        self.partition = partition
-        self.cores = cores
-        self._keys: Optional[list[int]] = None
-        self._member_keys: Optional[frozenset[int]] = None
-        self._members: Optional[tuple[PauliString, ...]] = None
-        self._provenance: Optional[tuple[Optional[tuple[int, PauliString]], ...]] = None
-        self._depths: Optional[np.ndarray] = None
+        parent = np.array([-1 if p is None else p[0] for p in provenance], dtype=np.int64)
+        label = np.array([-1 if p is None else index[p[1]] for p in provenance], dtype=np.int64)
+        self._init(n_qubits, members, (parent, label, tuple(index)), partition, cores)
 
     @classmethod
     def _from_forest(
@@ -141,9 +129,34 @@ class AccessibleSet:
     ) -> "AccessibleSet":
         """A set whose provenance is ``forest = (parent, label, labels)``, as
         :meth:`provenance_arrays` returns it."""
-        g = cls(n_qubits, table, (), partition, cores)
-        g._forest = forest
+        g = cls.__new__(cls)
+        g._init(n_qubits, table, forest, partition, cores)
         return g
+
+    def _init(self, n_qubits, table, forest, partition, cores) -> None:
+        """Set the fields; ValueError unless the forest has one parent and one
+        label per member, each -1 (a seed, in both) or an index in range."""
+        parent, label, labels = forest
+        m = len(table)
+        if parent.shape != (m,) or label.shape != (m,):
+            raise ValueError(f"provenance must have {m} entries, one per member")
+        if not -1 <= parent.min(initial=-1) <= parent.max(initial=-1) < m:
+            raise ValueError(f"provenance parent must be -1 or in 0..{m - 1}")
+        if not -1 <= label.min(initial=-1) <= label.max(initial=-1) < len(labels):
+            raise ValueError(f"provenance label must be -1 or in 0..{len(labels) - 1}")
+        if ((parent ^ label) < 0).any():  # one of the two is negative
+            raise ValueError("provenance parent and label must be -1 at the same members")
+        self.n_qubits = n_qubits
+        self._table = table
+        # (parent, label, labels): two int64 arrays and a tuple of strings
+        self._forest = forest
+        self.partition = partition
+        self.cores = cores
+        self._keys: Optional[list[int]] = None
+        self._member_keys: Optional[frozenset[int]] = None
+        self._members: Optional[tuple[PauliString, ...]] = None
+        self._provenance: Optional[tuple[Optional[tuple[int, PauliString]], ...]] = None
+        self._depths: Optional[np.ndarray] = None
 
     @property
     def members(self) -> tuple[PauliString, ...]:

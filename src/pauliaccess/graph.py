@@ -72,15 +72,6 @@ class AccessGraph:
         labels = [self.digamma[j] for j in self.label_index.tolist()]
         return tuple(zip(*self.ends.T.tolist(), labels))
 
-    def neighbors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency as CSR arrays: vertex u's neighbors, in canonical
-        string order, are ``indices[indptr[u]:indptr[u + 1]]``."""
-        src = np.concatenate([self.ends[:, 0], self.ends[:, 1]])
-        dst = np.concatenate([self.ends[:, 1], self.ends[:, 0]])
-        # one key per (source, neighbor rank) pair: sorted by source, then rank
-        order = np.argsort(src * len(self) + self.table.canonical_ranks()[dst])
-        return np.searchsorted(src[order], np.arange(len(self) + 1)), dst[order]
-
 
 @dataclass(frozen=True)
 class KFinitePartition:
@@ -187,10 +178,21 @@ def order_members(
     """Reorder: components in canonical order, blocks ascending k inside each,
     members breadth-first from the block core inside each block.
 
-    A block whose induced subgraph is disconnected falls back to generation
-    order with a warning; the ordering is otherwise independent of the input
-    member permutation.
+    The partition's blocks must hold every member of g exactly once, or
+    ValueError is raised.  The walk follows the edges inside each block,
+    each member's neighbors in canonical order.  A block whose induced
+    subgraph is disconnected falls back to generation order with a warning;
+    the ordering is otherwise independent of the input member permutation.
     """
+    blocks = partition.blocks
+    sizes = [len(idx) for _, idx in blocks]
+    members = np.fromiter(
+        chain.from_iterable(idx for _, idx in blocks), dtype=np.int64, count=sum(sizes)
+    )
+    # `slot` is a member's place in the partition, which orders a fallback block
+    slot = np.argsort(members)
+    if not np.array_equal(members[slot], np.arange(len(g))):
+        raise ValueError(f"the partition must hold each of the {len(g)} members exactly once")
     rank = g.table().canonical_ranks()
     labels = _component_labels(len(graph), *graph.ends.T)
     first = np.full(labels.max(initial=-1) + 1, len(g))
@@ -198,25 +200,13 @@ def order_members(
     comp_pos = np.argsort(np.argsort(first))  # components by smallest rank
 
     # a group is the part of one block inside one component; group ids run
-    # in output order, components first, then blocks ascending k.  `slot` is
-    # a member's place in the partition, which orders a fallback block.
-    blocks = partition.blocks
-    sizes = [len(idx) for _, idx in blocks]
-    members = np.fromiter(
-        chain.from_iterable(idx for _, idx in blocks), dtype=np.int64, count=sum(sizes)
-    )
+    # in output order, components first, then blocks ascending k
+    group = comp_pos[labels] * len(blocks) + np.repeat(np.arange(len(blocks)), sizes)[slot]
     n_groups = len(first) * len(blocks)
-    group = np.full(len(g), -1)
-    group[members] = comp_pos[labels[members]] * len(blocks) + np.repeat(
-        np.arange(len(blocks)), sizes
-    )
-    slot = np.zeros(len(g), dtype=np.int64)
-    slot[members] = np.arange(members.size)
-    size = np.bincount(group[members], minlength=n_groups)
+    size = np.bincount(group, minlength=n_groups)
 
     # each group's core: least provenance depth, then canonical order
-    depth = g.depths()
-    by_core = members[np.lexsort((rank[members], depth[members], group[members]))]
+    by_core = np.lexsort((rank, g.depths(), group))
     cores = by_core[np.flatnonzero(np.diff(group[by_core], prepend=-1))]
 
     visit = _bfs_within_groups(graph, group, cores)
@@ -227,10 +217,8 @@ def order_members(
             "disconnected; falling back to generation order",
             stacklevel=2,
         )
-    within = np.where(broken[group], slot, visit)
-    new_order = members[np.lexsort((within[members], group[members]))]
-    new_index = np.empty(len(g), dtype=np.int64)
-    new_index[new_order] = np.arange(new_order.size)
+    new_order = np.lexsort((np.where(broken[group], slot, visit), group))
+    new_index = np.argsort(new_order)
 
     gids = np.flatnonzero(size)
     ends = np.cumsum(size[gids]).tolist()
@@ -259,11 +247,11 @@ def _bfs_within_groups(graph: AccessGraph, group: np.ndarray, cores: np.ndarray)
     canonical order, and keeps each vertex where it first appears: the order
     a queue gives.
     """
-    indptr, indices = graph.neighbors()
-    src = np.repeat(np.arange(len(graph)), np.diff(indptr))
-    inside = (group[src] == group[indices]) & (group[src] >= 0)
-    indptr = np.r_[0, np.cumsum(np.bincount(src[inside], minlength=len(graph)))]
-    indices = indices[inside]
+    u, v = graph.ends[group[graph.ends[:, 0]] == group[graph.ends[:, 1]]].T
+    src, dst = np.concatenate((u, v)), np.concatenate((v, u))
+    # CSR of the in-group edges, by source, then the neighbor's rank
+    indices = dst[np.argsort(src * len(graph) + graph.table.canonical_ranks()[dst])]
+    indptr = np.r_[0, np.cumsum(np.bincount(src, minlength=len(graph)))]
 
     visit = np.full(len(graph), -1)
     layer, count = cores, 0

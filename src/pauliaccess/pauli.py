@@ -98,26 +98,22 @@ def _check_dense(n_qubits: int) -> None:
         raise ValueError(f"dense matrix for {n_qubits} qubits exceeds cap {DENSE_CAP}")
 
 
-def _reverse_bits(v: int, n: int) -> int:
-    # masks put site 1 at bit 0; dense indices put site 1 at the high bit
-    r = 0
-    for _ in range(n):
-        r = (r << 1) | (v & 1)
-        v >>= 1
-    return r
-
-
 @functools.lru_cache(maxsize=None)
 def _bit_reversal(n: int) -> np.ndarray:
-    """:func:`_reverse_bits` of every n-bit mask, indexed by the mask."""
-    return np.array([_reverse_bits(v, n) for v in range(1 << n)], dtype=np.int64)
+    """Every n-bit mask with its bits reversed, indexed by the mask: masks put
+    site 1 at bit 0, dense indices put it at the high bit."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    out = np.zeros_like(masks)
+    for bit in range(n):
+        out |= (masks >> bit & 1) << (n - 1 - bit)
+    return out
 
 
 def _signed_permutation(s: "PauliString") -> tuple[np.ndarray, np.ndarray]:
     """Column and value of the one nonzero in each row of ``s.to_matrix()``."""
     # with x, z in dense-index bit order, row r holds
     # i^pc(x&z) * (-1)^pc(z & (r^x)) at column r^x
-    x, z = (_reverse_bits(mask, s.n_qubits) for mask in (s.x_mask, s.z_mask))
+    x, z = _bit_reversal(s.n_qubits)[[s.x_mask, s.z_mask]].tolist()
     cols = np.arange(1 << s.n_qubits) ^ x
     signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
     return cols, _I_POWERS[(x & z).bit_count() % 4] * signs

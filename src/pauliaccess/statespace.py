@@ -309,7 +309,8 @@ def simulate_reduced(
     K >= rho t_max with 4 (rho t_max / 2)^K / K! <= 1e-16.  When K exceeds
     :data:`MAX_EXPM_TERMS` it raises ValueError before anything runs, and so
     does ``rk4`` when t_max / step exceeds :data:`MAX_RK4_STEPS`.  Times
-    must be finite, sorted and nonnegative.  There is no size cap.
+    must be finite, sorted and nonnegative, and x0 and the step finite, for
+    either integrator; otherwise ValueError.  There is no size cap.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or len(t) == 0:
@@ -321,6 +322,10 @@ def simulate_reduced(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({model.dim},)")
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 must be finite")
+    if not math.isfinite(step):
+        raise ValueError(f"--step takes a finite number, got {step!r}")
 
     if integrator == "expm":
         states = _run_expm(model, x0, t)

@@ -29,6 +29,7 @@ from pauliaccess import (
 )
 from pauliaccess._fixedwidth import dump_json
 from pauliaccess.cli import main
+from pauliaccess.closure import _regenerates
 from pauliaccess.graph import AccessGraph
 from pauliaccess.hamiltonian import build_exchange_chain, hamiltonian_to_json, measurement_to_json
 
@@ -597,7 +598,7 @@ def test_lemma_regeneration_matches_per_member_closures():
     more = AccessibleSet(4, (*g.members, other), (None,) * (len(g) + 1))
     for s, want in ((g, True), (fewer, False), (more, False)):
         assert regenerates_member_by_member(s, dig) is want
-        assert cli._regenerates_from_every_member(s, dig) is want
+        assert all(_regenerates(4, dig, s.packed_keys())) is want
 
 
 def write_measurement_file(path, texts, n):
@@ -791,6 +792,9 @@ MALFORMED = {
     "config key func": ("config", lambda d: d.update(func=1)),
     "config times not a string": ("config", lambda d: d.update(times=5)),
     "config unknown key": ("config", lambda d: d.update(nope=1)),
+    "config not an object": ("config", lambda d: [d]),
+    "config measurement not a list": ("config", lambda d: d.update(measurement="Y1 Z2")),
+    "config step not a number": ("config", lambda d: d.update(step="fast")),
     "set without members": ("set", lambda d: d.__delitem__("members")),
     "provenance entry without parent": ("set", lambda d: d["provenance"][0].__delitem__("parent")),
     "partition entry without start": ("set", lambda d: d["partition"][0].__delitem__("start")),
@@ -908,6 +912,9 @@ MALFORMED_MESSAGES = {
         for case in MALFORMED if "MAX_QUBITS" in case
     },
     "config not UTF-8": "cannot read config",
+    "config not an object": "config must be a JSON object of option values",
+    "config measurement not a list": "config key 'measurement': expected a list, got 'Y1 Z2'",
+    "config step not a number": "config key 'step': invalid value 'fast'",
     "gen --chain 0": "a chain needs at least 2 qubits",
     "chain --n 0": "a chain needs at least 2 qubits",
     "rk4 step zero": "step must be positive",

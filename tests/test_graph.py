@@ -531,3 +531,22 @@ def test_order_members_matches_the_per_block_walk(case):
         None if g.provenance[i] is None else (new[g.provenance[i][0]], g.provenance[i][1])
         for i in want_order
     )
+
+
+@pytest.mark.parametrize("bad", ["missing", "repeated", "past the end", "negative"])
+def test_order_members_refuses_a_partition_that_does_not_tile_the_set(bad):
+    # a missing member gave a 23-member set with an uninitialised parent,
+    # a repeated one a 25-member set with a duplicated row
+    dig = exchange_digamma(4)
+    g = generate(dig, [parse_term("Y1 Z2", 4)])
+    gr = build_graph(g, dig)
+    (k, first), *rest = partition_k_finite(g).blocks
+    changed = {
+        "missing": first[1:],
+        "repeated": (*first, first[0]),
+        "past the end": (*first[1:], 99),
+        "negative": (*first[1:], -1),
+    }[bad]
+    partition = KFinitePartition(((k, changed), *rest))
+    with pytest.raises(ValueError, match="each of the 24 members exactly once"):
+        order_members(g, gr, partition)

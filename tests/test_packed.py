@@ -31,7 +31,7 @@ from pauliaccess import (
 )
 from pauliaccess.closure import accessible_set_from_json, accessible_set_to_json
 from pauliaccess.graph import graph_to_json
-from pauliaccess.pauli import DENSE_CAP, PauliTable
+from pauliaccess.pauli import DENSE_CAP, DimensionMismatchError, PauliTable
 from pauliaccess.statespace import BLOCH_KETS, model_from_json, model_to_json
 
 import dense_ref
@@ -174,6 +174,16 @@ def test_traces_work_in_chunks_at_the_dense_cap():
     for i in rng.choice(rows, 50, replace=False).tolist():
         s = PauliString(n, int(x[i, 0]), int(z[i, 0]))
         assert abs(got[i] - dense_trace(s, rho)) <= 1e-14
+
+
+def test_table_refuses_mixed_shapes_and_an_empty_table_finds_nothing():
+    table = PauliTable.from_strings([parse_term("X1", 2), parse_term("Z2", 2)], 2)
+    with pytest.raises(DimensionMismatchError, match=r"matrix shape \(2, 2\), expected \(4, 4\)"):
+        table.traces(np.eye(2))
+    with pytest.raises(DimensionMismatchError, match="tables act on 2 and 3 qubits"):
+        table.brackets(PauliTable.from_strings([parse_term("X1", 3)], 3))
+    empty = PauliTable.from_strings([], 2)
+    assert empty.find(table).tolist() == [-1, -1]
 
 
 @given(st.sampled_from(WIDTHS).flatmap(strings))

@@ -296,12 +296,26 @@ def test_parse_sum_bare_and_negative():
         ("2.0 X1", 4),      # coefficient without '*'
         ("X1 +", 3),        # dangling plus
         ("I2", 0),          # indexed identity
+        ("* X1", 0),        # unexpected '*'
+        ("X1 2.0 * Y2", 3), # expected '+' between terms
+        ("", 0),            # empty operator text
     ],
 )
 def test_grammar_errors_carry_positions(text, pos):
     with pytest.raises(GrammarError) as err:
         parse_sum(text, 3)
     assert err.value.position == pos
+
+
+def test_a_term_takes_no_coefficient():
+    with pytest.raises(GrammarError, match="coefficient not allowed here") as err:
+        parse_term("2.0 * X1", 3)
+    assert err.value.position == 0
+
+
+def test_format_empty_sum():
+    assert format_sum(WeightedPauliSum(2, ())) == "0 * I"
+    assert format_sum(parse_sum("X1 + -1 * X1", 2).normalized()) == "0 * I"
 
 
 def test_format_round_trip():

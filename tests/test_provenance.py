@@ -12,6 +12,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import string_of
@@ -99,6 +100,23 @@ def test_set_text_from_the_arrays_matches_reference(provenance):
     g = AccessibleSet(N, table_of(len(provenance)), provenance)
     arrays = AccessibleSet._from_forest(N, table_of(len(provenance)), g.provenance_arrays())
     assert accessible_set_to_json(arrays) == payload_ref.dumps(payload_ref.set_dict(g))
+
+
+def test_a_provenance_that_does_not_fit_the_members_is_refused():
+    # each built a set whose depths() or set text failed inside numpy
+    two, nu = table_of(2), LABELS[0]
+    for provenance, message in [
+        ((None,), "must have 2 entries, one per member"),
+        ((None, (5, nu)), r"parent must be -1 or in 0\.\.1"),
+        ((None, (-1, nu)), "parent and label must be -1 at the same members"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            AccessibleSet(N, two, provenance)
+    parent, label = np.array([-1, 0]), np.array([-1, 1])
+    with pytest.raises(ValueError, match=r"label must be -1 or in 0\.\.0"):
+        AccessibleSet._from_forest(N, two, (parent, label, (nu,)))
+    with pytest.raises(ValueError, match="parent and label must be -1 at the same members"):
+        AccessibleSet._from_forest(N, two, (parent, np.array([0, 0]), (nu,)))
 
 
 #: parents and edges of a set file's entries, valid or not

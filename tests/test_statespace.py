@@ -34,6 +34,7 @@ from pauliaccess import (
 )
 from pauliaccess import statespace
 from pauliaccess.closure import ClosureError
+from pauliaccess.pauli import DENSE_CAP
 from pauliaccess.statespace import (
     DENSE_DIM,
     NormDriftError,
@@ -311,6 +312,9 @@ def test_x0_rejects_bad_density_matrices():
         initial_state_vector("0,1", g)  # wrong site count
     with pytest.raises(ValueError):
         initial_state_vector("q", g)  # unknown ket
+    wide = set_with_order(("Z1",), DENSE_CAP + 1)
+    with pytest.raises(ValueError, match=f"capped at {DENSE_CAP} qubits"):
+        initial_state_vector(np.eye(2) / 2, wide)
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +547,32 @@ def test_simulate_rejects_non_finite_times(integrator, last):
     x0 = initial_state_vector("0,1,0", ordered)
     with pytest.raises(ValueError, match="times must be finite"):
         simulate_reduced(model, x0, [0.0, last], integrator=integrator, step=0.01)
+
+
+@pytest.mark.parametrize("integrator", ["expm", "rk4"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_simulate_rejects_a_non_finite_x0_or_step(integrator, bad):
+    # a bad x0 made expm raise NormDriftError and rk4 blame its step; rk4
+    # with step=inf failed converting NaN to an int.  Only the CLI checked
+    # the step
+    ordered, spec, meas, _ = ordered_pipeline(3, "Y1 Z2")
+    model = build_model(ordered, spec, meas)
+    x0 = initial_state_vector("0,1,0", ordered)
+    spoilt = x0.copy()
+    spoilt[1] = bad
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        simulate_reduced(model, spoilt, [0.0, 1.0], integrator=integrator, step=0.01)
+    with pytest.raises(ValueError, match=f"--step takes a finite number, got {bad!r}"):
+        simulate_reduced(model, x0, [0.0, 1.0], integrator=integrator, step=bad)
+
+
+def test_simulate_rejects_an_unknown_integrator_and_a_wrong_x0_shape():
+    model, g = model_case_b2()
+    x0 = initial_state_vector("0,1", g)
+    with pytest.raises(ValueError, match="unknown integrator 'euler'"):
+        simulate_reduced(model, x0, [0.0, 1.0], integrator="euler")
+    with pytest.raises(ValueError, match=rf"x0 has shape \({model.dim + 1},\), expected"):
+        simulate_reduced(model, np.append(x0, 0.0), [0.0, 1.0])
 
 
 def test_rk4_step_cap_holds_in_the_library(monkeypatch):
